@@ -16,7 +16,7 @@ import os
 
 from .errors import ConfigError
 from .kinematics import ElbowBranch, JointLimits, LegGeometry
-from .pneumatics import AdhesionModel, PneumaticState
+from .pneumatics import AdhesionModel, assign_pumps
 from .simulator import GaitParams, ScenarioConfig
 
 CONFIG_ENV_VAR = "WALLCLIMBER_CONFIG"
@@ -211,7 +211,7 @@ def load_config(path=None):
         "B": tuple(get(("pneumatics", "pump_b_legs"), defaults.pump_legs["B"])),
     }
     try:
-        PneumaticState.initial(pump_legs)
+        assign_pumps(pump_legs)
     except ValueError as exc:
         raise ConfigError(f"[pneumatics] {exc}") from exc
 

@@ -5,6 +5,18 @@ catch domain failures in one place while letting programming errors
 (ValueError, TypeError) surface normally.
 """
 
+import math
+
+
+def require_finite(obj, *names):
+    """Raise ValueError naming the first of the fields `names` of `obj`
+    that is NaN or infinite. Range checks alone let NaN through, since
+    every comparison with it is false."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
 
 class ClimberError(Exception):
     """Base class for all domain errors raised by this package."""

@@ -2,7 +2,9 @@
 
 Files are bit-reproducible: floats are written with repr (shortest
 round-trip form), lines end with LF, headers are mandatory, and JSON
-keys are sorted. Angles are degrees in files, radians in memory.
+keys are sorted. Angles are degrees in files, radians in memory. No
+CSV field ever needs quoting, so the two large writers join their rows
+directly instead of going through csv.writer; the bytes are the same.
 """
 
 import csv
@@ -26,21 +28,31 @@ def _open_w(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
+def _degrees_text(cache, angles):
+    """The four joint angles as CSV fields in degrees, formatted once per
+    JointAngles object: solvers share one object between every tick or row
+    with the same pose. Keyed by identity, not value, because JointAngles
+    equality conflates 0.0 and -0.0; the entry keeps the object alive so
+    its id cannot be reused while the cache is."""
+    entry = cache.get(id(angles))
+    if entry is None:
+        text = ",".join([_fmt(math.degrees(t)) for t in angles.as_tuple()])
+        entry = cache[id(angles)] = (angles, text)
+    return entry[1]
+
+
 def write_joint_table(path, rows):
     """Write compiled gait rows; angles converted to degrees."""
+    cache = {}
     with _open_w(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(JOINT_TABLE_HEADER)
+        handle.write(",".join(JOINT_TABLE_HEADER) + "\n")
         for row in rows:
-            writer.writerow([
+            handle.write(",".join([
                 _fmt(row.t_s),
-                row.leg,
-                _fmt(math.degrees(row.angles.theta1)),
-                _fmt(math.degrees(row.angles.theta2)),
-                _fmt(math.degrees(row.angles.theta3)),
-                _fmt(math.degrees(row.angles.theta4)),
-                1 if row.attached else 0,
-            ])
+                str(row.leg),
+                _degrees_text(cache, row.angles),
+                "1" if row.attached else "0",
+            ]) + "\n")
 
 
 @dataclass(frozen=True)
@@ -80,24 +92,20 @@ def series_header():
 
 def write_series_csv(path, report):
     """Write the per-tick time series of a SimReport."""
+    cache = {}
     with _open_w(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(series_header())
+        handle.write(",".join(series_header()) + "\n")
         for rec in report.records:
             row = [_fmt(rec.t_s), _fmt(rec.body_mm)]
             for leg in LEG_IDS:
-                angles = rec.angles[leg]
                 row += [
-                    _fmt(math.degrees(angles.theta1)),
-                    _fmt(math.degrees(angles.theta2)),
-                    _fmt(math.degrees(angles.theta3)),
-                    _fmt(math.degrees(angles.theta4)),
+                    _degrees_text(cache, rec.angles[leg]),
                     rec.valve[leg].value,
                     _fmt(rec.pressure_kpa[leg]),
-                    1 if rec.attached[leg] else 0,
+                    "1" if rec.attached[leg] else "0",
                 ]
             row += [_fmt(rec.power_w), _fmt(rec.slip)]
-            writer.writerow(row)
+            handle.write(",".join(row) + "\n")
 
 
 def read_series_csv(path):

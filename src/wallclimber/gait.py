@@ -329,33 +329,43 @@ def compile_joint_table(script, geom, z_mm, k_rad, samples_per_step, *,
     if not report.ok:
         raise GaitValidationError(report)
 
+    # One solve per distinct target in this call, keyed on exact body-frame
+    # micrometres (never on floats, which conflate 0.0 and -0.0): (x_um, y_um)
+    # for a stance cup, (old_um, new_um, j) for swing sample j of a step.
+    poses = {}
     rows = []
     wall_um = dict(script.initial.points_um)
     body_um = 0
     for index, step in enumerate(script.steps):
         swing_leg = step.swing_leg
-        old_bf = (um_to_mm(wall_um[swing_leg][0]),
-                  um_to_mm(wall_um[swing_leg][1] - body_um))
+        old_um = (wall_um[swing_leg][0], wall_um[swing_leg][1] - body_um)
+        old_bf = (um_to_mm(old_um[0]), um_to_mm(old_um[1]))
         new_bf = step.new_foothold_mm
         for j in range(samples_per_step):
             t = (index + j / samples_per_step) * step_duration_s
-            progress = j / (samples_per_step - 1)
             for leg in LEG_IDS:
-                if leg == swing_leg:
-                    x, y, z = swing_waypoint(old_bf, new_bf, progress, z_mm, script.lift_mm)
-                    attached = False
+                attached = leg != swing_leg
+                if attached:
+                    key = (wall_um[leg][0], wall_um[leg][1] - body_um)
                 else:
-                    x = um_to_mm(wall_um[leg][0])
-                    y = um_to_mm(wall_um[leg][1] - body_um)
-                    z = z_mm
-                    attached = True
-                try:
-                    angles = solve_leg(geom, CupTarget(x, y, z, k_rad), script.branch, limits)
-                except KinematicsError as exc:
-                    raise type(exc)(
-                        f"step {index} sample {j} leg {leg}: {exc}", plane=exc.plane
-                    ) from exc
-                rows.append(JointTableRow(t, leg, angles, attached, (x, y, z)))
+                    key = (old_um, step.new_foothold_um, j)
+                hit = poses.get(key)
+                if hit is None:
+                    if attached:
+                        target = (um_to_mm(key[0]), um_to_mm(key[1]), z_mm)
+                    else:
+                        target = swing_waypoint(old_bf, new_bf, j / (samples_per_step - 1),
+                                                z_mm, script.lift_mm)
+                    try:
+                        angles = solve_leg(geom, CupTarget(*target, k_rad), script.branch,
+                                           limits)
+                    except KinematicsError as exc:
+                        raise type(exc)(
+                            f"step {index} sample {j} leg {leg}: {exc}", plane=exc.plane
+                        ) from exc
+                    hit = poses[key] = (target, angles)
+                target, angles = hit
+                rows.append(JointTableRow(t, leg, angles, attached, target))
         wall_um[swing_leg] = (step.new_foothold_um[0], step.new_foothold_um[1] + body_um)
         body_um += step.body_advance_um
     return rows

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DegenerateTarget, JointLimit, OutOfReach, ZUnreachable
+from .errors import DegenerateTarget, JointLimit, OutOfReach, ZUnreachable, require_finite
 
 # Rounding slack when a target sits exactly on the reach boundary:
 # |D| up to 1 + D_CLAMP_TOL is clamped to +/-1 instead of rejected.
@@ -43,6 +43,7 @@ class LegGeometry:
     a4: float = 100.0
 
     def __post_init__(self):
+        require_finite(self, "a1", "a2", "a3", "a4")
         for name in ("a1", "a2", "a3", "a4"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"link length {name} must be > 0, got {getattr(self, name)}")
@@ -79,6 +80,7 @@ class JointLimits:
     upper: float = math.pi / 2
 
     def __post_init__(self):
+        require_finite(self, "lower", "upper")
         if not self.lower < self.upper:
             raise ValueError(f"joint limits need lower < upper, got [{self.lower}, {self.upper}]")
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import AttachTimeout, NotAttached, PumpOff
+from .errors import AttachTimeout, NotAttached, PumpOff, require_finite
 
 DEFAULT_PUMP_LEGS = {"A": (1, 2), "B": (3, 4)}
 
@@ -45,6 +45,8 @@ class AdhesionModel:
     leak_kpa_per_s: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, "cup_area_mm2", "vacuum_kpa", "attach_threshold_kpa", "dwell_s",
+                       "vent_s", "friction", "leak_kpa_per_s")
         if self.cup_area_mm2 <= 0.0:
             raise ValueError(f"cup_area_mm2 must be > 0, got {self.cup_area_mm2}")
         if not self.vacuum_kpa < self.attach_threshold_kpa < 0.0:
@@ -82,6 +84,15 @@ def pressure_while_venting(p0_kpa, dt_s, vent_s):
     return p0_kpa * (1.0 - dt_s / vent_s)
 
 
+def assign_pumps(pump_legs):
+    """Map each leg to its pump from a pump -> legs assignment. Raises
+    ValueError unless every leg 1..4 is listed exactly once."""
+    pump_of_leg = {leg: pump for pump, legs in pump_legs.items() for leg in legs}
+    if sorted(leg for legs in pump_legs.values() for leg in legs) != [1, 2, 3, 4]:
+        raise ValueError(f"pump assignment must cover legs 1..4 once each, got {pump_legs}")
+    return pump_of_leg
+
+
 @dataclass
 class PneumaticState:
     """Snapshot of pumps, valves, and cup pressures.
@@ -99,12 +110,7 @@ class PneumaticState:
     def initial(cls, pump_legs=None, pumps_on=True):
         """All cups vented at atmospheric pressure, pumps running."""
         pump_legs = DEFAULT_PUMP_LEGS if pump_legs is None else pump_legs
-        pump_of_leg = {}
-        for pump, legs in pump_legs.items():
-            for leg in legs:
-                pump_of_leg[leg] = pump
-        if sorted(pump_of_leg) != [1, 2, 3, 4]:
-            raise ValueError(f"pump assignment must cover legs 1..4 once each, got {pump_legs}")
+        pump_of_leg = assign_pumps(pump_legs)
         return cls(
             pump_on={pump: pumps_on for pump in pump_legs},
             valve={leg: Valve.VENT for leg in pump_of_leg},

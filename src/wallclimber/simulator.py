@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 
-from .errors import ClimberError, ZeroCapacity
+from .errors import ClimberError, ZeroCapacity, require_finite
 from .gait import (
     ADVANCE_MODES,
     ADVANCE_PER_STEP,
@@ -37,6 +37,7 @@ from .pneumatics import (
     AdhesionModel,
     PneumaticState,
     Valve,
+    assign_pumps,
     holding_capacity,
     pressure_under_suction,
 )
@@ -63,6 +64,11 @@ class GaitParams:
     advance_s: float = 0.4
 
     def __post_init__(self):
+        require_finite(self, "step_length_mm", "lift_mm", "z_mm", "k_rad", "swing_s",
+                       "advance_s", "samples_per_step")
+        for leg, point in self.stance_mm.items():
+            if not all(math.isfinite(c) for c in point):
+                raise ValueError(f"stance_mm[{leg}] must be finite, got {point}")
         if self.step_length_mm <= 0.0:
             raise ValueError(f"step_length_mm must be > 0, got {self.step_length_mm}")
         if self.samples_per_step < 2:
@@ -106,6 +112,10 @@ class ScenarioConfig:
     noise_kpa: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, "climb_angle_deg", "mass_kg", "gravity_m_s2", "cycles", "tick_s",
+                       "servo_power_w", "pump_power_w", "lift_efficiency", "c_slip", "s_max",
+                       "noise_kpa")
+        assign_pumps(self.pump_legs)
         if not 0.0 <= self.climb_angle_deg <= 90.0:
             raise ValueError(f"climb_angle_deg must be in [0, 90], got {self.climb_angle_deg}")
         if self.mass_kg <= 0.0:
@@ -242,18 +252,38 @@ def run_scenario(config):
     def capacity_n():
         return holding_capacity(pstate, model)[1]
 
-    def solve_all(swing_leg=None, swing_target=None):
-        angles = {}
-        for leg in LEG_IDS:
-            if leg == swing_leg:
-                x, y, z = swing_target
+    # One solve per distinct cup target in this run; the gait revisits the
+    # same few poses every cycle, so the JointAngles are shared between
+    # ticks. Keys are exact body-frame micrometres: (x_um, y_um) for a cup
+    # at z_mm, or (old_um, new_um, j, n) for swing sample j of n. Float keys
+    # would conflate 0.0 and -0.0, which atan2 tells apart. On a miss the
+    # target's exact bits are looked up too, because the last swing sample
+    # often lands bit for bit on the attach target.
+    poses = {}
+    solved = {}
+
+    def pose(key):
+        angles = poses.get(key)
+        if angles is None:
+            if len(key) == 2:
+                x, y, z = um_to_mm(key[0]), um_to_mm(key[1]), gait.z_mm
             else:
-                x = um_to_mm(wall_um[leg][0])
-                y = um_to_mm(wall_um[leg][1] - body_um)
-                z = gait.z_mm
-            angles[leg] = solve_leg(geom, CupTarget(x, y, z, gait.k_rad),
-                                    gait.branch, config.limits)
+                old_um, new_um, j, n = key
+                x, y, z = swing_waypoint((um_to_mm(old_um[0]), um_to_mm(old_um[1])),
+                                         (um_to_mm(new_um[0]), um_to_mm(new_um[1])),
+                                         (j + 1) / n, gait.z_mm, gait.lift_mm)
+            bits = (float(x).hex(), float(y).hex(), float(z).hex())
+            angles = solved.get(bits)
+            if angles is None:
+                angles = solved[bits] = solve_leg(geom, CupTarget(x, y, z, gait.k_rad),
+                                                  gait.branch, config.limits)
+            poses[key] = angles
         return angles
+
+    def solve_all(swing_leg=None, swing_key=None):
+        return {leg: pose(swing_key if leg == swing_leg
+                          else (wall_um[leg][0], wall_um[leg][1] - body_um))
+                for leg in LEG_IDS}
 
     def record(tick_index, angles, speed_mm_s, slip_now):
         nonlocal energy_j
@@ -286,8 +316,8 @@ def run_scenario(config):
             leg = step.swing_leg
             old_wall = wall_um[leg]
             new_wall = (step.new_foothold_um[0], step.new_foothold_um[1] + body_um)
-            old_bf = (um_to_mm(old_wall[0]), um_to_mm(old_wall[1] - body_um))
-            new_bf = step.new_foothold_mm
+            old_bf_um = (old_wall[0], old_wall[1] - body_um)
+            new_bf_um = step.new_foothold_um
 
             attach_extended = False
             phase_queue = ["vent", "swing", "attach", "advance"]
@@ -322,14 +352,14 @@ def run_scenario(config):
                     slip_now = 0.0
                     if phase == "vent":
                         pstate.pressure_kpa[leg] = vent_p0 * (1.0 - frac)
-                        target = (old_bf[0], old_bf[1], gait.z_mm)
+                        target = old_bf_um
                     elif phase == "swing":
                         pstate.pressure_kpa[leg] = 0.0
-                        target = swing_waypoint(old_bf, new_bf, frac, gait.z_mm, gait.lift_mm)
+                        target = (old_bf_um, new_bf_um, j, n)
                     elif phase == "attach":
-                        target = (new_bf[0], new_bf[1], gait.z_mm)
+                        target = new_bf_um
                     elif phase == "recover":
-                        target = (old_bf[0], old_bf[1], gait.z_mm)
+                        target = old_bf_um
                     else:  # advance
                         body_um += shares[j]
                         speed = um_to_mm(shares[j]) / tick

@@ -130,6 +130,20 @@ def test_bad_pump_partition(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("section, key, field", [
+    ("scenario", "mass_kg", "mass_kg"),
+    ("scenario", "tick_s", "tick_s"),
+    ("geometry", "a1_mm", "a1"),
+    ("adhesion", "cup_area_mm2", "cup_area_mm2"),
+    ("gait", "step_length_mm", "step_length_mm"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_value_is_config_error(tmp_path, section, key, field, value):
+    path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {field} must be finite"):
+        load_config(path)
+
+
 def test_missing_file_is_config_error():
     with pytest.raises(ConfigError, match="cannot read"):
         load_config("/nonexistent/robot.ini")

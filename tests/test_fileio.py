@@ -1,8 +1,8 @@
 import math
 
 from wallclimber import fileio
-from wallclimber.gait import FootholdMap, compile_joint_table, generate_cycle
-from wallclimber.kinematics import LegGeometry
+from wallclimber.gait import FootholdMap, JointTableRow, compile_joint_table, generate_cycle
+from wallclimber.kinematics import JointAngles, LegGeometry
 from wallclimber.pneumatics import (
     AdhesionModel,
     PneumaticState,
@@ -103,3 +103,33 @@ def test_sweep_round_trip(tmp_path):
         assert speed == original.avg_speed_mm_s
         assert power == original.avg_power_w
         assert completed == original.completed
+
+
+def test_series_keeps_the_sign_of_zero_pressures(tmp_path):
+    # each vent ends at -0.0 kPa and the swing then holds 0.0 kPa; the two
+    # compare equal but must be written as they are
+    report = run_scenario(ScenarioConfig(cycles=1))
+    path = tmp_path / "series.csv"
+    fileio.write_series_csv(path, report)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    column = lines[0].split(",").index("leg1_pressure_kpa")
+    written = [line.split(",")[column] for line in lines[1:]]
+    assert written == [repr(rec.pressure_kpa[1]) for rec in report.records]
+    assert "0.0" in written and "-0.0" in written
+
+
+def test_joint_table_keeps_the_sign_of_zero_angles(tmp_path):
+    # equal by value, so a formatting cache keyed on values would merge them
+    plus = JointAngles(0.0, 0.0, 0.0, 0.0)
+    minus = JointAngles(-0.0, 0.0, -0.0, 0.0)
+    assert plus == minus
+    rows = [JointTableRow(0.0, 1, plus, True, (0.0, 0.0, 0.0)),
+            JointTableRow(0.0, 2, minus, True, (0.0, 0.0, 0.0)),
+            JointTableRow(1.0, 1, plus, False, (0.0, 0.0, 0.0))]
+    path = tmp_path / "table.csv"
+    fileio.write_joint_table(path, rows)
+    assert path.read_text(encoding="utf-8").splitlines()[1:] == [
+        "0.0,1,0.0,0.0,0.0,0.0,1",
+        "0.0,2,-0.0,0.0,-0.0,0.0,1",
+        "1.0,1,0.0,0.0,0.0,0.0,0",
+    ]

@@ -6,6 +6,7 @@ import pytest
 from wallclimber.errors import (
     BadOrder,
     GaitValidationError,
+    JointLimit,
     UnreachableFoothold,
     ZUnreachable,
 )
@@ -304,3 +305,27 @@ def test_foothold_map_mm_round_trip():
     assert stance.point_mm(2) == (75.5, 60.25)
     assert stance.points_um[2] == (75500, 60250)
     assert stance.attached_count() == 4
+
+
+def test_compile_names_unreachable_swing_sample_under_tight_limits():
+    # the plan validates (another elbow branch fits the limits at every
+    # checked point), but the scripted branch breaks them mid-swing; the
+    # memoised solve must still name the first failing sample
+    limits = JointLimits(-math.pi, math.radians(177.0))
+    script = default_cycle()
+    with pytest.raises(JointLimit, match=r"^step 3 sample 3 leg 4: theta1="):
+        compile_joint_table(script, GEOM, 100.0, math.pi / 2, 10, limits=limits)
+
+
+def test_compile_solves_each_distinct_target_once(monkeypatch):
+    targets = []
+
+    def counting_solve(geom, target, branch, limits):
+        targets.append((target.x, target.y, target.z))
+        return solve_leg(geom, target, branch, limits)
+
+    monkeypatch.setattr("wallclimber.gait.solve_leg", counting_solve)
+    rows = compile_joint_table(default_cycle(), GEOM, 100.0, math.pi / 2, 10)
+    assert len(rows) == 160
+    assert len(targets) == len(set(targets)) == len({row.target_mm for row in rows})
+    assert len({id(row.angles) for row in rows}) == len(targets)

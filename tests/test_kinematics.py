@@ -285,6 +285,20 @@ def test_leg_geometry_rejects_nonpositive_links():
         LegGeometry(100.0, 100.0, -5.0, 100.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_leg_geometry_rejects_non_finite_links(value):
+    for name in ("a1", "a2", "a3", "a4"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            LegGeometry(**{name: value})
+
+
+def test_joint_limits_reject_non_finite():
+    with pytest.raises(ValueError, match="lower must be finite"):
+        JointLimits(-math.inf, 1.0)
+    with pytest.raises(ValueError, match="upper must be finite"):
+        JointLimits(-1.0, math.nan)
+
+
 def test_cup_target_rejects_negative_clearance():
     with pytest.raises(ValueError):
         CupTarget(100.0, 0.0, -1.0, 0.0)

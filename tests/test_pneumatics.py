@@ -217,3 +217,11 @@ def test_model_invariants():
         AdhesionModel(friction=2.5)
     with pytest.raises(ValueError):
         AdhesionModel(leak_kpa_per_s=-1.0)
+
+
+@pytest.mark.parametrize("field", ["cup_area_mm2", "vacuum_kpa", "attach_threshold_kpa",
+                                   "dwell_s", "vent_s", "friction", "leak_kpa_per_s"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_model_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        AdhesionModel(**{field: value})

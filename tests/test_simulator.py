@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from wallclimber.errors import ZeroCapacity
 from wallclimber.fileio import write_series_csv, write_summary_json
 from wallclimber.gait import ADVANCE_PER_CYCLE
+from wallclimber.kinematics import solve_leg
 from wallclimber.pneumatics import AdhesionModel
 from wallclimber.simulator import (
     GaitParams,
@@ -249,3 +251,51 @@ def test_tangential_load():
     config = ScenarioConfig(climb_angle_deg=90.0)
     assert config.tangential_load_n == pytest.approx(2.0 * 9.81, rel=1e-12)
     assert ScenarioConfig(climb_angle_deg=0.0).tangential_load_n == 0.0
+
+
+# --- memoised solves ---------------------------------------------------------
+
+def test_run_solves_each_distinct_pose_once(monkeypatch):
+    targets = []
+
+    def counting_solve(geom, target, branch, limits):
+        targets.append(tuple(float(v).hex() for v in (target.x, target.y, target.z, target.k)))
+        return solve_leg(geom, target, branch, limits)
+
+    monkeypatch.setattr("wallclimber.simulator.solve_leg", counting_solve)
+    report = run_scenario(ScenarioConfig())
+    assert len(targets) == 880
+    assert len(set(targets)) == 880
+    # ticks with the same pose share one frozen JointAngles object
+    shared = {id(angles) for rec in report.records for angles in rec.angles.values()}
+    assert len(shared) == 880
+
+
+# --- non-finite inputs and pump coverage --------------------------------------
+
+@pytest.mark.parametrize("field", ["climb_angle_deg", "mass_kg", "gravity_m_s2", "tick_s",
+                                   "lift_efficiency", "c_slip", "s_max", "noise_kpa"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_scenario_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ScenarioConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["step_length_mm", "lift_mm", "z_mm", "k_rad", "swing_s",
+                                   "advance_s"])
+def test_gait_params_rejects_non_finite(field):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        GaitParams(**{field: math.nan})
+
+
+def test_gait_params_rejects_non_finite_stance():
+    stance = {1: (-80.0, math.inf), 2: (80.0, 80.0), 3: (80.0, -80.0), 4: (-80.0, -80.0)}
+    with pytest.raises(ValueError, match=r"stance_mm\[1\] must be finite"):
+        GaitParams(stance_mm=stance)
+
+
+@pytest.mark.parametrize("pump_legs", [{"A": (1, 2)}, {"A": (1, 2), "B": (2, 3)},
+                                       {"A": (1, 2, 3, 4), "B": (1,)}])
+def test_scenario_config_rejects_bad_pump_legs(pump_legs):
+    with pytest.raises(ValueError, match="pump assignment"):
+        ScenarioConfig(pump_legs=pump_legs)
