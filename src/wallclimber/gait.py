@@ -14,6 +14,7 @@ floats appear only at the kinematics boundary.
 """
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 from .errors import BadOrder, GaitValidationError, KinematicsError, UnreachableFoothold
@@ -329,43 +330,41 @@ def compile_joint_table(script, geom, z_mm, k_rad, samples_per_step, *,
     if not report.ok:
         raise GaitValidationError(report)
 
-    # One solve per distinct target in this call, keyed on exact body-frame
-    # micrometres (never on floats, which conflate 0.0 and -0.0): (x_um, y_um)
-    # for a stance cup, (old_um, new_um, j) for swing sample j of a step.
-    poses = {}
+    # One solve per distinct target in this call, keyed on the target's
+    # exact bits; float keys would conflate 0.0 and -0.0.
+    solved = {}
     rows = []
     wall_um = dict(script.initial.points_um)
     body_um = 0
     for index, step in enumerate(script.steps):
         swing_leg = step.swing_leg
-        old_um = (wall_um[swing_leg][0], wall_um[swing_leg][1] - body_um)
-        old_bf = (um_to_mm(old_um[0]), um_to_mm(old_um[1]))
+        old_bf = (um_to_mm(wall_um[swing_leg][0]),
+                  um_to_mm(wall_um[swing_leg][1] - body_um))
         new_bf = step.new_foothold_mm
         for j in range(samples_per_step):
             t = (index + j / samples_per_step) * step_duration_s
+            progress = j / (samples_per_step - 1)
             for leg in LEG_IDS:
-                attached = leg != swing_leg
-                if attached:
-                    key = (wall_um[leg][0], wall_um[leg][1] - body_um)
+                if leg == swing_leg:
+                    x, y, z = swing_waypoint(old_bf, new_bf, progress, z_mm, script.lift_mm)
+                    attached = False
                 else:
-                    key = (old_um, step.new_foothold_um, j)
-                hit = poses.get(key)
-                if hit is None:
-                    if attached:
-                        target = (um_to_mm(key[0]), um_to_mm(key[1]), z_mm)
-                    else:
-                        target = swing_waypoint(old_bf, new_bf, j / (samples_per_step - 1),
-                                                z_mm, script.lift_mm)
+                    x = um_to_mm(wall_um[leg][0])
+                    y = um_to_mm(wall_um[leg][1] - body_um)
+                    z = z_mm
+                    attached = True
+                key = struct.pack("<3d", x, y, z)
+                angles = solved.get(key)
+                if angles is None:
                     try:
-                        angles = solve_leg(geom, CupTarget(*target, k_rad), script.branch,
+                        angles = solve_leg(geom, CupTarget(x, y, z, k_rad), script.branch,
                                            limits)
                     except KinematicsError as exc:
                         raise type(exc)(
                             f"step {index} sample {j} leg {leg}: {exc}", plane=exc.plane
                         ) from exc
-                    hit = poses[key] = (target, angles)
-                target, angles = hit
-                rows.append(JointTableRow(t, leg, angles, attached, target))
+                    solved[key] = angles
+                rows.append(JointTableRow(t, leg, angles, attached, (x, y, z)))
         wall_um[swing_leg] = (step.new_foothold_um[0], step.new_foothold_um[1] + body_um)
         body_um += step.body_advance_um
     return rows

@@ -18,6 +18,7 @@ which is off by default.
 
 import math
 import random
+import struct
 from dataclasses import dataclass, field, replace
 
 from .errors import ClimberError, ZeroCapacity, require_finite
@@ -252,38 +253,28 @@ def run_scenario(config):
     def capacity_n():
         return holding_capacity(pstate, model)[1]
 
-    # One solve per distinct cup target in this run; the gait revisits the
-    # same few poses every cycle, so the JointAngles are shared between
-    # ticks. Keys are exact body-frame micrometres: (x_um, y_um) for a cup
-    # at z_mm, or (old_um, new_um, j, n) for swing sample j of n. Float keys
-    # would conflate 0.0 and -0.0, which atan2 tells apart. On a miss the
-    # target's exact bits are looked up too, because the last swing sample
-    # often lands bit for bit on the attach target.
-    poses = {}
+    # One solve per distinct cup target in this run: the gait revisits the
+    # same few poses every cycle, so ticks share JointAngles. The key is the
+    # target's exact bits; float keys would conflate 0.0 and -0.0, which
+    # atan2 tells apart.
     solved = {}
 
-    def pose(key):
-        angles = poses.get(key)
-        if angles is None:
-            if len(key) == 2:
-                x, y, z = um_to_mm(key[0]), um_to_mm(key[1]), gait.z_mm
+    def solve_all(swing_leg=None, swing_target=None):
+        angles = {}
+        for leg in LEG_IDS:
+            if leg == swing_leg:
+                x, y, z = swing_target
             else:
-                old_um, new_um, j, n = key
-                x, y, z = swing_waypoint((um_to_mm(old_um[0]), um_to_mm(old_um[1])),
-                                         (um_to_mm(new_um[0]), um_to_mm(new_um[1])),
-                                         (j + 1) / n, gait.z_mm, gait.lift_mm)
-            bits = (float(x).hex(), float(y).hex(), float(z).hex())
-            angles = solved.get(bits)
-            if angles is None:
-                angles = solved[bits] = solve_leg(geom, CupTarget(x, y, z, gait.k_rad),
-                                                  gait.branch, config.limits)
-            poses[key] = angles
+                x = um_to_mm(wall_um[leg][0])
+                y = um_to_mm(wall_um[leg][1] - body_um)
+                z = gait.z_mm
+            key = struct.pack("<3d", x, y, z)
+            hit = solved.get(key)
+            if hit is None:
+                hit = solved[key] = solve_leg(geom, CupTarget(x, y, z, gait.k_rad),
+                                              gait.branch, config.limits)
+            angles[leg] = hit
         return angles
-
-    def solve_all(swing_leg=None, swing_key=None):
-        return {leg: pose(swing_key if leg == swing_leg
-                          else (wall_um[leg][0], wall_um[leg][1] - body_um))
-                for leg in LEG_IDS}
 
     def record(tick_index, angles, speed_mm_s, slip_now):
         nonlocal energy_j
@@ -316,8 +307,8 @@ def run_scenario(config):
             leg = step.swing_leg
             old_wall = wall_um[leg]
             new_wall = (step.new_foothold_um[0], step.new_foothold_um[1] + body_um)
-            old_bf_um = (old_wall[0], old_wall[1] - body_um)
-            new_bf_um = step.new_foothold_um
+            old_bf = (um_to_mm(old_wall[0]), um_to_mm(old_wall[1] - body_um))
+            new_bf = step.new_foothold_mm
 
             attach_extended = False
             phase_queue = ["vent", "swing", "attach", "advance"]
@@ -352,14 +343,14 @@ def run_scenario(config):
                     slip_now = 0.0
                     if phase == "vent":
                         pstate.pressure_kpa[leg] = vent_p0 * (1.0 - frac)
-                        target = old_bf_um
+                        target = (old_bf[0], old_bf[1], gait.z_mm)
                     elif phase == "swing":
                         pstate.pressure_kpa[leg] = 0.0
-                        target = (old_bf_um, new_bf_um, j, n)
+                        target = swing_waypoint(old_bf, new_bf, frac, gait.z_mm, gait.lift_mm)
                     elif phase == "attach":
-                        target = new_bf_um
+                        target = (new_bf[0], new_bf[1], gait.z_mm)
                     elif phase == "recover":
-                        target = old_bf_um
+                        target = (old_bf[0], old_bf[1], gait.z_mm)
                     else:  # advance
                         body_um += shares[j]
                         speed = um_to_mm(shares[j]) / tick
