@@ -83,11 +83,9 @@ def _summary_line(report):
 
 def _cmd_simulate(args):
     config = _load(args)
-    report = run_scenario(config)
-    summary_path = f"{args.out}.summary.json"
-    series_path = f"{args.out}.series.csv"
-    fileio.write_summary_json(summary_path, report)
-    fileio.write_series_csv(series_path, report)
+    with fileio.series_csv_sink(f"{args.out}.series.csv") as sink:
+        report = run_scenario(config, sink=sink)
+    fileio.write_summary_json(f"{args.out}.summary.json", report)
     print(_summary_line(report))
     if not report.completed:
         return _fail(f"simulation failed at tick {report.failure_tick}: "

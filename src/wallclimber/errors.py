@@ -92,10 +92,6 @@ class ZeroCapacity(ClimberError):
     """Tangential load present but holding capacity is zero."""
 
 
-class AdhesionFailure(ClimberError):
-    """Tangential load exceeded holding capacity with no recovery."""
-
-
 # --- configuration ------------------------------------------------------
 
 class ConfigError(ClimberError):

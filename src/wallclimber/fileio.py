@@ -10,6 +10,8 @@ directly instead of going through csv.writer; the bytes are the same.
 import csv
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .gait import LEG_IDS
@@ -90,22 +92,56 @@ def series_header():
     return cols
 
 
+def series_row_formatter():
+    """Return a function that formats one TickRecord as a series CSV line,
+    newline included. Each formatter keeps its own cache of formatted
+    joint angles, so use one per file."""
+    cache = {}
+
+    def format_row(rec):
+        row = [_fmt(rec.t_s), _fmt(rec.body_mm)]
+        for leg in LEG_IDS:
+            row += [
+                _degrees_text(cache, rec.angles[leg]),
+                rec.valve[leg].value,
+                _fmt(rec.pressure_kpa[leg]),
+                "1" if rec.attached[leg] else "0",
+            ]
+        row += [_fmt(rec.power_w), _fmt(rec.slip)]
+        return ",".join(row) + "\n"
+
+    return format_row
+
+
 def write_series_csv(path, report):
     """Write the per-tick time series of a SimReport."""
-    cache = {}
+    format_row = series_row_formatter()
     with _open_w(path) as handle:
         handle.write(",".join(series_header()) + "\n")
         for rec in report.records:
-            row = [_fmt(rec.t_s), _fmt(rec.body_mm)]
-            for leg in LEG_IDS:
-                row += [
-                    _degrees_text(cache, rec.angles[leg]),
-                    rec.valve[leg].value,
-                    _fmt(rec.pressure_kpa[leg]),
-                    "1" if rec.attached[leg] else "0",
-                ]
-            row += [_fmt(rec.power_w), _fmt(rec.slip)]
-            handle.write(",".join(row) + "\n")
+            handle.write(format_row(rec))
+
+
+@contextmanager
+def series_csv_sink(path):
+    """Stream a run's ticks into a series CSV: yields a sink for
+    run_scenario that writes each TickRecord as it arrives.
+
+    The rows go to a temporary file in the same directory, which replaces
+    `path` only when the block exits normally. If the block raises, the
+    temporary file is removed and whatever was at `path` stays as it was.
+    """
+    tmp_path = f"{path}.{os.getpid()}.tmp"
+    try:
+        with _open_w(tmp_path) as handle:
+            handle.write(",".join(series_header()) + "\n")
+            format_row = series_row_formatter()
+            yield lambda rec: handle.write(format_row(rec))
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
+        raise
 
 
 def read_series_csv(path):
@@ -135,7 +171,7 @@ def summary_dict(report):
         "angle_deg": report.climb_angle_deg,
         "cycles": report.cycles,
         "tick_s": report.tick_s,
-        "ticks": len(report.records),
+        "ticks": report.ticks,
         "duration_s": report.duration_s,
         "displacement_mm": report.displacement_mm,
         "avg_speed_mm_s": report.average_speed_mm_s,

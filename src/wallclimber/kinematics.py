@@ -108,6 +108,7 @@ class CupTarget:
     k: float
 
     def __post_init__(self):
+        require_finite(self, "x", "y", "z", "k")
         if self.z < 0.0:
             raise ValueError(f"wall clearance z must be >= 0, got {self.z}")
 

@@ -71,10 +71,21 @@ class AdhesionModel:
         return self.vacuum_kpa + self.leak_kpa_per_s * self.time_constant_s
 
 
+def suction_decay(model, dt_s):
+    """Fraction of the gap to the suction equilibrium still open after dt_s."""
+    return math.exp(-dt_s / model.time_constant_s)
+
+
+def relax(p0_kpa, p_eq_kpa, decay):
+    """First-order relaxation: close all but the fraction `decay` of the gap
+    from p0 to the equilibrium p_eq. A run with a fixed tick computes p_eq
+    and the decay once and calls this per cup and tick."""
+    return p_eq_kpa + (p0_kpa - p_eq_kpa) * decay
+
+
 def pressure_under_suction(model, p0_kpa, dt_s):
     """Closed-form relaxation toward the leak-shifted equilibrium."""
-    p_eq = model.equilibrium_kpa
-    return p_eq + (p0_kpa - p_eq) * math.exp(-dt_s / model.time_constant_s)
+    return relax(p0_kpa, model.equilibrium_kpa, suction_decay(model, dt_s))
 
 
 def pressure_while_venting(p0_kpa, dt_s, vent_s):
@@ -125,13 +136,34 @@ class PneumaticState:
     def pump_running(self, leg):
         return self.pump_on[self.pump_of_leg[leg]]
 
+    def under_suction(self, leg):
+        """The leg's valve is on suction and its pump runs, so its cup
+        pressure relaxes toward the suction equilibrium."""
+        return self.valve[leg] is Valve.SUCTION and self.pump_running(leg)
+
     def is_attached(self, leg, model):
-        return (self.valve[leg] is Valve.SUCTION
-                and self.pump_running(leg)
-                and self.pressure_kpa[leg] <= model.attach_threshold_kpa)
+        return self.under_suction(leg) and self.pressure_kpa[leg] <= model.attach_threshold_kpa
+
+    def grip(self, model):
+        """One pass over the legs in ascending order: (attached, normal_N,
+        tangential_N), where attached maps each leg to whether its cup
+        holds, and the forces are the grip of the attached cups.
+
+        Normal force sums |pressure| * area per attached cup (kPa * mm^2
+        is millinewtons); the friction cone scales it into tangential
+        capacity.
+        """
+        attached = {}
+        total_mn = 0.0
+        for leg in sorted(self.valve):
+            held = attached[leg] = self.is_attached(leg, model)
+            if held:
+                total_mn += -self.pressure_kpa[leg] * model.cup_area_mm2
+        normal_n = total_mn / 1000.0
+        return attached, normal_n, model.friction * normal_n
 
     def attached_legs(self, model):
-        return [leg for leg in sorted(self.valve) if self.is_attached(leg, model)]
+        return [leg for leg, held in self.grip(model)[0].items() if held]
 
     def with_pump(self, pump, on):
         new = self.copy()
@@ -141,11 +173,6 @@ class PneumaticState:
     def with_valve(self, leg, valve):
         new = self.copy()
         new.valve[leg] = valve
-        return new
-
-    def with_pressure(self, leg, pressure_kpa):
-        new = self.copy()
-        new.pressure_kpa[leg] = pressure_kpa
         return new
 
     def suction_count(self, pump):
@@ -211,13 +238,6 @@ def detach_sequence(state, leg, model):
 
 
 def holding_capacity(state, model):
-    """Total grip of the attached cups: (normal_N, tangential_N).
-
-    Normal force sums |pressure| * area per attached cup (kPa * mm^2 is
-    millinewtons); the friction cone scales it into tangential capacity.
-    """
-    total_mn = 0.0
-    for leg in state.attached_legs(model):
-        total_mn += -state.pressure_kpa[leg] * model.cup_area_mm2
-    normal_n = total_mn / 1000.0
-    return normal_n, model.friction * normal_n
+    """Total grip of the attached cups: (normal_N, tangential_N); see
+    PneumaticState.grip."""
+    return state.grip(model)[1:]

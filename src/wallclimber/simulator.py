@@ -39,8 +39,8 @@ from .pneumatics import (
     PneumaticState,
     Valve,
     assign_pumps,
-    holding_capacity,
-    pressure_under_suction,
+    relax,
+    suction_decay,
 )
 
 
@@ -171,7 +171,11 @@ def power_model(config, speed_mm_s, active_pumps):
 
 @dataclass(frozen=True)
 class TickRecord:
-    """State snapshot at the end of one tick."""
+    """State snapshot at the end of one tick.
+
+    Consecutive ticks in which no leg moved share one `angles` dict, and
+    the ticks of one phase share one `valve` dict; treat them as read-only.
+    """
 
     t_s: float
     body_mm: float
@@ -185,7 +189,11 @@ class TickRecord:
 
 @dataclass
 class SimReport:
-    """Per-tick series plus run summary."""
+    """Per-tick series plus run summary.
+
+    `records` holds the ticks only when the run had no sink; `ticks`
+    counts them either way.
+    """
 
     climb_angle_deg: float
     cycles: int
@@ -200,29 +208,34 @@ class SimReport:
     completed: bool
     failure_tick: int = None
     failure_reason: str = None
+    ticks: int = 0
 
 
 def _phase_ticks(duration_s, tick_s):
     return max(1, round(duration_s / tick_s))
 
 
-def run_scenario(config):
+def run_scenario(config, sink=None):
     """Run one scenario and return its SimReport.
 
-    Deterministic for a given config. Overload and attach timeouts mark
-    the report completed=False (with failing tick and reason) instead of
-    raising; planning errors (bad stance, unreachable footholds) raise.
+    Each tick's TickRecord is passed to `sink` when one is given, and the
+    report's `records` stays empty; without a sink the records are
+    collected in `records`. Deterministic for a given config. Overload and
+    attach timeouts mark the report completed=False (with failing tick
+    and reason) instead of raising; planning errors (bad stance,
+    unreachable footholds) raise.
     """
     geom = config.geometry
     gait = config.gait
     model = config.adhesion
     tick = config.tick_s
     load_n = config.tangential_load_n
+    z_mm = gait.z_mm
 
     footholds = FootholdMap.from_mm(gait.stance_mm)
     script = generate_cycle(
         geom, footholds, gait.step_length_mm, gait.order,
-        z_mm=gait.z_mm, k_rad=gait.k_rad, lift_mm=gait.lift_mm,
+        z_mm=z_mm, k_rad=gait.k_rad, lift_mm=gait.lift_mm,
         advance_mode=gait.advance_mode, branch=gait.branch, limits=config.limits,
     )
 
@@ -231,11 +244,15 @@ def run_scenario(config):
     n_attach = _phase_ticks(model.dwell_s, tick)
     n_advance = _phase_ticks(gait.advance_s, tick)
 
+    p_eq = model.equilibrium_kpa
+    decay = suction_decay(model, tick)
     pstate = PneumaticState.initial(config.pump_legs, pumps_on=True)
+    pressure = pstate.pressure_kpa
     for leg in LEG_IDS:
         pstate.valve[leg] = Valve.SUCTION
-        pstate.pressure_kpa[leg] = model.equilibrium_kpa
+        pressure[leg] = p_eq
     active_pumps = sum(1 for on in pstate.pump_on.values() if on)
+    idle_power = power_model(config, 0.0, active_pumps)
 
     rng = random.Random(config.seed)
     jitter = config.noise_kpa
@@ -243,6 +260,8 @@ def run_scenario(config):
     wall_um = dict(footholds.points_um)
     body_um = 0
     records = []
+    emit = records.append if sink is None else sink
+    ticks = 0
     energy_j = 0.0
     slip_count = 0
     retry_used = False
@@ -250,54 +269,59 @@ def run_scenario(config):
     failure_tick = None
     failure_reason = None
 
-    def capacity_n():
-        return holding_capacity(pstate, model)[1]
-
     # One solve per distinct cup target in this run: the gait revisits the
     # same few poses every cycle, so ticks share JointAngles. The key is the
     # target's exact bits; float keys would conflate 0.0 and -0.0, which
     # atan2 tells apart.
     solved = {}
 
-    def solve_all(swing_leg=None, swing_target=None):
-        angles = {}
-        for leg in LEG_IDS:
-            if leg == swing_leg:
-                x, y, z = swing_target
-            else:
-                x = um_to_mm(wall_um[leg][0])
-                y = um_to_mm(wall_um[leg][1] - body_um)
-                z = gait.z_mm
-            key = struct.pack("<3d", x, y, z)
-            hit = solved.get(key)
-            if hit is None:
-                hit = solved[key] = solve_leg(geom, CupTarget(x, y, z, gait.k_rad),
-                                              gait.branch, config.limits)
-            angles[leg] = hit
-        return angles
+    def solve(x, y, z):
+        key = struct.pack("<3d", x, y, z)
+        hit = solved.get(key)
+        if hit is None:
+            hit = solved[key] = solve_leg(geom, CupTarget(x, y, z, gait.k_rad),
+                                          gait.branch, config.limits)
+        return hit
 
-    def record(tick_index, angles, speed_mm_s, slip_now):
-        nonlocal energy_j
-        power = power_model(config, speed_mm_s, active_pumps)
+    # Every leg on its foothold. Rebuilt only on the first tick after the
+    # body or a foothold moved, so it solves exactly the targets a tick uses.
+    stance = None
+
+    def stance_pose():
+        return {leg: solve(um_to_mm(wall_um[leg][0]), um_to_mm(wall_um[leg][1] - body_um),
+                           z_mm)
+                for leg in LEG_IDS}
+
+    def record(angles, valves, attached, speed, slip_now):
+        nonlocal energy_j, ticks
+        power = power_model(config, speed, active_pumps) if speed else idle_power
         energy_j += power * tick
-        pressures = {}
-        for leg in LEG_IDS:
-            p = pstate.pressure_kpa[leg]
-            if jitter > 0.0:
-                p += rng.uniform(-jitter, jitter)
-            pressures[leg] = p
-        records.append(TickRecord(
-            t_s=(tick_index + 1) * tick,
+        if jitter > 0.0:
+            pressures = {leg: pressure[leg] + rng.uniform(-jitter, jitter) for leg in LEG_IDS}
+        else:
+            pressures = {leg: pressure[leg] for leg in LEG_IDS}
+        ticks += 1
+        emit(TickRecord(
+            t_s=ticks * tick,
             body_mm=um_to_mm(body_um),
             angles=angles,
-            valve=dict(pstate.valve),
+            valve=valves,
             pressure_kpa=pressures,
-            attached={leg: pstate.is_attached(leg, model) for leg in LEG_IDS},
+            attached=attached,
             power_w=power,
             slip=slip_now,
         ))
 
-    global_tick = 0
+    # Every cup starts at the suction equilibrium; if that does not pass the
+    # attach threshold, no cup can ever grip.
+    if not all(pstate.grip(model)[0].values()):
+        failed = True
+        failure_tick = 0
+        failure_reason = (f"attach timeout before the first step: the suction equilibrium "
+                          f"{p_eq:.3f} kPa is above the attach threshold "
+                          f"{model.attach_threshold_kpa} kPa, so no cup grips")
+
+    cap = 0.0  # tangential capacity at the end of the last tick
     for _cycle in range(config.cycles):
         if failed:
             break
@@ -311,107 +335,91 @@ def run_scenario(config):
             new_bf = step.new_foothold_mm
 
             attach_extended = False
-            phase_queue = ["vent", "swing", "attach", "advance"]
-            qi = 0
-            while qi < len(phase_queue) and not failed:
-                phase = phase_queue[qi]
+            phases = ["vent", "swing", "attach", "advance"]
+            while phases and not failed:
+                phase = phases.pop(0)
+                if stance is None and phase != "advance":
+                    stance = stance_pose()
                 if phase == "vent":
                     pstate.valve[leg] = Valve.VENT
-                    vent_p0 = pstate.pressure_kpa[leg]
+                    vent_p0 = pressure[leg]
+                    angles = {**stance, leg: solve(old_bf[0], old_bf[1], z_mm)}
                     n = n_vent
                 elif phase == "swing":
+                    pressure[leg] = 0.0
                     n = n_swing
                 elif phase in ("attach", "recover"):
                     pstate.valve[leg] = Valve.SUCTION
+                    foothold = new_bf if phase == "attach" else old_bf
+                    angles = {**stance, leg: solve(foothold[0], foothold[1], z_mm)}
                     n = n_attach
-                else:  # advance
-                    slip = slip_model(load_n, capacity_n(), config.c_slip, config.s_max)
+                else:  # advance; the pneumatics have not changed since the last tick
+                    slip = slip_model(load_n, cap, config.c_slip, config.s_max)
                     effective_um = round(step.body_advance_um * (1.0 - slip))
                     shares = split_um(effective_um, n_advance)
                     if slip > 0.0 and step.body_advance_um > 0:
                         slip_count += 1
                     n = n_advance
+                valves = dict(pstate.valve)
+                relaxing = [other for other in LEG_IDS if pstate.under_suction(other)]
 
-                restart_step = False
                 for j in range(n):
-                    frac = (j + 1) / n
-                    for other in LEG_IDS:
-                        if pstate.valve[other] is Valve.SUCTION and pstate.pump_running(other):
-                            pstate.pressure_kpa[other] = pressure_under_suction(
-                                model, pstate.pressure_kpa[other], tick)
+                    for other in relaxing:
+                        pressure[other] = relax(pressure[other], p_eq, decay)
                     speed = 0.0
                     slip_now = 0.0
                     if phase == "vent":
-                        pstate.pressure_kpa[leg] = vent_p0 * (1.0 - frac)
-                        target = (old_bf[0], old_bf[1], gait.z_mm)
+                        pressure[leg] = vent_p0 * (1.0 - (j + 1) / n)
                     elif phase == "swing":
-                        pstate.pressure_kpa[leg] = 0.0
-                        target = swing_waypoint(old_bf, new_bf, frac, gait.z_mm, gait.lift_mm)
-                    elif phase == "attach":
-                        target = (new_bf[0], new_bf[1], gait.z_mm)
-                    elif phase == "recover":
-                        target = (old_bf[0], old_bf[1], gait.z_mm)
-                    else:  # advance
+                        waypoint = swing_waypoint(old_bf, new_bf, (j + 1) / n, z_mm, gait.lift_mm)
+                        angles = {**stance, leg: solve(*waypoint)}
+                    elif phase == "advance":
                         body_um += shares[j]
+                        if shares[j] or stance is None:
+                            stance = stance_pose()
+                        angles = stance
                         speed = um_to_mm(shares[j]) / tick
                         slip_now = slip
-                        target = None
 
-                    if target is None:
-                        angles = solve_all()
-                    else:
-                        angles = solve_all(leg, target)
-
-                    cap = capacity_n()
+                    attached, _, cap = pstate.grip(model)
                     if load_n > cap:
                         if phase == "vent" and not retry_used:
                             # One controller retry: re-grip the cup that was
                             # just released and hold position for a dwell.
                             retry_used = True
-                            record(global_tick, angles, speed, slip_now)
-                            global_tick += 1
-                            phase_queue = ["recover", "vent", "swing", "attach", "advance"]
-                            qi = 0
-                            restart_step = True
+                            record(angles, valves, attached, speed, slip_now)
+                            phases = ["recover", "vent", "swing", "attach", "advance"]
                             break
                         failed = True
-                        failure_tick = global_tick
+                        failure_tick = ticks
                         failure_reason = (f"adhesion overload: tangential load {load_n:.3f} N "
                                           f"> holding capacity {cap:.3f} N")
-                        record(global_tick, angles, speed, slip_now)
-                        global_tick += 1
+                        record(angles, valves, attached, speed, slip_now)
                         break
 
-                    record(global_tick, angles, speed, slip_now)
-                    global_tick += 1
-
-                if restart_step or failed:
-                    continue
-
-                if phase == "attach":
-                    if pstate.pressure_kpa[leg] > model.attach_threshold_kpa:
-                        if not attach_extended:
+                    record(angles, valves, attached, speed, slip_now)
+                else:
+                    if phase == "attach":
+                        if pressure[leg] <= model.attach_threshold_kpa:
+                            wall_um[leg] = new_wall
+                            stance = None
+                        elif not attach_extended:
                             attach_extended = True
-                            continue  # one more dwell on the same phase
+                            phases.insert(0, "attach")  # one more dwell
+                        else:
+                            failed = True
+                            failure_tick = ticks - 1
+                            failure_reason = (
+                                f"attach timeout on leg {leg}: "
+                                f"{pressure[leg]:.3f} kPa above threshold "
+                                f"{model.attach_threshold_kpa} kPa")
+                    elif phase == "recover" and load_n > cap:
                         failed = True
-                        failure_tick = global_tick - 1
-                        failure_reason = (
-                            f"attach timeout on leg {leg}: "
-                            f"{pstate.pressure_kpa[leg]:.3f} kPa above threshold "
-                            f"{model.attach_threshold_kpa} kPa")
-                        break
-                    wall_um[leg] = new_wall
-                elif phase == "recover":
-                    cap = capacity_n()
-                    if load_n > cap:
-                        failed = True
-                        failure_tick = global_tick - 1
+                        failure_tick = ticks - 1
                         failure_reason = (f"adhesion overload after re-attach: load "
                                           f"{load_n:.3f} N > capacity {cap:.3f} N")
-                        break
-                qi += 1
 
-    duration_s = global_tick * tick
+    duration_s = ticks * tick
     displacement_mm = um_to_mm(body_um)
     avg_speed = displacement_mm / duration_s if duration_s > 0.0 else 0.0
     avg_power = energy_j / duration_s if duration_s > 0.0 else 0.0
@@ -429,6 +437,7 @@ def run_scenario(config):
         completed=not failed,
         failure_tick=failure_tick,
         failure_reason=failure_reason,
+        ticks=ticks,
     )
 
 
@@ -438,6 +447,10 @@ class SweepRow:
     avg_speed_mm_s: float
     avg_power_w: float
     completed: bool
+
+
+def _drop(_record):
+    """Sink for runs whose ticks nobody reads."""
 
 
 def sweep_climb_angle(base, angles_deg):
@@ -456,7 +469,7 @@ def sweep_climb_angle(base, angles_deg):
     for angle in angles_deg:
         config = replace(base, climb_angle_deg=angle)
         try:
-            report = run_scenario(config)
+            report = run_scenario(config, sink=_drop)
             rows.append(SweepRow(angle, report.average_speed_mm_s,
                                  report.average_power_w, report.completed))
         except ClimberError:

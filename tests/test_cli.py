@@ -62,6 +62,15 @@ def test_ik_random_targets_echo_verifies(capsys):
         assert float(echo["k"]) == pytest.approx(k, abs=1e-5)
 
 
+@pytest.mark.parametrize("argv, field", [(["nan", "0", "100", "90"], "x"),
+                                         (["150", "0", "100", "inf"], "k")])
+def test_ik_rejects_non_finite_target(argv, field, capsys):
+    assert main(["ik", *argv]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{field} must be finite" in captured.err
+
+
 def test_ik_respects_config_limits(tmp_path, capsys):
     path = write_config(tmp_path, "[joints]\nlimit_min_deg = -90\nlimit_max_deg = 90\n")
     assert main(["--config", path, "ik", "80", "80", "100", "90"]) == EXIT_VALIDATION

@@ -304,6 +304,14 @@ def test_cup_target_rejects_negative_clearance():
         CupTarget(100.0, 0.0, -1.0, 0.0)
 
 
+@pytest.mark.parametrize("field", ["x", "y", "z", "k"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_cup_target_rejects_non_finite(field, value):
+    coords = {"x": 150.0, "y": 0.0, "z": 100.0, "k": math.pi / 2, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        CupTarget(**coords)
+
+
 def test_joint_limits_validation():
     with pytest.raises(ValueError):
         JointLimits(1.0, 1.0)

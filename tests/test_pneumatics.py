@@ -13,6 +13,8 @@ from wallclimber.pneumatics import (
     holding_capacity,
     pressure_under_suction,
     pressure_while_venting,
+    relax,
+    suction_decay,
 )
 
 MODEL = AdhesionModel()
@@ -225,3 +227,30 @@ def test_model_invariants():
 def test_model_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         AdhesionModel(**{field: value})
+
+
+# --- one grip pass, one relaxation formula ------------------------------------
+
+@pytest.mark.parametrize("seed", range(5))
+def test_grip_agrees_with_attach_rule_and_capacity(seed):
+    rng = random.Random(seed)
+    state = PneumaticState.initial()
+    state.pump_on["B"] = rng.random() < 0.7
+    for leg in (1, 2, 3, 4):
+        state.valve[leg] = rng.choice([Valve.SUCTION, Valve.VENT])
+        state.pressure_kpa[leg] = rng.uniform(-50.0, 0.0)
+    attached, normal, tangential = state.grip(MODEL)
+    assert list(attached) == [1, 2, 3, 4]
+    assert attached == {leg: state.is_attached(leg, MODEL) for leg in (1, 2, 3, 4)}
+    assert state.attached_legs(MODEL) == [leg for leg, held in attached.items() if held]
+    assert holding_capacity(state, MODEL) == (normal, tangential)
+
+
+def test_per_tick_relaxation_matches_closed_form_bit_for_bit():
+    leaky = AdhesionModel(leak_kpa_per_s=30.0)
+    decay = suction_decay(leaky, 0.01)
+    p = 0.0
+    for _ in range(100):
+        expected = pressure_under_suction(leaky, p, 0.01)
+        p = relax(p, leaky.equilibrium_kpa, decay)
+        assert p.hex() == expected.hex()

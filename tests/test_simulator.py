@@ -186,6 +186,21 @@ def test_attach_timeout_marks_run_failed():
     assert "attach timeout" in report.failure_reason
 
 
+def test_leak_above_threshold_fails_before_the_first_tick():
+    # equilibrium -50 + 200 * 0.5 / 3 = -16.667 kPa sits above the -30 kPa
+    # threshold, so no cup grips; the reason must say so, not report the
+    # zero capacity as an overload
+    leaky = AdhesionModel(leak_kpa_per_s=200.0)
+    report = run_scenario(ScenarioConfig(climb_angle_deg=30.0, adhesion=leaky))
+    assert not report.completed
+    assert report.failure_tick == 0
+    assert report.ticks == 0 and report.records == []
+    assert "attach timeout" in report.failure_reason
+    assert "-16.667 kPa" in report.failure_reason and "-30.0 kPa" in report.failure_reason
+    assert "overload" not in report.failure_reason
+    assert report.duration_s == 0.0 and report.average_power_w == 0.0
+
+
 # --- sweep ----------------------------------------------------------------------
 
 def test_sweep_trends():
