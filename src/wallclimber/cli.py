@@ -6,11 +6,12 @@ file is taken from --config, then the WALLCLIMBER_CONFIG environment
 variable, then built-in defaults.
 
 Exit codes: 0 success, 2 usage error, 3 validation error (bad config,
-unreachable target, invalid gait), 4 simulation failure.
+unreachable target, invalid gait, no -o directory), 4 simulation failure.
 """
 
 import argparse
 import math
+import os
 import sys
 
 from . import fileio
@@ -182,6 +183,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)
+    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+        return _fail(f"error: the directory of -o {out!r} does not exist", EXIT_VALIDATION)
     try:
         return args.func(args)
     except ConfigError as exc:

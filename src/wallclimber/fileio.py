@@ -5,6 +5,8 @@ round-trip form), lines end with LF, headers are mandatory, and JSON
 keys are sorted. Angles are degrees in files, radians in memory. No
 CSV field ever needs quoting, so the two large writers join their rows
 directly instead of going through csv.writer; the bytes are the same.
+They format each repeated value once per file, in caches that are emptied
+at a fixed _CACHE_CAP entries, so their memory stays flat in the input size.
 """
 
 import csv
@@ -21,6 +23,9 @@ JOINT_TABLE_HEADER = ["t_s", "leg", "theta1_deg", "theta2_deg", "theta3_deg",
 
 SWEEP_HEADER = ["angle_deg", "avg_speed_mm_s", "avg_power_w", "completed"]
 
+# A 30-cycle run has 1,360 poses and 609 leg pressure fields; a 32,000-row joint table 8,012 poses.
+_CACHE_CAP = 4096
+
 
 def _fmt(value):
     return repr(float(value))
@@ -30,16 +35,26 @@ def _open_w(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
+def _remember(cache, key, value, number=1):
+    """Store value under key, emptying a full cache first. Store nothing if
+    `number`, the value formatted, is zero: 0.0 == -0.0, but they print apart."""
+    if number:
+        if len(cache) >= _CACHE_CAP:
+            cache.clear()
+        cache[key] = value
+    return value
+
+
 def _degrees_text(cache, angles):
     """The four joint angles as CSV fields in degrees, formatted once per
     JointAngles object: solvers share one object between every tick or row
     with the same pose. Keyed by identity, not value, because JointAngles
     equality conflates 0.0 and -0.0; the entry keeps the object alive so
-    its id cannot be reused while the cache is."""
+    its id cannot be reused while the entry exists."""
     entry = cache.get(id(angles))
     if entry is None:
         text = ",".join([_fmt(math.degrees(t)) for t in angles.as_tuple()])
-        entry = cache[id(angles)] = (angles, text)
+        entry = _remember(cache, id(angles), (angles, text))
     return entry[1]
 
 
@@ -94,20 +109,32 @@ def series_header():
 
 def series_row_formatter():
     """Return a function that formats one TickRecord as a series CSV line,
-    newline included. Each formatter keeps its own cache of formatted
-    joint angles, so use one per file."""
-    cache = {}
+    newline included. Use one per file: it formats each repeated text once.
+    Angles are cached per JointAngles object (_degrees_text); a leg's valve,
+    pressure and attached fields by the Valve's id (hashing a Valve or reading
+    its .value runs Python code), the exact pressure and the flag; power_w and
+    slip by value, zeros excepted; body_mm is reformatted when it changes.
+    Each cache holds at most _CACHE_CAP entries, even with noisy pressures.
+    """
+    degrees, texts = {}, {}
+    body = body_text = None
+
+    def number(value):
+        return texts.get(value) or _remember(texts, value, _fmt(value), value)
 
     def format_row(rec):
-        row = [_fmt(rec.t_s), _fmt(rec.body_mm)]
+        nonlocal body, body_text
+        if rec.body_mm != body or not body:
+            body, body_text = rec.body_mm, _fmt(rec.body_mm)
+        angles, valves, pressures, attached = rec.angles, rec.valve, rec.pressure_kpa, rec.attached
+        row = [_fmt(rec.t_s), body_text]
         for leg in LEG_IDS:
-            row += [
-                _degrees_text(cache, rec.angles[leg]),
-                rec.valve[leg].value,
-                _fmt(rec.pressure_kpa[leg]),
-                "1" if rec.attached[leg] else "0",
-            ]
-        row += [_fmt(rec.power_w), _fmt(rec.slip)]
+            valve, pressure, held = valves[leg], pressures[leg], attached[leg]
+            key = (id(valve), pressure, held)
+            text = texts.get(key) or _remember(
+                texts, key, f"{valve.value},{_fmt(pressure)},{'1' if held else '0'}", pressure)
+            row += (_degrees_text(degrees, angles[leg]), text)
+        row += (number(rec.power_w), number(rec.slip))
         return ",".join(row) + "\n"
 
     return format_row

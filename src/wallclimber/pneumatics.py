@@ -142,23 +142,26 @@ class PneumaticState:
         return self.valve[leg] is Valve.SUCTION and self.pump_running(leg)
 
     def is_attached(self, leg, model):
-        return self.under_suction(leg) and self.pressure_kpa[leg] <= model.attach_threshold_kpa
+        return self.grip(model)[0][leg]
 
     def grip(self, model):
         """One pass over the legs in ascending order: (attached, normal_N,
         tangential_N), where attached maps each leg to whether its cup
         holds, and the forces are the grip of the attached cups.
 
-        Normal force sums |pressure| * area per attached cup (kPa * mm^2
-        is millinewtons); the friction cone scales it into tangential
-        capacity.
+        The one statement of the attach rule. Normal force sums |pressure| *
+        area per attached cup (kPa * mm^2 is millinewtons); the friction
+        cone scales it into tangential capacity.
         """
+        pump_on, pump_of_leg, pressure = self.pump_on, self.pump_of_leg, self.pressure_kpa
+        threshold, area, suction = model.attach_threshold_kpa, model.cup_area_mm2, Valve.SUCTION
         attached = {}
         total_mn = 0.0
-        for leg in sorted(self.valve):
-            held = attached[leg] = self.is_attached(leg, model)
+        for leg, valve in sorted(self.valve.items()):
+            held = attached[leg] = (valve is suction and pump_on[pump_of_leg[leg]]
+                                    and pressure[leg] <= threshold)
             if held:
-                total_mn += -self.pressure_kpa[leg] * model.cup_area_mm2
+                total_mn += -pressure[leg] * area
         normal_n = total_mn / 1000.0
         return attached, normal_n, model.friction * normal_n
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from wallclimber import fileio
+from wallclimber import cli, fileio
 from wallclimber.cli import EXIT_OK, EXIT_SIMFAIL, EXIT_USAGE, EXIT_VALIDATION, main
 from wallclimber.config import CONFIG_ENV_VAR
 
@@ -234,3 +234,30 @@ def test_config_flag_beats_env(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv(CONFIG_ENV_VAR, env_cfg)
     assert main(["--config", flag_cfg, "validate-config"]) == EXIT_OK
     assert "cycles=9" in capsys.readouterr().out
+
+
+# --- output paths ----------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, runner", [
+    (["simulate", "-o", "{missing}/run"], "run_scenario"),
+    (["sweep", "0", "-o", "{missing}/sweep.csv"], "sweep_climb_angle"),
+    (["gait", "-o", "{missing}/table.csv"], "compile_joint_table"),
+], ids=["simulate", "sweep", "gait"])
+def test_missing_output_directory_fails_before_running(argv, runner, tmp_path, monkeypatch,
+                                                       capsys):
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError(f"{runner} ran although the output directory is missing")
+
+    monkeypatch.setattr(cli, runner, must_not_run)
+    missing = tmp_path / "no" / "such"
+    argv = [arg.format(missing=missing) for arg in argv]
+    assert main(argv) == EXIT_VALIDATION
+    assert argv[-1] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_path_without_directory_writes_to_working_directory(tmp_path, monkeypatch,
+                                                                   capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gait", "-o", "table.csv"]) == EXIT_OK
+    assert (tmp_path / "table.csv").exists()

@@ -246,6 +246,34 @@ def test_grip_agrees_with_attach_rule_and_capacity(seed):
     assert holding_capacity(state, MODEL) == (normal, tangential)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_grip_matches_the_attach_rule_written_out(seed):
+    rng = random.Random(seed)
+    threshold = MODEL.attach_threshold_kpa
+    state = PneumaticState.initial({"A": (4, 2), "B": (3, 1)})  # legs out of order
+    state.pump_on["B"] = rng.random() < 0.7
+    for leg in (4, 3, 2, 1):
+        state.valve[leg] = rng.choice([Valve.SUCTION, Valve.VENT])
+        state.pressure_kpa[leg] = rng.choice([threshold, rng.uniform(-50.0, 0.0)])
+    expected = {}
+    normal_mn = 0.0
+    for leg in (1, 2, 3, 4):
+        held = expected[leg] = (state.valve[leg] is Valve.SUCTION
+                                and state.pump_on[state.pump_of_leg[leg]]
+                                and state.pressure_kpa[leg] <= threshold)
+        if held:
+            normal_mn += -state.pressure_kpa[leg] * MODEL.cup_area_mm2
+    attached, normal, tangential = state.grip(MODEL)
+    assert list(attached.items()) == list(expected.items())
+    assert (normal, tangential) == (normal_mn / 1000.0, MODEL.friction * normal_mn / 1000.0)
+
+
+def test_cup_at_exactly_the_threshold_holds():
+    state = attached_state(pressure=MODEL.attach_threshold_kpa)
+    assert state.attached_legs(MODEL) == [1, 2, 3, 4]
+    assert state.is_attached(1, MODEL)
+
+
 def test_per_tick_relaxation_matches_closed_form_bit_for_bit():
     leaky = AdhesionModel(leak_kpa_per_s=30.0)
     decay = suction_decay(leaky, 0.01)
