@@ -6,7 +6,9 @@ file is taken from --config, then the WALLCLIMBER_CONFIG environment
 variable, then built-in defaults.
 
 Exit codes: 0 success, 2 usage error, 3 validation error (bad config,
-unreachable target, invalid gait, no -o directory), 4 simulation failure.
+unreachable target, invalid gait, no -o directory, or an output file that
+cannot be written, such as an -o path that is a directory), 4 simulation
+failure.
 """
 
 import argparse
@@ -17,9 +19,9 @@ import sys
 from . import fileio
 from .config import CONFIG_ENV_VAR, load_config, resolve_config_path
 from .errors import ClimberError, ConfigError
-from .gait import FootholdMap, compile_joint_table, generate_cycle
+from .gait import compile_joint_table
 from .kinematics import CupTarget, ElbowBranch, fk_leg, fk_normal_z, fk_planar_xy, solve_leg
-from .simulator import run_scenario, sweep_climb_angle
+from .simulator import plan_cycle, run_scenario, sweep_climb_angle
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -60,14 +62,8 @@ def _cmd_fk(args):
 def _cmd_gait(args):
     config = _load(args)
     gait = config.gait
-    footholds = FootholdMap.from_mm(gait.stance_mm)
-    script = generate_cycle(
-        config.geometry, footholds, gait.step_length_mm, gait.order,
-        z_mm=gait.z_mm, k_rad=gait.k_rad, lift_mm=gait.lift_mm,
-        advance_mode=gait.advance_mode, branch=gait.branch, limits=config.limits,
-    )
     rows = compile_joint_table(
-        script, config.geometry, gait.z_mm, gait.k_rad, gait.samples_per_step,
+        plan_cycle(config), config.geometry, gait.z_mm, gait.k_rad, gait.samples_per_step,
         step_duration_s=gait.swing_s + gait.advance_s, limits=config.limits,
     )
     fileio.write_joint_table(args.out, rows)
@@ -75,11 +71,9 @@ def _cmd_gait(args):
     return EXIT_OK
 
 
-def _summary_line(report):
-    return (f"angle={report.climb_angle_deg:g} "
-            f"speed={report.average_speed_mm_s:.6f} "
-            f"power={report.average_power_w:.6f} "
-            f"completed={'true' if report.completed else 'false'}")
+def _result_line(angle_deg, speed_mm_s, power_w, completed):
+    return (f"angle={angle_deg:g} speed={speed_mm_s:.6f} power={power_w:.6f} "
+            f"completed={'true' if completed else 'false'}")
 
 
 def _cmd_simulate(args):
@@ -87,7 +81,8 @@ def _cmd_simulate(args):
     with fileio.series_csv_sink(f"{args.out}.series.csv") as sink:
         report = run_scenario(config, sink=sink)
     fileio.write_summary_json(f"{args.out}.summary.json", report)
-    print(_summary_line(report))
+    print(_result_line(report.climb_angle_deg, report.average_speed_mm_s,
+                       report.average_power_w, report.completed))
     if not report.completed:
         return _fail(f"simulation failed at tick {report.failure_tick}: "
                      f"{report.failure_reason}", EXIT_SIMFAIL)
@@ -103,9 +98,7 @@ def _cmd_sweep(args):
     rows = sweep_climb_angle(config, args.angles)
     fileio.write_sweep_csv(args.out, rows)
     for row in rows:
-        print(f"angle={row.angle_deg:g} speed={row.avg_speed_mm_s:.6f} "
-              f"power={row.avg_power_w:.6f} "
-              f"completed={'true' if row.completed else 'false'}")
+        print(_result_line(row.angle_deg, row.avg_speed_mm_s, row.avg_power_w, row.completed))
     print(f"wrote {args.out}")
     if not any(row.completed for row in rows):
         return _fail("no climb angle completed", EXIT_SIMFAIL)
@@ -194,6 +187,8 @@ def main(argv=None):
         return _fail(f"error: {type(exc).__name__}: {exc}", EXIT_VALIDATION)
     except ValueError as exc:
         return _fail(f"error: {exc}", EXIT_VALIDATION)
+    except OSError as exc:  # e.g. -o names a directory
+        return _fail(f"error: cannot write the output: {exc}", EXIT_VALIDATION)
 
 
 def run():

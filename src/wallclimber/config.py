@@ -1,9 +1,10 @@
 """INI config loading with a strict schema.
 
-Every key is optional and falls back to the built-in default, so an
-empty (or absent) file yields a complete runnable scenario. Unknown
-sections or keys are rejected by name rather than silently ignored,
-and every value is validated by the owning type at load time.
+Every key is optional and falls back to the default of its field in the
+config dataclasses, so an empty (or absent) file yields a complete
+runnable scenario. Unknown sections or keys are rejected by name rather
+than silently ignored, and every value is validated by the owning type
+at load time.
 
 Units in the file are human-facing: millimetres, degrees, seconds,
 kilograms, kPa, watts. Angles are converted to radians at this
@@ -13,21 +14,18 @@ boundary and nowhere else.
 import configparser
 import math
 import os
+from dataclasses import replace
 
 from .errors import ConfigError
-from .kinematics import ElbowBranch, JointLimits, LegGeometry
-from .pneumatics import AdhesionModel, assign_pumps
-from .simulator import GaitParams, ScenarioConfig
+from .kinematics import ElbowBranch, JointLimits
+from .pneumatics import assign_pumps
+from .simulator import ScenarioConfig
 
 CONFIG_ENV_VAR = "WALLCLIMBER_CONFIG"
 
 
-def _parse_float(text):
-    return float(text)
-
-
-def _parse_int(text):
-    return int(text)
+def _parse_deg(text):
+    return math.radians(float(text))
 
 
 def _parse_pair(text):
@@ -48,70 +46,70 @@ def _parse_branch(text):
     return ElbowBranch[name]
 
 
-def _parse_mode(text):
-    return text.strip()
-
-
-# section -> key -> parser. This is the whole schema; anything else in a
-# file is an error.
+# section -> key -> (field, parser). This is the whole schema; anything else
+# in a file is an error. A (field, item) target sets one entry of a dict
+# field. The sections are built in this order, so of two bad sections the
+# first is reported.
 _SCHEMA = {
     "geometry": {
-        "a1_mm": _parse_float,
-        "a2_mm": _parse_float,
-        "a3_mm": _parse_float,
-        "a4_mm": _parse_float,
+        "a1_mm": ("a1", float),
+        "a2_mm": ("a2", float),
+        "a3_mm": ("a3", float),
+        "a4_mm": ("a4", float),
     },
     "joints": {
-        "limit_min_deg": _parse_float,
-        "limit_max_deg": _parse_float,
+        "limit_min_deg": ("lower", _parse_deg),
+        "limit_max_deg": ("upper", _parse_deg),
     },
     "gait": {
-        "p1_mm": _parse_pair,
-        "p2_mm": _parse_pair,
-        "p3_mm": _parse_pair,
-        "p4_mm": _parse_pair,
-        "step_length_mm": _parse_float,
-        "order": _parse_int_list,
-        "lift_mm": _parse_float,
-        "z_mm": _parse_float,
-        "k_deg": _parse_float,
-        "branch": _parse_branch,
-        "samples_per_step": _parse_int,
-        "advance_mode": _parse_mode,
-        "swing_s": _parse_float,
-        "advance_s": _parse_float,
+        "p1_mm": (("stance_mm", 1), _parse_pair),
+        "p2_mm": (("stance_mm", 2), _parse_pair),
+        "p3_mm": (("stance_mm", 3), _parse_pair),
+        "p4_mm": (("stance_mm", 4), _parse_pair),
+        "step_length_mm": ("step_length_mm", float),
+        "order": ("order", _parse_int_list),
+        "lift_mm": ("lift_mm", float),
+        "z_mm": ("z_mm", float),
+        "k_deg": ("k_rad", _parse_deg),
+        "branch": ("branch", _parse_branch),
+        "samples_per_step": ("samples_per_step", int),
+        "advance_mode": ("advance_mode", str.strip),
+        "swing_s": ("swing_s", float),
+        "advance_s": ("advance_s", float),
     },
     "adhesion": {
-        "cup_area_mm2": _parse_float,
-        "vacuum_kpa": _parse_float,
-        "threshold_kpa": _parse_float,
-        "dwell_s": _parse_float,
-        "vent_s": _parse_float,
-        "mu": _parse_float,
-        "leak_kpa_s": _parse_float,
+        "cup_area_mm2": ("cup_area_mm2", float),
+        "vacuum_kpa": ("vacuum_kpa", float),
+        "threshold_kpa": ("attach_threshold_kpa", float),
+        "dwell_s": ("dwell_s", float),
+        "vent_s": ("vent_s", float),
+        "mu": ("friction", float),
+        "leak_kpa_s": ("leak_kpa_per_s", float),
     },
     "pneumatics": {
-        "pump_a_legs": _parse_int_list,
-        "pump_b_legs": _parse_int_list,
+        "pump_a_legs": (("pump_legs", "A"), _parse_int_list),
+        "pump_b_legs": (("pump_legs", "B"), _parse_int_list),
     },
     "scenario": {
-        "climb_angle_deg": _parse_float,
-        "mass_kg": _parse_float,
-        "gravity_m_s2": _parse_float,
-        "cycles": _parse_int,
-        "tick_s": _parse_float,
-        "servo_power_w": _parse_float,
-        "pump_power_w": _parse_float,
-        "lift_efficiency": _parse_float,
-        "c_slip": _parse_float,
-        "s_max": _parse_float,
-        "seed": _parse_int,
-        "noise_kpa": _parse_float,
+        "climb_angle_deg": ("climb_angle_deg", float),
+        "mass_kg": ("mass_kg", float),
+        "gravity_m_s2": ("gravity_m_s2", float),
+        "cycles": ("cycles", int),
+        "tick_s": ("tick_s", float),
+        "servo_power_w": ("servo_power_w", float),
+        "pump_power_w": ("pump_power_w", float),
+        "lift_efficiency": ("lift_efficiency", float),
+        "c_slip": ("c_slip", float),
+        "s_max": ("s_max", float),
+        "seed": ("seed", int),
+        "noise_kpa": ("noise_kpa", float),
     },
 }
 
 
 def _read_values(path):
+    """Parse a file into section -> {field: value}; a (field, item) target
+    stays a key of its own until _fields merges it."""
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#", ";"))
     try:
@@ -129,114 +127,56 @@ def _read_values(path):
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}] of {path}")
+            target, parse = _SCHEMA[section][key]
             try:
-                values[(section, key)] = _SCHEMA[section][key](raw)
+                values.setdefault(section, {})[target] = parse(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for '{key}' in [{section}]: {exc}") from exc
     return values
 
 
+def _fields(values, section, base):
+    """The fields a file sets in one section, as keyword arguments for
+    replace(base, ...): a dict field keeps the base's other entries."""
+    fields = {}
+    for target, value in values.get(section, {}).items():
+        if isinstance(target, tuple):
+            target, item = target
+            value = {**fields.get(target, getattr(base, target)), item: value}
+        fields[target] = value
+    return fields
+
+
+def _build(section, make, *args, **fields):
+    try:
+        return make(*args, **fields)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
+
+
 def load_config(path=None):
     """Build a ScenarioConfig from an INI file, or pure defaults when
-    path is None. Raises ConfigError naming the offending section/key."""
+    path is None. Every value a file leaves out comes from the dataclass
+    defaults. Raises ConfigError naming the offending section/key."""
     values = _read_values(path) if path is not None else {}
-    get = values.get
-
     defaults = ScenarioConfig()
 
-    try:
-        geometry = LegGeometry(
-            a1=get(("geometry", "a1_mm"), defaults.geometry.a1),
-            a2=get(("geometry", "a2_mm"), defaults.geometry.a2),
-            a3=get(("geometry", "a3_mm"), defaults.geometry.a3),
-            a4=get(("geometry", "a4_mm"), defaults.geometry.a4),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[geometry] {exc}") from exc
+    def part(section):
+        base = getattr(defaults, section)
+        return _build(section, replace, base, **_fields(values, section, base))
 
-    limits = None
-    has_min = ("joints", "limit_min_deg") in values
-    has_max = ("joints", "limit_max_deg") in values
-    if has_min != has_max:
+    geometry = part("geometry")
+    limits = values.get("joints", {})
+    if len(limits) == 1:
         raise ConfigError("[joints] needs both limit_min_deg and limit_max_deg")
-    if has_min:
-        try:
-            limits = JointLimits(
-                lower=math.radians(values[("joints", "limit_min_deg")]),
-                upper=math.radians(values[("joints", "limit_max_deg")]),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[joints] {exc}") from exc
-
-    gd = defaults.gait
-    stance = {
-        1: get(("gait", "p1_mm"), gd.stance_mm[1]),
-        2: get(("gait", "p2_mm"), gd.stance_mm[2]),
-        3: get(("gait", "p3_mm"), gd.stance_mm[3]),
-        4: get(("gait", "p4_mm"), gd.stance_mm[4]),
-    }
-    try:
-        gait = GaitParams(
-            stance_mm=stance,
-            step_length_mm=get(("gait", "step_length_mm"), gd.step_length_mm),
-            order=tuple(get(("gait", "order"), gd.order)),
-            lift_mm=get(("gait", "lift_mm"), gd.lift_mm),
-            z_mm=get(("gait", "z_mm"), gd.z_mm),
-            k_rad=math.radians(get(("gait", "k_deg"), math.degrees(gd.k_rad))),
-            branch=get(("gait", "branch"), gd.branch),
-            samples_per_step=get(("gait", "samples_per_step"), gd.samples_per_step),
-            advance_mode=get(("gait", "advance_mode"), gd.advance_mode),
-            swing_s=get(("gait", "swing_s"), gd.swing_s),
-            advance_s=get(("gait", "advance_s"), gd.advance_s),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[gait] {exc}") from exc
-
-    ad = defaults.adhesion
-    try:
-        adhesion = AdhesionModel(
-            cup_area_mm2=get(("adhesion", "cup_area_mm2"), ad.cup_area_mm2),
-            vacuum_kpa=get(("adhesion", "vacuum_kpa"), ad.vacuum_kpa),
-            attach_threshold_kpa=get(("adhesion", "threshold_kpa"), ad.attach_threshold_kpa),
-            dwell_s=get(("adhesion", "dwell_s"), ad.dwell_s),
-            vent_s=get(("adhesion", "vent_s"), ad.vent_s),
-            friction=get(("adhesion", "mu"), ad.friction),
-            leak_kpa_per_s=get(("adhesion", "leak_kpa_s"), ad.leak_kpa_per_s),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[adhesion] {exc}") from exc
-
-    pump_legs = {
-        "A": tuple(get(("pneumatics", "pump_a_legs"), defaults.pump_legs["A"])),
-        "B": tuple(get(("pneumatics", "pump_b_legs"), defaults.pump_legs["B"])),
-    }
-    try:
-        assign_pumps(pump_legs)
-    except ValueError as exc:
-        raise ConfigError(f"[pneumatics] {exc}") from exc
-
-    try:
-        return ScenarioConfig(
-            climb_angle_deg=get(("scenario", "climb_angle_deg"), defaults.climb_angle_deg),
-            mass_kg=get(("scenario", "mass_kg"), defaults.mass_kg),
-            gravity_m_s2=get(("scenario", "gravity_m_s2"), defaults.gravity_m_s2),
-            cycles=get(("scenario", "cycles"), defaults.cycles),
-            tick_s=get(("scenario", "tick_s"), defaults.tick_s),
-            geometry=geometry,
-            gait=gait,
-            adhesion=adhesion,
-            pump_legs=pump_legs,
-            limits=limits,
-            servo_power_w=get(("scenario", "servo_power_w"), defaults.servo_power_w),
-            pump_power_w=get(("scenario", "pump_power_w"), defaults.pump_power_w),
-            lift_efficiency=get(("scenario", "lift_efficiency"), defaults.lift_efficiency),
-            c_slip=get(("scenario", "c_slip"), defaults.c_slip),
-            s_max=get(("scenario", "s_max"), defaults.s_max),
-            seed=get(("scenario", "seed"), defaults.seed),
-            noise_kpa=get(("scenario", "noise_kpa"), defaults.noise_kpa),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[scenario] {exc}") from exc
+    limits = _build("joints", JointLimits, **limits) if limits else None
+    gait = part("gait")
+    adhesion = part("adhesion")
+    pump_legs = _fields(values, "pneumatics", defaults).get("pump_legs", defaults.pump_legs)
+    _build("pneumatics", assign_pumps, pump_legs)
+    return _build("scenario", replace, defaults, geometry=geometry, limits=limits, gait=gait,
+                  adhesion=adhesion, pump_legs=pump_legs,
+                  **_fields(values, "scenario", defaults))
 
 
 def resolve_config_path(cli_path=None):

@@ -58,6 +58,16 @@ def _degrees_text(cache, angles):
     return entry[1]
 
 
+def _read_records(path, header, kind):
+    """The records of a CSV file whose first row must be `header`."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        found = next(reader)
+        if found != header:
+            raise ValueError(f"unexpected {kind} header {found}")
+        return list(reader)
+
+
 def write_joint_table(path, rows):
     """Write compiled gait rows; angles converted to degrees."""
     cache = {}
@@ -81,20 +91,15 @@ class JointTableFileRow:
 
 
 def read_joint_table(path):
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if header != JOINT_TABLE_HEADER:
-            raise ValueError(f"unexpected joint table header {header}")
-        return [
-            JointTableFileRow(
-                t_s=float(rec[0]),
-                leg=int(rec[1]),
-                theta_deg=(float(rec[2]), float(rec[3]), float(rec[4]), float(rec[5])),
-                attached=rec[6] == "1",
-            )
-            for rec in reader
-        ]
+    return [
+        JointTableFileRow(
+            t_s=float(rec[0]),
+            leg=int(rec[1]),
+            theta_deg=(float(rec[2]), float(rec[3]), float(rec[4]), float(rec[5])),
+            attached=rec[6] == "1",
+        )
+        for rec in _read_records(path, JOINT_TABLE_HEADER, "joint table")
+    ]
 
 
 def series_header():
@@ -174,23 +179,19 @@ def series_csv_sink(path):
 def read_series_csv(path):
     """Parse a series file back into a list of per-tick dicts (file units:
     degrees, mm, kPa). Valve columns stay strings, attached become bools."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if header != series_header():
-            raise ValueError(f"unexpected series header {header}")
-        rows = []
-        for rec in reader:
-            parsed = {}
-            for name, value in zip(header, rec):
-                if name.endswith("_valve"):
-                    parsed[name] = value
-                elif name.endswith("_attached"):
-                    parsed[name] = value == "1"
-                else:
-                    parsed[name] = float(value)
-            rows.append(parsed)
-        return rows
+    header = series_header()
+    rows = []
+    for rec in _read_records(path, header, "series"):
+        parsed = {}
+        for name, value in zip(header, rec):
+            if name.endswith("_valve"):
+                parsed[name] = value
+            elif name.endswith("_attached"):
+                parsed[name] = value == "1"
+            else:
+                parsed[name] = float(value)
+        rows.append(parsed)
+    return rows
 
 
 def summary_dict(report):
@@ -241,15 +242,8 @@ def write_events_csv(path, events):
 
 
 def read_events_csv(path):
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if header != EVENTS_HEADER:
-            raise ValueError(f"unexpected events header {header}")
-        return [
-            (float(rec[0]), int(rec[1]), rec[2], float(rec[3]), rec[4] == "1")
-            for rec in reader
-        ]
+    return [(float(rec[0]), int(rec[1]), rec[2], float(rec[3]), rec[4] == "1")
+            for rec in _read_records(path, EVENTS_HEADER, "events")]
 
 
 def write_sweep_csv(path, rows):
@@ -267,12 +261,5 @@ def write_sweep_csv(path, rows):
 
 def read_sweep_csv(path):
     """Parse a sweep table back into (angle, speed, power, completed) tuples."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if header != SWEEP_HEADER:
-            raise ValueError(f"unexpected sweep header {header}")
-        return [
-            (float(rec[0]), float(rec[1]), float(rec[2]), rec[3] == "true")
-            for rec in reader
-        ]
+    return [(float(rec[0]), float(rec[1]), float(rec[2]), rec[3] == "true")
+            for rec in _read_records(path, SWEEP_HEADER, "sweep")]

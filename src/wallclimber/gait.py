@@ -14,11 +14,10 @@ floats appear only at the kinematics boundary.
 """
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 from .errors import BadOrder, GaitValidationError, KinematicsError, UnreachableFoothold
-from .kinematics import CupTarget, ElbowBranch, JointAngles, reachable, solve_leg
+from .kinematics import CupTarget, ElbowBranch, JointAngles, pose_memo, reachable, solve_leg
 
 LEG_IDS = (1, 2, 3, 4)
 UM_PER_MM = 1000
@@ -177,19 +176,13 @@ def generate_cycle(geom, footholds, step_length_mm, order=LEG_IDS, *,
     else:
         advances = [0] * (len(order) - 1) + [length_um]
 
-    # Replay in the wall frame: body starts at 0, footholds at their
-    # body-frame offsets.
-    wall_um = dict(footholds.points_um)
+    # Each leg swings once, from its starting foothold to one step length
+    # further up the wall, less the body advance made before its swing.
     body_um = 0
     steps = []
     for leg, advance in zip(order, advances):
-        new_wall = (wall_um[leg][0], wall_um[leg][1] + length_um)
-        steps.append(GaitStep(
-            swing_leg=leg,
-            new_foothold_um=(new_wall[0], new_wall[1] - body_um),
-            body_advance_um=advance,
-        ))
-        wall_um[leg] = new_wall
+        x, y = footholds.points_um[leg]
+        steps.append(GaitStep(leg, (x, y + length_um - body_um), advance))
         body_um += advance
 
     script = GaitScript(
@@ -330,9 +323,7 @@ def compile_joint_table(script, geom, z_mm, k_rad, samples_per_step, *,
     if not report.ok:
         raise GaitValidationError(report)
 
-    # One solve per distinct target in this call, keyed on the target's
-    # exact bits; float keys would conflate 0.0 and -0.0.
-    solved = {}
+    pose = pose_memo(solve_leg, geom, k_rad, script.branch, limits)
     rows = []
     wall_um = dict(script.initial.points_um)
     body_um = 0
@@ -353,17 +344,12 @@ def compile_joint_table(script, geom, z_mm, k_rad, samples_per_step, *,
                     y = um_to_mm(wall_um[leg][1] - body_um)
                     z = z_mm
                     attached = True
-                key = struct.pack("<3d", x, y, z)
-                angles = solved.get(key)
-                if angles is None:
-                    try:
-                        angles = solve_leg(geom, CupTarget(x, y, z, k_rad), script.branch,
-                                           limits)
-                    except KinematicsError as exc:
-                        raise type(exc)(
-                            f"step {index} sample {j} leg {leg}: {exc}", plane=exc.plane
-                        ) from exc
-                    solved[key] = angles
+                try:
+                    angles = pose(x, y, z)
+                except KinematicsError as exc:
+                    raise type(exc)(
+                        f"step {index} sample {j} leg {leg}: {exc}", plane=exc.plane
+                    ) from exc
                 rows.append(JointTableRow(t, leg, angles, attached, (x, y, z)))
         wall_um[swing_leg] = (step.new_foothold_um[0], step.new_foothold_um[1] + body_um)
         body_um += step.body_advance_um

@@ -23,6 +23,7 @@ asin (principal value) and then theta4 = k - theta3.
 """
 
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -214,6 +215,24 @@ def solve_leg(geom, target, branch=ElbowBranch.PLUS, limits=None):
     theta1, theta2 = ik_planar_xy(geom, target.x, target.y, branch, limits)
     theta3, theta4 = ik_normal_zy(geom, target.z, target.k, limits)
     return JointAngles(theta1, theta2, theta3, theta4)
+
+
+def pose_memo(solve, geom, k, branch, limits):
+    """Return pose(x, y, z): solve(geom, CupTarget(x, y, z, k), branch, limits)
+    once per distinct target, so equal poses share one JointAngles. The key is
+    the target's exact bits; float keys would conflate 0.0 and -0.0, which
+    atan2 tells apart. Callers pass their own module's solve_leg binding, so
+    patching that binding (in a test or a tracer) reaches every solve."""
+    solved = {}
+
+    def pose(x, y, z):
+        key = struct.pack("<3d", x, y, z)
+        hit = solved.get(key)
+        if hit is None:
+            hit = solved[key] = solve(geom, CupTarget(x, y, z, k), branch, limits)
+        return hit
+
+    return pose
 
 
 def fk_planar_xy(geom, theta1, theta2):

@@ -18,7 +18,6 @@ which is off by default.
 
 import math
 import random
-import struct
 from dataclasses import dataclass, field, replace
 
 from .errors import ClimberError, ZeroCapacity, require_finite
@@ -32,7 +31,7 @@ from .gait import (
     swing_waypoint,
     um_to_mm,
 )
-from .kinematics import CupTarget, ElbowBranch, JointLimits, LegGeometry, solve_leg
+from .kinematics import ElbowBranch, JointLimits, LegGeometry, pose_memo, solve_leg
 from .pneumatics import (
     DEFAULT_PUMP_LEGS,
     AdhesionModel,
@@ -211,8 +210,15 @@ class SimReport:
     ticks: int = 0
 
 
-def _phase_ticks(duration_s, tick_s):
-    return max(1, round(duration_s / tick_s))
+def plan_cycle(config):
+    """The validated one-cycle GaitScript of a scenario's gait, geometry and
+    joint limits."""
+    gait = config.gait
+    return generate_cycle(
+        config.geometry, FootholdMap.from_mm(gait.stance_mm), gait.step_length_mm, gait.order,
+        z_mm=gait.z_mm, k_rad=gait.k_rad, lift_mm=gait.lift_mm,
+        advance_mode=gait.advance_mode, branch=gait.branch, limits=config.limits,
+    )
 
 
 def run_scenario(config, sink=None):
@@ -225,24 +231,16 @@ def run_scenario(config, sink=None):
     and reason) instead of raising; planning errors (bad stance,
     unreachable footholds) raise.
     """
-    geom = config.geometry
     gait = config.gait
     model = config.adhesion
     tick = config.tick_s
     load_n = config.tangential_load_n
     z_mm = gait.z_mm
 
-    footholds = FootholdMap.from_mm(gait.stance_mm)
-    script = generate_cycle(
-        geom, footholds, gait.step_length_mm, gait.order,
-        z_mm=z_mm, k_rad=gait.k_rad, lift_mm=gait.lift_mm,
-        advance_mode=gait.advance_mode, branch=gait.branch, limits=config.limits,
-    )
-
-    n_vent = _phase_ticks(model.vent_s, tick)
-    n_swing = _phase_ticks(gait.swing_s, tick)
-    n_attach = _phase_ticks(model.dwell_s, tick)
-    n_advance = _phase_ticks(gait.advance_s, tick)
+    script = plan_cycle(config)
+    n_ticks = {phase: max(1, round(duration_s / tick)) for phase, duration_s in (
+        ("vent", model.vent_s), ("swing", gait.swing_s), ("attach", model.dwell_s),
+        ("recover", model.dwell_s), ("advance", gait.advance_s))}
 
     p_eq = model.equilibrium_kpa
     decay = suction_decay(model, tick)
@@ -257,77 +255,39 @@ def run_scenario(config, sink=None):
     rng = random.Random(config.seed)
     jitter = config.noise_kpa
 
-    wall_um = dict(footholds.points_um)
+    wall_um = dict(script.initial.points_um)
     body_um = 0
     records = []
     emit = records.append if sink is None else sink
     ticks = 0
     energy_j = 0.0
     slip_count = 0
-    retry_used = False
-    failed = False
-    failure_tick = None
-    failure_reason = None
 
-    # One solve per distinct cup target in this run: the gait revisits the
-    # same few poses every cycle, so ticks share JointAngles. The key is the
-    # target's exact bits; float keys would conflate 0.0 and -0.0, which
-    # atan2 tells apart.
-    solved = {}
-
-    def solve(x, y, z):
-        key = struct.pack("<3d", x, y, z)
-        hit = solved.get(key)
-        if hit is None:
-            hit = solved[key] = solve_leg(geom, CupTarget(x, y, z, gait.k_rad),
-                                          gait.branch, config.limits)
-        return hit
+    # The gait revisits the same few poses every cycle, so ticks share them.
+    pose = pose_memo(solve_leg, config.geometry, gait.k_rad, gait.branch, config.limits)
 
     # Every leg on its foothold. Rebuilt only on the first tick after the
     # body or a foothold moved, so it solves exactly the targets a tick uses.
     stance = None
 
     def stance_pose():
-        return {leg: solve(um_to_mm(wall_um[leg][0]), um_to_mm(wall_um[leg][1] - body_um),
-                           z_mm)
+        return {leg: pose(um_to_mm(wall_um[leg][0]), um_to_mm(wall_um[leg][1] - body_um), z_mm)
                 for leg in LEG_IDS}
 
-    def record(angles, valves, attached, speed, slip_now):
-        nonlocal energy_j, ticks
-        power = power_model(config, speed, active_pumps) if speed else idle_power
-        energy_j += power * tick
-        if jitter > 0.0:
-            pressures = {leg: pressure[leg] + rng.uniform(-jitter, jitter) for leg in LEG_IDS}
-        else:
-            pressures = {leg: pressure[leg] for leg in LEG_IDS}
-        ticks += 1
-        emit(TickRecord(
-            t_s=ticks * tick,
-            body_mm=um_to_mm(body_um),
-            angles=angles,
-            valve=valves,
-            pressure_kpa=pressures,
-            attached=attached,
-            power_w=power,
-            slip=slip_now,
-        ))
+    def climb():
+        """Run the ticks. Return (failure_tick, reason) where the run fails,
+        or (None, None) when every cycle completes."""
+        nonlocal body_um, energy_j, slip_count, stance, ticks
+        # Every cup starts at the suction equilibrium; if that does not pass
+        # the attach threshold, no cup can ever grip.
+        if not all(pstate.grip(model)[0].values()):
+            return 0, (f"attach timeout before the first step: the suction equilibrium "
+                       f"{p_eq:.3f} kPa is above the attach threshold "
+                       f"{model.attach_threshold_kpa} kPa, so no cup grips")
 
-    # Every cup starts at the suction equilibrium; if that does not pass the
-    # attach threshold, no cup can ever grip.
-    if not all(pstate.grip(model)[0].values()):
-        failed = True
-        failure_tick = 0
-        failure_reason = (f"attach timeout before the first step: the suction equilibrium "
-                          f"{p_eq:.3f} kPa is above the attach threshold "
-                          f"{model.attach_threshold_kpa} kPa, so no cup grips")
-
-    cap = 0.0  # tangential capacity at the end of the last tick
-    for _cycle in range(config.cycles):
-        if failed:
-            break
-        for step in script.steps:
-            if failed:
-                break
+        retry_used = False
+        cap = 0.0  # tangential capacity at the end of the last tick
+        for step in script.steps * config.cycles:
             leg = step.swing_leg
             old_wall = wall_um[leg]
             new_wall = (step.new_foothold_um[0], step.new_foothold_um[1] + body_um)
@@ -336,30 +296,27 @@ def run_scenario(config, sink=None):
 
             attach_extended = False
             phases = ["vent", "swing", "attach", "advance"]
-            while phases and not failed:
+            while phases:
                 phase = phases.pop(0)
+                n = n_ticks[phase]
                 if stance is None and phase != "advance":
                     stance = stance_pose()
                 if phase == "vent":
                     pstate.valve[leg] = Valve.VENT
                     vent_p0 = pressure[leg]
-                    angles = {**stance, leg: solve(old_bf[0], old_bf[1], z_mm)}
-                    n = n_vent
+                    angles = {**stance, leg: pose(*old_bf, z_mm)}
                 elif phase == "swing":
                     pressure[leg] = 0.0
-                    n = n_swing
                 elif phase in ("attach", "recover"):
                     pstate.valve[leg] = Valve.SUCTION
                     foothold = new_bf if phase == "attach" else old_bf
-                    angles = {**stance, leg: solve(foothold[0], foothold[1], z_mm)}
-                    n = n_attach
+                    angles = {**stance, leg: pose(*foothold, z_mm)}
                 else:  # advance; the pneumatics have not changed since the last tick
                     slip = slip_model(load_n, cap, config.c_slip, config.s_max)
                     effective_um = round(step.body_advance_um * (1.0 - slip))
-                    shares = split_um(effective_um, n_advance)
+                    shares = split_um(effective_um, n)
                     if slip > 0.0 and step.body_advance_um > 0:
                         slip_count += 1
-                    n = n_advance
                 valves = dict(pstate.valve)
                 relaxing = [other for other in LEG_IDS if pstate.under_suction(other)]
 
@@ -372,7 +329,7 @@ def run_scenario(config, sink=None):
                         pressure[leg] = vent_p0 * (1.0 - (j + 1) / n)
                     elif phase == "swing":
                         waypoint = swing_waypoint(old_bf, new_bf, (j + 1) / n, z_mm, gait.lift_mm)
-                        angles = {**stance, leg: solve(*waypoint)}
+                        angles = {**stance, leg: pose(*waypoint)}
                     elif phase == "advance":
                         body_um += shares[j]
                         if shares[j] or stance is None:
@@ -382,43 +339,41 @@ def run_scenario(config, sink=None):
                         slip_now = slip
 
                     attached, _, cap = pstate.grip(model)
+                    power = power_model(config, speed, active_pumps) if speed else idle_power
+                    energy_j += power * tick
+                    if jitter > 0.0:
+                        pressures = {other: pressure[other] + rng.uniform(-jitter, jitter)
+                                     for other in LEG_IDS}
+                    else:
+                        pressures = {other: pressure[other] for other in LEG_IDS}
+                    ticks += 1
+                    emit(TickRecord(ticks * tick, um_to_mm(body_um), angles, valves, pressures,
+                                    attached, power, slip_now))
+
                     if load_n > cap:
-                        if phase == "vent" and not retry_used:
-                            # One controller retry: re-grip the cup that was
-                            # just released and hold position for a dwell.
-                            retry_used = True
-                            record(angles, valves, attached, speed, slip_now)
-                            phases = ["recover", "vent", "swing", "attach", "advance"]
-                            break
-                        failed = True
-                        failure_tick = ticks
-                        failure_reason = (f"adhesion overload: tangential load {load_n:.3f} N "
-                                          f"> holding capacity {cap:.3f} N")
-                        record(angles, valves, attached, speed, slip_now)
+                        if phase != "vent" or retry_used:
+                            return ticks - 1, (f"adhesion overload: tangential load "
+                                               f"{load_n:.3f} N > holding capacity {cap:.3f} N")
+                        # One controller retry: re-grip the cup that was just
+                        # released and hold position for a dwell.
+                        retry_used = True
+                        phases = ["recover", "vent", "swing", "attach", "advance"]
                         break
 
-                    record(angles, valves, attached, speed, slip_now)
-                else:
-                    if phase == "attach":
-                        if pressure[leg] <= model.attach_threshold_kpa:
-                            wall_um[leg] = new_wall
-                            stance = None
-                        elif not attach_extended:
-                            attach_extended = True
-                            phases.insert(0, "attach")  # one more dwell
-                        else:
-                            failed = True
-                            failure_tick = ticks - 1
-                            failure_reason = (
-                                f"attach timeout on leg {leg}: "
-                                f"{pressure[leg]:.3f} kPa above threshold "
-                                f"{model.attach_threshold_kpa} kPa")
-                    elif phase == "recover" and load_n > cap:
-                        failed = True
-                        failure_tick = ticks - 1
-                        failure_reason = (f"adhesion overload after re-attach: load "
-                                          f"{load_n:.3f} N > capacity {cap:.3f} N")
+                if phase == "attach":
+                    if pressure[leg] <= model.attach_threshold_kpa:
+                        wall_um[leg] = new_wall
+                        stance = None
+                    elif attach_extended:
+                        return ticks - 1, (f"attach timeout on leg {leg}: "
+                                           f"{pressure[leg]:.3f} kPa above threshold "
+                                           f"{model.attach_threshold_kpa} kPa")
+                    else:
+                        attach_extended = True
+                        phases.insert(0, "attach")  # one more dwell
+        return None, None
 
+    failure_tick, failure_reason = climb()
     duration_s = ticks * tick
     displacement_mm = um_to_mm(body_um)
     avg_speed = displacement_mm / duration_s if duration_s > 0.0 else 0.0
@@ -434,7 +389,7 @@ def run_scenario(config, sink=None):
         average_power_w=avg_power,
         total_energy_j=energy_j,
         slip_count=slip_count,
-        completed=not failed,
+        completed=failure_tick is None,
         failure_tick=failure_tick,
         failure_reason=failure_reason,
         ticks=ticks,

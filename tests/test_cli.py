@@ -261,3 +261,20 @@ def test_output_path_without_directory_writes_to_working_directory(tmp_path, mon
     monkeypatch.chdir(tmp_path)
     assert main(["gait", "-o", "table.csv"]) == EXIT_OK
     assert (tmp_path / "table.csv").exists()
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["gait", "-o", "{tmp}/odir"], "{tmp}/odir"),
+    (["sweep", "0", "-o", "{tmp}/odir"], "{tmp}/odir"),
+    # the series file is renamed onto a directory
+    (["simulate", "-o", "{tmp}/odir/run"], "{tmp}/odir/run.series.csv"),
+], ids=["gait", "sweep", "simulate"])
+def test_output_path_that_is_a_directory_is_a_validation_error(argv, path, tmp_path, capsys):
+    (tmp_path / "odir" / "run.series.csv").mkdir(parents=True)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the output: ")
+    assert "Is a directory" in err and path.format(tmp=tmp_path) in err
+    # nothing is left behind: no temporary series file, no summary
+    assert sorted(p.name for p in (tmp_path / "odir").iterdir()) == ["run.series.csv"]

@@ -1,0 +1,63 @@
+"""Golden bytes of run paths that the CLI golden files do not reach.
+
+Each case streams its series through `fileio.series_csv_sink`, exactly as
+`wallclimber simulate` does, and hashes the file and the sorted JSON of
+`fileio.summary_dict`. The hashes were recorded from the tick loop as it
+was before it was restructured into one function with a single exit, so a
+change that alters one written float or one failure message fails here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from wallclimber import fileio
+from wallclimber.pneumatics import AdhesionModel
+from wallclimber.simulator import GaitParams, ScenarioConfig, run_scenario
+
+# name -> (config overrides, ticks, failure_tick, series sha256, summary sha256)
+CASES = {
+    # the cup released on the first vent tick is re-gripped once, then the
+    # second vent overloads the three remaining cups
+    "retry_then_overload": (
+        dict(climb_angle_deg=90.0, mass_kg=170 / 9.81), 52, 51,
+        "7cbcfaf3c10d361c7906ed50a9ff497dd65558f796a191b611261d8f5db19bc1",
+        "8393b8fdc02fe1c1d6de09f5b84f440e823dc797497a9093241074cc184ff3db"),
+    # every attach needs its one extra dwell
+    "attach_extension": (
+        dict(adhesion=AdhesionModel(leak_kpa_per_s=115.0)), 2640, None,
+        "6ced7afc0f5824381aa4262fa25d54785f50b3fc9eb972f07c8bdf3e3083ff87",
+        "a39a103acbdc18ec28a37ef695a3f235931e156727b95a86f41df9204234b677"),
+    # the extra dwell is not enough either
+    "attach_timeout": (
+        dict(adhesion=AdhesionModel(leak_kpa_per_s=119.9)), 180, 179,
+        "a57960d739fc8435490f3bdc89323e57b9ecff2a9dc8ea87e550184b1d900f43",
+        "412019aec8b5daaea5d2e94970dcfb1218949cfcbcaf0c6260e768edc0648fd8"),
+    "per_cycle": (
+        dict(climb_angle_deg=75.0, gait=GaitParams(advance_mode="per_cycle")), 2040, None,
+        "9fe2fb57ef362ecaac502213e649e362271704e5ba08d6e6dc4b7dc18dc62785",
+        "3dc30ddb6e77143df48b8b34d13534e21b8a1f0357087ce9b0fca09ddcade2d5"),
+    "noise": (
+        dict(climb_angle_deg=60.0, noise_kpa=0.5, cycles=2), 1360, None,
+        "64218c0578f7ce862d11e1d29ed43a9af1a7ab216a3fb7183cce51e45448f2df",
+        "b16d18b2a750011eb9c58d61bc4ee10b78584170e6f4bb3fa0968a02028ac9ef"),
+    # 0.03 s ticks: every phase length is rounded, the advance to 13 ticks
+    "coarse_tick": (
+        dict(climb_angle_deg=45.0, tick_s=0.03), 684, None,
+        "fa16092301e5f06bae93bd56a330173193fc628f916125eb20970040ac98e1c4",
+        "54cb5b62cef7fc2d7c2704a0f10893ed991b791b3e27386b21697eaaaf517638"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_run_path_matches_golden_hashes(case, tmp_path):
+    overrides, ticks, failure_tick, series_sha, summary_sha = CASES[case]
+    path = tmp_path / "run.series.csv"
+    with fileio.series_csv_sink(str(path)) as sink:
+        report = run_scenario(ScenarioConfig(**overrides), sink=sink)
+    assert (report.ticks, report.failure_tick) == (ticks, failure_tick)
+    assert report.completed is (failure_tick is None)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == series_sha
+    summary = json.dumps(fileio.summary_dict(report), sort_keys=True).encode()
+    assert hashlib.sha256(summary).hexdigest() == summary_sha
