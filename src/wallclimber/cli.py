@@ -6,12 +6,13 @@ file is taken from --config, then the WALLCLIMBER_CONFIG environment
 variable, then built-in defaults.
 
 Exit codes: 0 success, 2 usage error, 3 validation error (bad config,
-unreachable target, invalid gait, no -o directory, or an output file that
-cannot be written, such as an -o path that is a directory), 4 simulation
-failure.
+unreachable target, invalid gait, no -o directory or an output path that
+is a directory, both checked before the run, or an output file that
+cannot be written), 4 simulation failure.
 """
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -177,8 +178,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     out = getattr(args, "out", None)
-    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
-        return _fail(f"error: the directory of -o {out!r} does not exist", EXIT_VALIDATION)
+    if out is not None:
+        if not os.path.isdir(os.path.dirname(out) or "."):
+            return _fail(f"error: the directory of -o {out!r} does not exist", EXIT_VALIDATION)
+        simulate = args.command == "simulate"
+        for path in (f"{out}.series.csv", f"{out}.summary.json") if simulate else (out,):
+            if os.path.isdir(path):
+                error = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+                return _fail(f"error: cannot write the output: {error}", EXIT_VALIDATION)
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -187,7 +194,7 @@ def main(argv=None):
         return _fail(f"error: {type(exc).__name__}: {exc}", EXIT_VALIDATION)
     except ValueError as exc:
         return _fail(f"error: {exc}", EXIT_VALIDATION)
-    except OSError as exc:  # e.g. -o names a directory
+    except OSError as exc:  # e.g. an output directory that cannot be written
         return _fail(f"error: cannot write the output: {exc}", EXIT_VALIDATION)
 
 

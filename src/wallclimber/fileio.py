@@ -3,10 +3,11 @@
 Files are bit-reproducible: floats are written with repr (shortest
 round-trip form), lines end with LF, headers are mandatory, and JSON
 keys are sorted. Angles are degrees in files, radians in memory. No
-CSV field ever needs quoting, so the two large writers join their rows
-directly instead of going through csv.writer; the bytes are the same.
-They format each repeated value once per file, in caches that are emptied
-at a fixed _CACHE_CAP entries, so their memory stays flat in the input size.
+CSV field ever needs quoting, so every CSV writer joins its fields in one
+row writer, _write_rows (the series file streams through series_csv_sink),
+and none uses csv.writer; the bytes are the same. The two large writers
+format each repeated value once per file, in caches that are emptied at a
+fixed _CACHE_CAP entries, so their memory stays flat in the input size.
 """
 
 import csv
@@ -62,24 +63,27 @@ def _read_records(path, header, kind):
     """The records of a CSV file whose first row must be `header`."""
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        found = next(reader)
+        found = next(reader, "an empty file")
         if found != header:
-            raise ValueError(f"unexpected {kind} header {found}")
+            raise ValueError(f"{path}: expected the {kind} header, found {found}")
         return list(reader)
+
+
+def _write_rows(path, header, rows):
+    """Write a CSV file: the header, then each row's text fields, joined."""
+    with _open_w(path) as handle:
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(row) + "\n")
 
 
 def write_joint_table(path, rows):
     """Write compiled gait rows; angles converted to degrees."""
     cache = {}
-    with _open_w(path) as handle:
-        handle.write(",".join(JOINT_TABLE_HEADER) + "\n")
-        for row in rows:
-            handle.write(",".join([
-                _fmt(row.t_s),
-                str(row.leg),
-                _degrees_text(cache, row.angles),
-                "1" if row.attached else "0",
-            ]) + "\n")
+    _write_rows(path, JOINT_TABLE_HEADER, (
+        [_fmt(row.t_s), str(row.leg), _degrees_text(cache, row.angles),
+         "1" if row.attached else "0"]
+        for row in rows))
 
 
 @dataclass(frozen=True)
@@ -146,12 +150,10 @@ def series_row_formatter():
 
 
 def write_series_csv(path, report):
-    """Write the per-tick time series of a SimReport."""
-    format_row = series_row_formatter()
-    with _open_w(path) as handle:
-        handle.write(",".join(series_header()) + "\n")
+    """Write the per-tick time series of a SimReport through series_csv_sink."""
+    with series_csv_sink(path) as sink:
         for rec in report.records:
-            handle.write(format_row(rec))
+            sink(rec)
 
 
 @contextmanager
@@ -228,17 +230,10 @@ EVENTS_HEADER = ["t_s", "leg", "valve", "pressure_kpa", "attached"]
 
 def write_events_csv(path, events):
     """Write attach/detach event lists in the trace-log layout."""
-    with _open_w(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(EVENTS_HEADER)
-        for event in events:
-            writer.writerow([
-                _fmt(event.t_s),
-                event.leg,
-                event.valve.value,
-                _fmt(event.pressure_kpa),
-                1 if event.attached else 0,
-            ])
+    _write_rows(path, EVENTS_HEADER, (
+        [_fmt(event.t_s), str(event.leg), event.valve.value, _fmt(event.pressure_kpa),
+         "1" if event.attached else "0"]
+        for event in events))
 
 
 def read_events_csv(path):
@@ -247,16 +242,10 @@ def read_events_csv(path):
 
 
 def write_sweep_csv(path, rows):
-    with _open_w(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SWEEP_HEADER)
-        for row in rows:
-            writer.writerow([
-                _fmt(row.angle_deg),
-                _fmt(row.avg_speed_mm_s),
-                _fmt(row.avg_power_w),
-                "true" if row.completed else "false",
-            ])
+    _write_rows(path, SWEEP_HEADER, (
+        [_fmt(row.angle_deg), _fmt(row.avg_speed_mm_s), _fmt(row.avg_power_w),
+         "true" if row.completed else "false"]
+        for row in rows))
 
 
 def read_sweep_csv(path):

@@ -83,9 +83,6 @@ class FootholdMap:
     def copy(self):
         return FootholdMap(dict(self.points_um), dict(self.attached))
 
-    def attached_count(self):
-        return sum(1 for flag in self.attached.values() if flag)
-
 
 @dataclass(frozen=True)
 class GaitStep:
@@ -178,12 +175,12 @@ def generate_cycle(geom, footholds, step_length_mm, order=LEG_IDS, *,
 
     # Each leg swings once, from its starting foothold to one step length
     # further up the wall, less the body advance made before its swing.
-    body_um = 0
+    advanced_um = 0
     steps = []
     for leg, advance in zip(order, advances):
         x, y = footholds.points_um[leg]
-        steps.append(GaitStep(leg, (x, y + length_um - body_um), advance))
-        body_um += advance
+        steps.append(GaitStep(leg, (x, y + length_um - advanced_um), advance))
+        advanced_um += advance
 
     script = GaitScript(
         steps=steps,
@@ -205,21 +202,6 @@ def generate_cycle(geom, footholds, step_length_mm, order=LEG_IDS, *,
     return script
 
 
-def _check_reach(report, geom, point_um, z_mm, k_rad, limits, step, leg, label):
-    x, y = um_to_mm(point_um[0]), um_to_mm(point_um[1])
-    if z_mm < 0.0:
-        report.add("unreachable",
-                   f"{label} ({x}, {y}) mm: clearance {z_mm} mm is negative "
-                   "(lift exceeds the wall distance)",
-                   step=step, leg=leg)
-        return
-    ok, reason = reachable(geom, CupTarget(x, y, z_mm, k_rad), limits)
-    if not ok:
-        report.add("unreachable",
-                   f"{label} ({x}, {y}) mm at z={z_mm} mm: {reason}",
-                   step=step, leg=leg)
-
-
 def validate(script, geom, footholds, limits=None):
     """Replay a script symbolically against a starting stance and report
     every violated invariant (no exceptions; the report carries them).
@@ -231,24 +213,33 @@ def validate(script, geom, footholds, limits=None):
     """
     report = GaitValidationReport()
 
+    def check_reach(point_um, z_mm, step, leg, label):
+        x, y = um_to_mm(point_um[0]), um_to_mm(point_um[1])
+        if z_mm < 0.0:
+            report.add("unreachable",
+                       f"{label} ({x}, {y}) mm: clearance {z_mm} mm is negative "
+                       "(lift exceeds the wall distance)",
+                       step=step, leg=leg)
+            return
+        ok, reason = reachable(geom, CupTarget(x, y, z_mm, script.k_rad), limits)
+        if not ok:
+            report.add("unreachable", f"{label} ({x}, {y}) mm at z={z_mm} mm: {reason}",
+                       step=step, leg=leg)
+
     swings = [s.swing_leg for s in script.steps]
     if sorted(swings) != list(LEG_IDS):
         report.add("coverage", f"swing legs {swings} do not cover each of {LEG_IDS} exactly once")
 
     z = script.z_mm
-    z_lifted = script.z_mm - script.lift_mm
-    wall_um = dict(footholds.points_um)
     attached = dict(footholds.attached)
-    body_um = 0
-
     for leg in LEG_IDS:
         if attached[leg]:
-            _check_reach(report, geom, wall_um[leg], z, script.k_rad, limits, -1, leg,
-                         "initial foothold")
+            check_reach(footholds.points_um[leg], z, -1, leg, "initial foothold")
 
-    for index, step in enumerate(script.steps):
+    stances = list(replay(script, footholds))
+    for index, (step, before, after) in enumerate(zip(script.steps, stances, stances[1:])):
         leg = step.swing_leg
-        old_bf = (wall_um[leg][0], wall_um[leg][1] - body_um)
+        old_bf = before[leg]
         new_bf = step.new_foothold_um
 
         if step.body_advance_um < 0:
@@ -259,33 +250,41 @@ def validate(script, geom, footholds, limits=None):
         if count < 3:
             report.add("attach_count", f"attached={count} during swing", step=index, leg=leg)
 
-        _check_reach(report, geom, old_bf, z, script.k_rad, limits, index, leg, "swing start")
+        check_reach(old_bf, z, index, leg, "swing start")
         mid_bf = ((old_bf[0] + new_bf[0]) // 2, (old_bf[1] + new_bf[1]) // 2)
-        _check_reach(report, geom, mid_bf, z_lifted, script.k_rad, limits, index, leg,
-                     "lifted mid-swing point")
-        _check_reach(report, geom, new_bf, z, script.k_rad, limits, index, leg, "swing end")
-
-        wall_um[leg] = (new_bf[0], new_bf[1] + body_um)
+        check_reach(mid_bf, z - script.lift_mm, index, leg, "lifted mid-swing point")
+        check_reach(new_bf, z, index, leg, "swing end")
         attached[leg] = True
-        body_um += step.body_advance_um
 
         for other in LEG_IDS:
             if attached[other]:
-                stance_bf = (wall_um[other][0], wall_um[other][1] - body_um)
-                _check_reach(report, geom, stance_bf, z, script.k_rad, limits, index, other,
-                             "stance point after advance")
+                check_reach(after[other], z, index, other, "stance point after advance")
 
-    if body_um != script.step_length_um:
+    advanced_um = sum(step.body_advance_um for step in script.steps)
+    if advanced_um != script.step_length_um:
         report.add("closure",
-                   f"body advanced {body_um} um over the cycle, expected {script.step_length_um}")
-    final_bf = {leg: (wall_um[leg][0], wall_um[leg][1] - body_um) for leg in LEG_IDS}
-    if final_bf != footholds.points_um:
+                   f"body advanced {advanced_um} um over the cycle, "
+                   f"expected {script.step_length_um}")
+    if stances[-1] != footholds.points_um:
         report.add("closure",
-                   f"body-frame stance {final_bf} does not return to initial "
+                   f"body-frame stance {stances[-1]} does not return to initial "
                    f"{footholds.points_um}")
     if attached != footholds.attached:
         report.add("closure", "attachment flags changed over the cycle")
     return report
+
+
+def replay(script, footholds):
+    """Walk a script from a starting stance. Yield the body-frame stance,
+    leg -> (x, y) in integer micrometres, before each step and once more
+    after the cycle; a closed cycle yields the starting stance last."""
+    wall_um = dict(footholds.points_um)
+    body_um = 0
+    for step in script.steps:
+        yield {leg: (wall_um[leg][0], wall_um[leg][1] - body_um) for leg in LEG_IDS}
+        wall_um[step.swing_leg] = (step.new_foothold_um[0], step.new_foothold_um[1] + body_um)
+        body_um += step.body_advance_um
+    yield {leg: (wall_um[leg][0], wall_um[leg][1] - body_um) for leg in LEG_IDS}
 
 
 def swing_waypoint(old_mm, new_mm, progress, z_mm, lift_mm):
@@ -325,32 +324,23 @@ def compile_joint_table(script, geom, z_mm, k_rad, samples_per_step, *,
 
     pose = pose_memo(solve_leg, geom, k_rad, script.branch, limits)
     rows = []
-    wall_um = dict(script.initial.points_um)
-    body_um = 0
-    for index, step in enumerate(script.steps):
-        swing_leg = step.swing_leg
-        old_bf = (um_to_mm(wall_um[swing_leg][0]),
-                  um_to_mm(wall_um[swing_leg][1] - body_um))
-        new_bf = step.new_foothold_mm
+    for index, (step, stance) in enumerate(zip(script.steps, replay(script, script.initial))):
+        swing_leg, new_bf = step.swing_leg, step.new_foothold_mm
+        stance_mm = {leg: (um_to_mm(x), um_to_mm(y)) for leg, (x, y) in stance.items()}
         for j in range(samples_per_step):
             t = (index + j / samples_per_step) * step_duration_s
             progress = j / (samples_per_step - 1)
             for leg in LEG_IDS:
                 if leg == swing_leg:
-                    x, y, z = swing_waypoint(old_bf, new_bf, progress, z_mm, script.lift_mm)
-                    attached = False
+                    x, y, z = swing_waypoint(stance_mm[leg], new_bf, progress, z_mm,
+                                             script.lift_mm)
                 else:
-                    x = um_to_mm(wall_um[leg][0])
-                    y = um_to_mm(wall_um[leg][1] - body_um)
-                    z = z_mm
-                    attached = True
+                    x, y, z = *stance_mm[leg], z_mm
                 try:
                     angles = pose(x, y, z)
                 except KinematicsError as exc:
                     raise type(exc)(
                         f"step {index} sample {j} leg {leg}: {exc}", plane=exc.plane
                     ) from exc
-                rows.append(JointTableRow(t, leg, angles, attached, (x, y, z)))
-        wall_um[swing_leg] = (step.new_foothold_um[0], step.new_foothold_um[1] + body_um)
-        body_um += step.body_advance_um
+                rows.append(JointTableRow(t, leg, angles, leg != swing_leg, (x, y, z)))
     return rows

@@ -83,6 +83,12 @@ def relax(p0_kpa, p_eq_kpa, decay):
     return p_eq_kpa + (p0_kpa - p_eq_kpa) * decay
 
 
+def vent(p0_kpa, fraction):
+    """Linear vent ramp: the pressure once `fraction` of the vent time has
+    passed since it started at p0. A full ramp ends at -0.0 for p0 < 0."""
+    return p0_kpa * (1.0 - fraction)
+
+
 def pressure_under_suction(model, p0_kpa, dt_s):
     """Closed-form relaxation toward the leak-shifted equilibrium."""
     return relax(p0_kpa, model.equilibrium_kpa, suction_decay(model, dt_s))
@@ -92,7 +98,7 @@ def pressure_while_venting(p0_kpa, dt_s, vent_s):
     """Linear ramp from p0 to exactly 0 over the vent time."""
     if dt_s >= vent_s:
         return 0.0
-    return p0_kpa * (1.0 - dt_s / vent_s)
+    return vent(p0_kpa, dt_s / vent_s)
 
 
 def assign_pumps(pump_legs):
@@ -177,10 +183,6 @@ class PneumaticState:
         new = self.copy()
         new.valve[leg] = valve
         return new
-
-    def suction_count(self, pump):
-        return sum(1 for leg, v in self.valve.items()
-                   if v is Valve.SUCTION and self.pump_of_leg[leg] == pump)
 
 
 @dataclass(frozen=True)

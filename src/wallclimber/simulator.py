@@ -40,7 +40,12 @@ from .pneumatics import (
     assign_pumps,
     relax,
     suction_decay,
+    vent,
 )
+
+# The phases of one step. A controller retry or an attach extension edits a
+# step's plan, and each phase it inserts carries that cause.
+STEP_PHASES = ("vent", "swing", "attach", "advance")
 
 
 def _default_stance():
@@ -289,44 +294,37 @@ def run_scenario(config, sink=None):
         cap = 0.0  # tangential capacity at the end of the last tick
         for step in script.steps * config.cycles:
             leg = step.swing_leg
-            old_wall = wall_um[leg]
-            new_wall = (step.new_foothold_um[0], step.new_foothold_um[1] + body_um)
-            old_bf = (um_to_mm(old_wall[0]), um_to_mm(old_wall[1] - body_um))
+            old_bf = (um_to_mm(wall_um[leg][0]), um_to_mm(wall_um[leg][1] - body_um))
             new_bf = step.new_foothold_mm
 
-            attach_extended = False
-            phases = ["vent", "swing", "attach", "advance"]
-            while phases:
-                phase = phases.pop(0)
+            plan = [(name, "normal") for name in STEP_PHASES]
+            while plan:
+                phase, cause = plan.pop(0)
                 n = n_ticks[phase]
-                if stance is None and phase != "advance":
-                    stance = stance_pose()
-                if phase == "vent":
-                    pstate.valve[leg] = Valve.VENT
-                    vent_p0 = pressure[leg]
-                    angles = {**stance, leg: pose(*old_bf, z_mm)}
-                elif phase == "swing":
-                    pressure[leg] = 0.0
-                elif phase in ("attach", "recover"):
-                    pstate.valve[leg] = Valve.SUCTION
-                    foothold = new_bf if phase == "attach" else old_bf
-                    angles = {**stance, leg: pose(*foothold, z_mm)}
-                else:  # advance; the pneumatics have not changed since the last tick
+                speed = slip = 0.0
+                if phase == "advance":  # the pneumatics have not changed since the last tick
                     slip = slip_model(load_n, cap, config.c_slip, config.s_max)
-                    effective_um = round(step.body_advance_um * (1.0 - slip))
-                    shares = split_um(effective_um, n)
+                    shares = split_um(round(step.body_advance_um * (1.0 - slip)), n)
                     if slip > 0.0 and step.body_advance_um > 0:
                         slip_count += 1
+                else:
+                    pstate.valve[leg] = Valve.SUCTION if phase in ("attach", "recover") else Valve.VENT
+                    if stance is None:
+                        stance = stance_pose()
+                    foothold = new_bf if phase == "attach" else old_bf
+                    angles = {**stance, leg: pose(*foothold, z_mm)}
+                    if phase == "vent":
+                        vent_p0 = pressure[leg]
+                    elif phase == "swing":
+                        pressure[leg] = 0.0
                 valves = dict(pstate.valve)
                 relaxing = [other for other in LEG_IDS if pstate.under_suction(other)]
 
                 for j in range(n):
                     for other in relaxing:
                         pressure[other] = relax(pressure[other], p_eq, decay)
-                    speed = 0.0
-                    slip_now = 0.0
                     if phase == "vent":
-                        pressure[leg] = vent_p0 * (1.0 - (j + 1) / n)
+                        pressure[leg] = vent(vent_p0, (j + 1) / n)
                     elif phase == "swing":
                         waypoint = swing_waypoint(old_bf, new_bf, (j + 1) / n, z_mm, gait.lift_mm)
                         angles = {**stance, leg: pose(*waypoint)}
@@ -336,7 +334,6 @@ def run_scenario(config, sink=None):
                             stance = stance_pose()
                         angles = stance
                         speed = um_to_mm(shares[j]) / tick
-                        slip_now = slip
 
                     attached, _, cap = pstate.grip(model)
                     power = power_model(config, speed, active_pumps) if speed else idle_power
@@ -348,29 +345,28 @@ def run_scenario(config, sink=None):
                         pressures = {other: pressure[other] for other in LEG_IDS}
                     ticks += 1
                     emit(TickRecord(ticks * tick, um_to_mm(body_um), angles, valves, pressures,
-                                    attached, power, slip_now))
+                                    attached, power, slip))
 
                     if load_n > cap:
                         if phase != "vent" or retry_used:
                             return ticks - 1, (f"adhesion overload: tangential load "
                                                f"{load_n:.3f} N > holding capacity {cap:.3f} N")
                         # One controller retry: re-grip the cup that was just
-                        # released and hold position for a dwell.
+                        # released, hold position for a dwell, then redo the step.
                         retry_used = True
-                        phases = ["recover", "vent", "swing", "attach", "advance"]
+                        plan = [(name, "retry") for name in ("recover",) + STEP_PHASES]
                         break
 
                 if phase == "attach":
                     if pressure[leg] <= model.attach_threshold_kpa:
-                        wall_um[leg] = new_wall
+                        wall_um[leg] = (step.new_foothold_um[0], step.new_foothold_um[1] + body_um)
                         stance = None
-                    elif attach_extended:
+                    elif cause == "extension":
                         return ticks - 1, (f"attach timeout on leg {leg}: "
                                            f"{pressure[leg]:.3f} kPa above threshold "
                                            f"{model.attach_threshold_kpa} kPa")
                     else:
-                        attach_extended = True
-                        phases.insert(0, "attach")  # one more dwell
+                        plan.insert(0, ("attach", "extension"))  # one more dwell
         return None, None
 
     failure_tick, failure_reason = climb()

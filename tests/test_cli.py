@@ -256,6 +256,26 @@ def test_missing_output_directory_fails_before_running(argv, runner, tmp_path, m
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, directory, runner", [
+    (["gait", "-o", "{tmp}/odir"], "odir", "compile_joint_table"),
+    (["sweep", "0", "-o", "{tmp}/odir"], "odir", "sweep_climb_angle"),
+    (["simulate", "-o", "{tmp}/run"], "run.series.csv", "run_scenario"),
+    (["simulate", "-o", "{tmp}/run"], "run.summary.json", "run_scenario"),
+], ids=["gait", "sweep", "simulate-series", "simulate-summary"])
+def test_output_path_that_is_a_directory_fails_before_running(argv, directory, runner, tmp_path,
+                                                              monkeypatch, capsys):
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError(f"{runner} ran although an output path is a directory")
+
+    monkeypatch.setattr(cli, runner, must_not_run)
+    (tmp_path / directory).mkdir()
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the output: ")
+    assert "Is a directory" in err and str(tmp_path / directory) in err
+    assert [p.name for p in tmp_path.iterdir()] == [directory]
+
+
 def test_output_path_without_directory_writes_to_working_directory(tmp_path, monkeypatch,
                                                                    capsys):
     monkeypatch.chdir(tmp_path)

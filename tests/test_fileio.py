@@ -1,4 +1,7 @@
 import math
+import re
+
+import pytest
 
 from wallclimber import fileio
 from wallclimber.gait import FootholdMap, JointTableRow, compile_joint_table, generate_cycle
@@ -8,6 +11,7 @@ from wallclimber.pneumatics import (
     PneumaticState,
     attach_sequence,
     detach_sequence,
+    vent,
 )
 from wallclimber.simulator import ScenarioConfig, run_scenario, sweep_climb_angle
 
@@ -133,3 +137,24 @@ def test_joint_table_keeps_the_sign_of_zero_angles(tmp_path):
         "0.0,2,-0.0,0.0,-0.0,0.0,1",
         "1.0,1,0.0,0.0,0.0,0.0,0",
     ]
+
+
+@pytest.mark.parametrize("read", [fileio.read_joint_table, fileio.read_series_csv,
+                                  fileio.read_events_csv, fileio.read_sweep_csv],
+                         ids=lambda read: read.__name__)
+def test_reading_an_empty_file_names_the_file(read, tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*empty file"):
+        read(path)
+
+
+def test_a_full_vent_ends_at_signed_zero_but_detach_writes_zero(tmp_path):
+    # the simulator's ramp ends at -0.0, which its series file prints;
+    # detach_sequence ends at a literal 0.0, which the events file prints
+    assert math.copysign(1.0, vent(-40.0, 1.0)) == -1.0
+    _, state = attach_sequence(PneumaticState.initial(), 1, AdhesionModel())
+    events, _ = detach_sequence(state, 1, AdhesionModel())
+    path = tmp_path / "events.csv"
+    fileio.write_events_csv(path, events)
+    assert path.read_text(encoding="utf-8").splitlines()[-1] == "0.2,1,vent,0.0,0"

@@ -191,12 +191,6 @@ def test_random_interleavings_preserve_invariant():
             assert state.pressure_kpa[check] <= 0.0
 
 
-def test_suction_count_within_pump_assignment():
-    state = attached_state()
-    for pump, legs in (("A", (1, 2)), ("B", (3, 4))):
-        assert state.suction_count(pump) <= len(legs)
-
-
 def test_custom_pump_assignment():
     state = PneumaticState.initial({"A": (1, 2, 3), "B": (4,)})
     assert state.pump_of_leg[3] == "A"

@@ -1,4 +1,4 @@
-"""Property tests of the per-tick invariants the gait relies on.
+"""Property tests of the invariants the gait relies on.
 
 Over random one-cycle scenarios (angle, mass, leak, timings, tick length,
 slip model, advance mode, noise), every tick of a run must keep:
@@ -11,14 +11,19 @@ slip model, advance mode, noise), every tick of a run must keep:
 * a total energy equal to the in-order sum of power times tick.
 
 Runs that fail (overload, attach timeout) are checked the same way up to
-their last tick. The examples are derandomised, so every run of the suite
-tries the same scenarios.
+their last tick. Two planning properties ride along: every generated cycle
+closes exactly in integer micrometres, and forward kinematics of a solved
+leg returns its target on either elbow branch. The examples are
+derandomised, so every run of the suite tries the same scenarios.
 """
 
-from hypothesis import event, given, settings
+import math
+
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from wallclimber.gait import ADVANCE_MODES, LEG_IDS
+from wallclimber.gait import ADVANCE_MODES, LEG_IDS, FootholdMap, generate_cycle, replay, validate
+from wallclimber.kinematics import CupTarget, ElbowBranch, LegGeometry, fk_leg, solve_leg
 from wallclimber.pneumatics import AdhesionModel, Valve
 from wallclimber.simulator import GaitParams, ScenarioConfig, run_scenario
 
@@ -64,3 +69,49 @@ def test_every_tick_keeps_the_gait_invariants(config):
         energy_j += rec.power_w * config.tick_s
     assert report.ticks == len(report.records)
     assert report.total_energy_j == energy_j
+
+
+# Inside the default leg's reach on every checked point of a cycle of up to
+# 40 mm steps, and away from the shoulder axis.
+stance_points = st.tuples(st.one_of(finite(-100.0, -20.0), finite(20.0, 100.0)),
+                          finite(-100.0, 100.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(stance=st.fixed_dictionaries({leg: stance_points for leg in LEG_IDS}),
+       order=st.permutations(LEG_IDS), step_length_mm=finite(0.001, 40.0),
+       advance_mode=st.sampled_from(ADVANCE_MODES))
+def test_every_cycle_closes_exactly(stance, order, step_length_mm, advance_mode):
+    geom = LegGeometry()
+    footholds = FootholdMap.from_mm(stance)
+    script = generate_cycle(geom, footholds, step_length_mm, tuple(order),
+                            advance_mode=advance_mode)
+    stances = list(replay(script, footholds))
+    assert len(stances) == len(script.steps) + 1
+    assert stances[0] == stances[-1] == footholds.points_um
+    assert sum(step.body_advance_um for step in script.steps) == script.step_length_um
+    assert not [v for v in validate(script, geom, footholds).violations if v.kind == "closure"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(links=st.tuples(*[finite(20.0, 200.0)] * 4), theta1=finite(-math.pi, math.pi),
+       elbow=finite(0.01, math.pi - 0.01), theta3=finite(-1.5, 1.5), k=finite(0.0, math.pi),
+       branch=st.sampled_from(list(ElbowBranch)))
+def test_solving_then_forward_kinematics_returns_the_target(links, theta1, elbow, theta3, k,
+                                                             branch):
+    geom = LegGeometry(*links)
+    # forward kinematics of a reachable pose gives the target; it is solved
+    # on the sampled branch, whichever side the sampled elbow was on
+    x = geom.a1 * math.cos(theta1) + geom.a2 * math.cos(theta1 + elbow)
+    y = geom.a1 * math.sin(theta1) + geom.a2 * math.sin(theta1 + elbow)
+    z = geom.a3 * math.sin(theta3) + geom.a4 * math.sin(k)
+    assume(z >= 0.0)
+    angles = solve_leg(geom, CupTarget(x, y, z, k), branch)
+    assert math.copysign(1.0, angles.theta2) == branch.sign
+    echo = fk_leg(geom, angles)
+    tol_mm = 1e-9 * max(links)
+    assert abs(echo.x - x) <= tol_mm and abs(echo.y - y) <= tol_mm
+    assert abs(echo.z - z) <= tol_mm
+    # theta3 + theta4 cannot always equal k exactly: k may carry bits finer
+    # than the spacing of floats near the two joint angles
+    assert abs(echo.k - k) <= math.ulp(max(abs(angles.theta3), abs(angles.theta4)))
