@@ -18,6 +18,16 @@ def require_finite(obj, *names):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def require_int(obj, *names):
+    """Raise ValueError naming the first of the fields `names` of `obj` that
+    is not an int (bool excluded). A fractional count fails only mid-run,
+    and a NaN seed hashes differently per object, so equal runs differ."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class ClimberError(Exception):
     """Base class for all domain errors raised by this package."""
 

@@ -3,11 +3,15 @@
 Files are bit-reproducible: floats are written with repr (shortest
 round-trip form), lines end with LF, headers are mandatory, and JSON
 keys are sorted. Angles are degrees in files, radians in memory. No
-CSV field ever needs quoting, so every CSV writer joins its fields in one
-row writer, _write_rows (the series file streams through series_csv_sink),
-and none uses csv.writer; the bytes are the same. The two large writers
-format each repeated value once per file, in caches that are emptied at a
-fixed _CACHE_CAP entries, so their memory stays flat in the input size.
+CSV field ever needs quoting, so the CSV writers join their fields in one
+row writer, _write_rows, or stream through series_csv_sink. The two large
+writers format each repeated value once per file, in caches that are
+emptied at a fixed _CACHE_CAP entries, so memory stays flat in input size.
+
+Every writer goes through _replacing: it writes `<path>.<pid>.tmp` and
+renames it onto `path` only on success, so a failed write leaves `path` as
+it was and no temporary file behind. An OSError while writing names the
+temporary file, and a symlink at `path` is replaced, not written through.
 """
 
 import csv
@@ -32,8 +36,18 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _open_w(path):
-    return open(path, "w", encoding="utf-8", newline="")
+@contextmanager
+def _replacing(path):
+    """Yield a handle on a temporary file that replaces `path` if the block succeeds."""
+    tmp_path = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp_path, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
+        raise
 
 
 def _remember(cache, key, value, number=1):
@@ -71,7 +85,7 @@ def _read_records(path, header, kind):
 
 def _write_rows(path, header, rows):
     """Write a CSV file: the header, then each row's text fields, joined."""
-    with _open_w(path) as handle:
+    with _replacing(path) as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
             handle.write(",".join(row) + "\n")
@@ -159,23 +173,11 @@ def write_series_csv(path, report):
 @contextmanager
 def series_csv_sink(path):
     """Stream a run's ticks into a series CSV: yields a sink for
-    run_scenario that writes each TickRecord as it arrives.
-
-    The rows go to a temporary file in the same directory, which replaces
-    `path` only when the block exits normally. If the block raises, the
-    temporary file is removed and whatever was at `path` stays as it was.
-    """
-    tmp_path = f"{path}.{os.getpid()}.tmp"
-    try:
-        with _open_w(tmp_path) as handle:
-            handle.write(",".join(series_header()) + "\n")
-            format_row = series_row_formatter()
-            yield lambda rec: handle.write(format_row(rec))
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.remove(tmp_path)
-        raise
+    run_scenario that writes each TickRecord as it arrives."""
+    with _replacing(path) as handle:
+        handle.write(",".join(series_header()) + "\n")
+        format_row = series_row_formatter()
+        yield lambda rec: handle.write(format_row(rec))
 
 
 def read_series_csv(path):
@@ -215,7 +217,7 @@ def summary_dict(report):
 
 
 def write_summary_json(path, report):
-    with _open_w(path) as handle:
+    with _replacing(path) as handle:
         json.dump(summary_dict(report), handle, sort_keys=True, indent=2)
         handle.write("\n")
 

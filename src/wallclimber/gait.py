@@ -80,6 +80,9 @@ class FootholdMap:
         x, y = self.points_um[leg]
         return um_to_mm(x), um_to_mm(y)
 
+    def points_mm(self):
+        return {leg: self.point_mm(leg) for leg in LEG_IDS}
+
     def copy(self):
         return FootholdMap(dict(self.points_um), dict(self.attached))
 

@@ -124,12 +124,12 @@ class PneumaticState:
     pump_of_leg: dict
 
     @classmethod
-    def initial(cls, pump_legs=None, pumps_on=True):
+    def initial(cls, pump_legs=None):
         """All cups vented at atmospheric pressure, pumps running."""
         pump_legs = DEFAULT_PUMP_LEGS if pump_legs is None else pump_legs
         pump_of_leg = assign_pumps(pump_legs)
         return cls(
-            pump_on={pump: pumps_on for pump in pump_legs},
+            pump_on={pump: True for pump in pump_legs},
             valve={leg: Valve.VENT for leg in pump_of_leg},
             pressure_kpa={leg: 0.0 for leg in pump_of_leg},
             pump_of_leg=pump_of_leg,
@@ -212,18 +212,16 @@ def attach_sequence(state, leg, model):
 
     p0 = state.pressure_kpa[leg]
     p_end = pressure_under_suction(model, p0, model.dwell_s)
-    events = [PneumaticEvent(0.0, leg, Valve.SUCTION, p0, False)]
-    if p_end > model.attach_threshold_kpa:
+    new = state.with_valve(leg, Valve.SUCTION)
+    new.pressure_kpa[leg] = p_end
+    if not new.is_attached(leg, model):
         raise AttachTimeout(
             f"leg {leg} reached {p_end:.3f} kPa after {model.dwell_s} s dwell, "
             f"threshold {model.attach_threshold_kpa} kPa "
             f"(equilibrium {model.equilibrium_kpa:.3f} kPa)"
         )
-    events.append(PneumaticEvent(model.dwell_s, leg, Valve.SUCTION, p_end, True))
-
-    new = state.with_valve(leg, Valve.SUCTION)
-    new.pressure_kpa[leg] = p_end
-    return events, new
+    return [PneumaticEvent(0.0, leg, Valve.SUCTION, p0, False),
+            PneumaticEvent(model.dwell_s, leg, Valve.SUCTION, p_end, True)], new
 
 
 def detach_sequence(state, leg, model):
@@ -233,13 +231,11 @@ def detach_sequence(state, leg, model):
         raise NotAttached(f"leg {leg} is not attached (valve={state.valve[leg].value}, "
                           f"pressure={state.pressure_kpa[leg]:.3f} kPa)")
     p0 = state.pressure_kpa[leg]
-    events = [
-        PneumaticEvent(0.0, leg, Valve.VENT, p0, False),
-        PneumaticEvent(model.vent_s, leg, Valve.VENT, 0.0, False),
-    ]
+    p_end = pressure_while_venting(p0, model.vent_s, model.vent_s)
     new = state.with_valve(leg, Valve.VENT)
-    new.pressure_kpa[leg] = 0.0
-    return events, new
+    new.pressure_kpa[leg] = p_end
+    return [PneumaticEvent(0.0, leg, Valve.VENT, p0, False),
+            PneumaticEvent(model.vent_s, leg, Valve.VENT, p_end, False)], new
 
 
 def holding_capacity(state, model):

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 
-from .errors import ClimberError, ZeroCapacity, require_finite
+from .errors import ClimberError, ZeroCapacity, require_finite, require_int
 from .gait import (
     ADVANCE_MODES,
     ADVANCE_PER_STEP,
@@ -48,15 +48,11 @@ from .pneumatics import (
 STEP_PHASES = ("vent", "swing", "attach", "advance")
 
 
-def _default_stance():
-    return {1: (-80.0, 80.0), 2: (80.0, 80.0), 3: (80.0, -80.0), 4: (-80.0, -80.0)}
-
-
 @dataclass
 class GaitParams:
     """Gait planning knobs for a scenario (mm, radians, seconds)."""
 
-    stance_mm: dict = field(default_factory=_default_stance)
+    stance_mm: dict = field(default_factory=lambda: FootholdMap.square_stance().points_mm())
     step_length_mm: float = 40.0
     order: tuple = LEG_IDS
     lift_mm: float = 20.0
@@ -70,7 +66,8 @@ class GaitParams:
 
     def __post_init__(self):
         require_finite(self, "step_length_mm", "lift_mm", "z_mm", "k_rad", "swing_s",
-                       "advance_s", "samples_per_step")
+                       "advance_s")
+        require_int(self, "samples_per_step")
         for leg, point in self.stance_mm.items():
             if not all(math.isfinite(c) for c in point):
                 raise ValueError(f"stance_mm[{leg}] must be finite, got {point}")
@@ -80,6 +77,10 @@ class GaitParams:
             raise ValueError(f"samples_per_step must be >= 2, got {self.samples_per_step}")
         if self.advance_mode not in ADVANCE_MODES:
             raise ValueError(f"advance_mode must be one of {ADVANCE_MODES}")
+        if sorted(self.order) != list(LEG_IDS):
+            raise ValueError(f"order must be a permutation of {LEG_IDS}, got {self.order}")
+        if not isinstance(self.branch, ElbowBranch):
+            raise ValueError(f"branch must be an ElbowBranch, got {self.branch!r}")
         if self.swing_s <= 0.0 or self.advance_s <= 0.0:
             raise ValueError("swing_s and advance_s must be > 0")
         if not 0.0 <= self.lift_mm <= self.z_mm:
@@ -117,9 +118,10 @@ class ScenarioConfig:
     noise_kpa: float = 0.0
 
     def __post_init__(self):
-        require_finite(self, "climb_angle_deg", "mass_kg", "gravity_m_s2", "cycles", "tick_s",
+        require_finite(self, "climb_angle_deg", "mass_kg", "gravity_m_s2", "tick_s",
                        "servo_power_w", "pump_power_w", "lift_efficiency", "c_slip", "s_max",
                        "noise_kpa")
+        require_int(self, "cycles", "seed")
         assign_pumps(self.pump_legs)
         if not 0.0 <= self.climb_angle_deg <= 90.0:
             raise ValueError(f"climb_angle_deg must be in [0, 90], got {self.climb_angle_deg}")
@@ -249,7 +251,7 @@ def run_scenario(config, sink=None):
 
     p_eq = model.equilibrium_kpa
     decay = suction_decay(model, tick)
-    pstate = PneumaticState.initial(config.pump_legs, pumps_on=True)
+    pstate = PneumaticState.initial(config.pump_legs)
     pressure = pstate.pressure_kpa
     for leg in LEG_IDS:
         pstate.valve[leg] = Valve.SUCTION
@@ -358,7 +360,7 @@ def run_scenario(config, sink=None):
                         break
 
                 if phase == "attach":
-                    if pressure[leg] <= model.attach_threshold_kpa:
+                    if attached[leg]:  # the grip of the attach's last tick
                         wall_um[leg] = (step.new_foothold_um[0], step.new_foothold_um[1] + body_um)
                         stance = None
                     elif cause == "extension":

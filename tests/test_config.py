@@ -151,6 +151,13 @@ def test_non_finite_value_is_config_error(tmp_path, section, key, field, value):
         load_config(path)
 
 
+@pytest.mark.parametrize("order", ["1, 1, 2, 3", "1, 2, 3"])
+def test_swing_order_that_is_not_a_permutation_is_config_error(tmp_path, order):
+    path = write(tmp_path, f"[gait]\norder = {order}\n")
+    with pytest.raises(ConfigError, match=r"^\[gait\] order must be a permutation"):
+        load_config(path)
+
+
 def test_missing_file_is_config_error():
     with pytest.raises(ConfigError, match="cannot read"):
         load_config("/nonexistent/robot.ini")

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import pytest
@@ -13,7 +14,7 @@ from wallclimber.pneumatics import (
     detach_sequence,
     vent,
 )
-from wallclimber.simulator import ScenarioConfig, run_scenario, sweep_climb_angle
+from wallclimber.simulator import ScenarioConfig, SweepRow, run_scenario, sweep_climb_angle
 
 GEOM = LegGeometry()
 
@@ -158,3 +159,57 @@ def test_a_full_vent_ends_at_signed_zero_but_detach_writes_zero(tmp_path):
     path = tmp_path / "events.csv"
     fileio.write_events_csv(path, events)
     assert path.read_text(encoding="utf-8").splitlines()[-1] == "0.2,1,vent,0.0,0"
+
+
+# --- every output replaces its path only on success ---------------------------
+
+class Stop(Exception):
+    pass
+
+
+def stops_after_one(items):
+    yield items[0]
+    raise Stop
+
+
+def failing_summary():
+    report = run_scenario(ScenarioConfig(cycles=1))
+    report.failure_reason = object()  # JSON cannot encode it, and it sorts after other keys
+    return report
+
+
+@pytest.mark.parametrize("write, argument, error", [
+    (fileio.write_joint_table, lambda: stops_after_one(compiled_rows()), Stop),
+    (fileio.write_sweep_csv, lambda: stops_after_one([SweepRow(0.0, 1.0, 2.0, True)]), Stop),
+    (fileio.write_events_csv,
+     lambda: stops_after_one(attach_sequence(PneumaticState.initial(), 1, AdhesionModel())[0]),
+     Stop),
+    (fileio.write_summary_json, failing_summary, TypeError),
+], ids=["joint_table", "sweep", "events", "summary"])
+def test_a_write_that_fails_part_way_leaves_the_old_file(write, argument, error, tmp_path):
+    path = tmp_path / "out"
+    path.write_bytes(b"an earlier output\n")
+    with pytest.raises(error):
+        write(path, argument())
+    assert path.read_bytes() == b"an earlier output\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_an_output_symlink_is_replaced_not_written_through(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"kept\n")
+    link = tmp_path / "sweep.csv"
+    link.symlink_to(target)
+    fileio.write_sweep_csv(link, [SweepRow(0.0, 1.0, 2.0, True)])
+    assert not link.is_symlink()
+    assert fileio.read_sweep_csv(link) == [(0.0, 1.0, 2.0, True)]
+    assert target.read_bytes() == b"kept\n"
+
+
+def test_a_write_error_names_the_temporary_file(tmp_path):
+    path = tmp_path / "sweep.csv"
+    blocker = tmp_path / f"sweep.csv.{os.getpid()}.tmp"
+    blocker.mkdir()
+    with pytest.raises(IsADirectoryError, match=re.escape(str(blocker))):
+        fileio.write_sweep_csv(path, [SweepRow(0.0, 1.0, 2.0, True)])
+    assert not path.exists()

@@ -309,6 +309,22 @@ def test_gait_params_rejects_non_finite_stance():
         GaitParams(stance_mm=stance)
 
 
+@pytest.mark.parametrize("make, kwargs, field", [
+    (ScenarioConfig, {"cycles": 1.5}, "cycles"),
+    (ScenarioConfig, {"cycles": True}, "cycles"),
+    (GaitParams, {"samples_per_step": 2.5}, "samples_per_step"),
+    (ScenarioConfig, {"seed": math.nan, "noise_kpa": 0.5}, "seed"),
+    (GaitParams, {"branch": "plus"}, "branch"),
+    (GaitParams, {"order": (1, 1, 2, 3)}, "order"),
+    (GaitParams, {"order": (1, 2, 3)}, "order"),
+], ids=["cycles", "cycles-bool", "samples_per_step", "nan-seed", "branch-name", "order-repeat",
+        "order-short"])
+def test_inputs_that_would_fail_mid_run_are_rejected_when_built(make, kwargs, field):
+    # unchecked, each of these builds and then crashes or runs nondeterministically
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        make(**kwargs)
+
+
 @pytest.mark.parametrize("pump_legs", [{"A": (1, 2)}, {"A": (1, 2), "B": (2, 3)},
                                        {"A": (1, 2, 3, 4), "B": (1,)}])
 def test_scenario_config_rejects_bad_pump_legs(pump_legs):
