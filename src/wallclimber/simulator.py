@@ -18,6 +18,7 @@ which is off by default.
 
 import math
 import random
+import struct
 from dataclasses import dataclass, field, replace
 
 from .errors import ClimberError, ZeroCapacity, require_finite, require_int
@@ -68,6 +69,8 @@ class GaitParams:
         require_finite(self, "step_length_mm", "lift_mm", "z_mm", "k_rad", "swing_s",
                        "advance_s")
         require_int(self, "samples_per_step")
+        if set(self.stance_mm) != set(LEG_IDS):
+            raise ValueError(f"stance_mm must be keyed by {LEG_IDS}, got {list(self.stance_mm)}")
         for leg, point in self.stance_mm.items():
             if not all(math.isfinite(c) for c in point):
                 raise ValueError(f"stance_mm[{leg}] must be finite, got {point}")
@@ -180,7 +183,10 @@ class TickRecord:
     """State snapshot at the end of one tick.
 
     Consecutive ticks in which no leg moved share one `angles` dict, and
-    the ticks of one phase share one `valve` dict; treat them as read-only.
+    the ticks of one phase share one `valve` dict. A step is replayed only
+    when its full input state repeats, from a memo of at most one cycle of
+    ticks; its ticks share the `angles`, `valve`, `pressure_kpa` and
+    `attached` dicts of the step they repeat. Treat all four as read-only.
     """
 
     t_s: float
@@ -281,10 +287,32 @@ def run_scenario(config, sink=None):
         return {leg: pose(um_to_mm(wall_um[leg][0]), um_to_mm(wall_um[leg][1] - body_um), z_mm)
                 for leg in LEG_IDS}
 
+    # What a step reads that can differ from one step to the next: the exact
+    # bits of the cup pressures (0.0 and -0.0 stay apart), the footholds in
+    # the body frame, the valves and whether the one retry is spent. The rest
+    # is fixed for the run (n_ticks, p_eq, decay, idle_power, load_n, the
+    # pumps), and `cap` does not carry over: each phase grips before it reads it.
+    def step_state(retry_used):
+        return (struct.pack("<4d", *(pressure[leg] for leg in LEG_IDS)),
+                tuple((wall_um[leg][0], wall_um[leg][1] - body_um) for leg in LEG_IDS),
+                tuple(pstate.valve[leg] for leg in LEG_IDS), retry_used)
+
+    def record(frame):
+        """Emit a computed or replayed tick from its frame: the body share in um (already
+        applied), then the TickRecord fields after body_mm, with noiseless pressures."""
+        nonlocal energy_j, ticks
+        _, angles, valves, pressures, attached, power, slip = frame
+        energy_j += power * tick
+        if jitter > 0.0:
+            pressures = {leg: p + rng.uniform(-jitter, jitter) for leg, p in pressures.items()}
+        ticks += 1
+        emit(TickRecord(ticks * tick, um_to_mm(body_um), angles, valves, pressures, attached,
+                        power, slip))
+
     def climb():
         """Run the ticks. Return (failure_tick, reason) where the run fails,
         or (None, None) when every cycle completes."""
-        nonlocal body_um, energy_j, slip_count, stance, ticks
+        nonlocal body_um, slip_count, stance
         # Every cup starts at the suction equilibrium; if that does not pass
         # the attach threshold, no cup can ever grip.
         if not all(pstate.grip(model)[0].values()):
@@ -294,7 +322,24 @@ def run_scenario(config, sink=None):
 
         retry_used = False
         cap = 0.0  # tangential capacity at the end of the last tick
-        for step in script.steps * config.cycles:
+        # Position in the cycle -> (start state, frames, end state, slips) of the last step
+        # computed there; once the pressures settle, each step repeats the one a cycle earlier.
+        memo = {}
+        for position, step in list(enumerate(script.steps)) * config.cycles:
+            start = step_state(retry_used)
+            seen = memo.get(position)
+            if seen is not None and seen[0] == start:
+                for frame in seen[1]:
+                    body_um += frame[0]
+                    record(frame)
+                bits, feet, valves, retry_used = seen[2]  # the state the step ended in
+                pressure.update(zip(LEG_IDS, struct.unpack("<4d", bits)))
+                pstate.valve.update(zip(LEG_IDS, valves))
+                wall_um.update({other: (x, y + body_um) for other, (x, y) in zip(LEG_IDS, feet)})
+                slip_count += seen[3]
+                stance = None
+                continue
+            frames, slips = [], slip_count
             leg = step.swing_leg
             old_bf = (um_to_mm(wall_um[leg][0]), um_to_mm(wall_um[leg][1] - body_um))
             new_bf = step.new_foothold_mm
@@ -323,6 +368,7 @@ def run_scenario(config, sink=None):
                 relaxing = [other for other in LEG_IDS if pstate.under_suction(other)]
 
                 for j in range(n):
+                    share = 0
                     for other in relaxing:
                         pressure[other] = relax(pressure[other], p_eq, decay)
                     if phase == "vent":
@@ -331,23 +377,18 @@ def run_scenario(config, sink=None):
                         waypoint = swing_waypoint(old_bf, new_bf, (j + 1) / n, z_mm, gait.lift_mm)
                         angles = {**stance, leg: pose(*waypoint)}
                     elif phase == "advance":
-                        body_um += shares[j]
-                        if shares[j] or stance is None:
+                        share = shares[j]
+                        body_um += share
+                        if share or stance is None:
                             stance = stance_pose()
                         angles = stance
-                        speed = um_to_mm(shares[j]) / tick
+                        speed = um_to_mm(share) / tick
 
                     attached, _, cap = pstate.grip(model)
                     power = power_model(config, speed, active_pumps) if speed else idle_power
-                    energy_j += power * tick
-                    if jitter > 0.0:
-                        pressures = {other: pressure[other] + rng.uniform(-jitter, jitter)
-                                     for other in LEG_IDS}
-                    else:
-                        pressures = {other: pressure[other] for other in LEG_IDS}
-                    ticks += 1
-                    emit(TickRecord(ticks * tick, um_to_mm(body_um), angles, valves, pressures,
-                                    attached, power, slip))
+                    pressures = {other: pressure[other] for other in LEG_IDS}
+                    frames.append((share, angles, valves, pressures, attached, power, slip))
+                    record(frames[-1])
 
                     if load_n > cap:
                         if phase != "vent" or retry_used:
@@ -369,6 +410,7 @@ def run_scenario(config, sink=None):
                                            f"{model.attach_threshold_kpa} kPa")
                     else:
                         plan.insert(0, ("attach", "extension"))  # one more dwell
+            memo[position] = (start, frames, step_state(retry_used), slip_count - slips)
         return None, None
 
     failure_tick, failure_reason = climb()

@@ -3,8 +3,10 @@
 Each case streams its series through `fileio.series_csv_sink`, exactly as
 `wallclimber simulate` does, and hashes the file and the sorted JSON of
 `fileio.summary_dict`. The hashes were recorded from the tick loop as it
-was before it was restructured into one function with a single exit, so a
-change that alters one written float or one failure message fails here.
+was before it was restructured into one function with a single exit, and
+those of `noise_replayed`, `settled_slip` and `slip_30_cycles` from the tick
+loop before it replayed repeated steps, so a change that alters one written
+float or one failure message fails here.
 """
 
 import hashlib
@@ -42,6 +44,24 @@ CASES = {
         dict(climb_angle_deg=60.0, noise_kpa=0.5, cycles=2), 1360, None,
         "64218c0578f7ce862d11e1d29ed43a9af1a7ab216a3fb7183cce51e45448f2df",
         "b16d18b2a750011eb9c58d61bc4ee10b78584170e6f4bb3fa0968a02028ac9ef"),
+    # cycles 3 and 4 replay the steps of cycle 2, and the jitter is drawn anew
+    "noise_replayed": (
+        dict(climb_angle_deg=60.0, noise_kpa=0.5, cycles=4), 2720, None,
+        "3f6bcb1a851e473b52360fd02207f57bffebe1cea16e9dcfc0e27f234d6c75d8",
+        "5d96e42b0ba8391b460a9dba3f034b2da1c516448e2a8cbe458f817abb1779d3"),
+    # slip on every advance; 28 of the 30 cycles are replayed (the series is
+    # the simulate_long golden output of the benchmark)
+    "slip_30_cycles": (
+        dict(climb_angle_deg=45.0, cycles=30), 20400, None,
+        "b8d7b521e0049a7752b30da7b5f2658782d069cff84b42930c0b1cd98e5737d5",
+        "ec95948f2f5e9949ec7db6a4ba1a2e0cab175c770b19ea930964a226fe1ebc98"),
+    # a 2-tick dwell with 0.05 s ticks: the cup pressures repeat from the
+    # second step on, but slip moves the footholds in the body frame, so
+    # cycle 2 is simulated anew before cycle 3 replays it
+    "settled_slip": (
+        dict(climb_angle_deg=45.0, tick_s=0.05, adhesion=AdhesionModel(dwell_s=0.1)), 312, None,
+        "84b11b1a2871d9cc151fcb181706a2c0da3114cae4a39dede0e8d1dae1284749",
+        "fc186fbeae8d823df531fc630e493f2b2c690594478c9f909b42ccd85dc8e82f"),
     # 0.03 s ticks: every phase length is rounded, the advance to 13 ticks
     "coarse_tick": (
         dict(climb_angle_deg=45.0, tick_s=0.03), 684, None,

@@ -7,7 +7,7 @@ from wallclimber.errors import ZeroCapacity
 from wallclimber.fileio import write_series_csv, write_summary_json
 from wallclimber.gait import ADVANCE_PER_CYCLE
 from wallclimber.kinematics import solve_leg
-from wallclimber.pneumatics import AdhesionModel
+from wallclimber.pneumatics import AdhesionModel, PneumaticState
 from wallclimber.simulator import (
     GaitParams,
     ScenarioConfig,
@@ -286,6 +286,26 @@ def test_run_solves_each_distinct_pose_once(monkeypatch):
     assert len(shared) == 880
 
 
+def test_repeated_steps_are_replayed_not_recomputed(monkeypatch):
+    # At 45 deg the cup pressures settle within two cycles; from then on every
+    # step repeats the step a cycle earlier, so 28 more cycles grip no more.
+    grips = []
+    grip = PneumaticState.grip
+
+    def counting_grip(self, model):
+        grips.append(None)
+        return grip(self, model)
+
+    monkeypatch.setattr(PneumaticState, "grip", counting_grip)
+    counts = {}
+    for cycles in (2, 30):
+        grips.clear()
+        report = run_scenario(ScenarioConfig(climb_angle_deg=45.0, cycles=cycles),
+                              sink=lambda record: None)
+        counts[cycles] = (report.ticks, len(grips))
+    assert counts == {2: (1360, 1361), 30: (20400, 1361)}
+
+
 # --- non-finite inputs and pump coverage --------------------------------------
 
 @pytest.mark.parametrize("field", ["climb_angle_deg", "mass_kg", "gravity_m_s2", "tick_s",
@@ -317,8 +337,11 @@ def test_gait_params_rejects_non_finite_stance():
     (GaitParams, {"branch": "plus"}, "branch"),
     (GaitParams, {"order": (1, 1, 2, 3)}, "order"),
     (GaitParams, {"order": (1, 2, 3)}, "order"),
+    (GaitParams, {"stance_mm": {1: (-80.0, 80.0)}}, "stance_mm"),
+    (GaitParams, {"stance_mm": {1: (-80.0, 80.0), 2: (80.0, 80.0), 3: (80.0, -80.0),
+                                4: (-80.0, -80.0), 5: (0.0, 0.0)}}, "stance_mm"),
 ], ids=["cycles", "cycles-bool", "samples_per_step", "nan-seed", "branch-name", "order-repeat",
-        "order-short"])
+        "order-short", "stance-short", "stance-extra"])
 def test_inputs_that_would_fail_mid_run_are_rejected_when_built(make, kwargs, field):
     # unchecked, each of these builds and then crashes or runs nondeterministically
     with pytest.raises(ValueError, match=f"^{field} must be"):
