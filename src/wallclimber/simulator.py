@@ -72,6 +72,8 @@ class GaitParams:
         if set(self.stance_mm) != set(LEG_IDS):
             raise ValueError(f"stance_mm must be keyed by {LEG_IDS}, got {list(self.stance_mm)}")
         for leg, point in self.stance_mm.items():
+            if len(point) != 2:
+                raise ValueError(f"stance_mm[{leg}] must be an (x, y) pair, got {point!r}")
             if not all(math.isfinite(c) for c in point):
                 raise ValueError(f"stance_mm[{leg}] must be finite, got {point}")
         if self.step_length_mm <= 0.0:
@@ -125,6 +127,13 @@ class ScenarioConfig:
                        "servo_power_w", "pump_power_w", "lift_efficiency", "c_slip", "s_max",
                        "noise_kpa")
         require_int(self, "cycles", "seed")
+        for name, kind in (("geometry", LegGeometry), ("gait", GaitParams),
+                           ("adhesion", AdhesionModel)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be an instance of {kind.__name__}, got {value!r}")
+        if not isinstance(self.limits, (JointLimits, type(None))):
+            raise ValueError(f"limits must be None or a JointLimits, got {self.limits!r}")
         assign_pumps(self.pump_legs)
         if not 0.0 <= self.climb_angle_deg <= 90.0:
             raise ValueError(f"climb_angle_deg must be in [0, 90], got {self.climb_angle_deg}")
@@ -182,11 +191,14 @@ def power_model(config, speed_mm_s, active_pumps):
 class TickRecord:
     """State snapshot at the end of one tick.
 
-    Consecutive ticks in which no leg moved share one `angles` dict, and
-    the ticks of one phase share one `valve` dict. A step is replayed only
-    when its full input state repeats, from a memo of at most one cycle of
-    ticks; its ticks share the `angles`, `valve`, `pressure_kpa` and
-    `attached` dicts of the step they repeat. Treat all four as read-only.
+    Consecutive ticks of one phase in which no leg moved share one `angles`
+    dict, and the ticks of one phase share one `valve` dict. Once per cycle
+    the run compares the cycle's start state (cup pressure bits, body-frame
+    footholds, whether the retry is spent) with the previous cycle's; on a
+    match it replays the previous cycle, at most one cycle of ticks, to the
+    end of the run, so a replay can start a cycle after the first step that
+    repeats. Replayed ticks share the `angles`, `valve`, `pressure_kpa` and
+    `attached` dicts of the ticks they repeat. Treat all four as read-only.
     """
 
     t_s: float
@@ -279,23 +291,21 @@ def run_scenario(config, sink=None):
     # The gait revisits the same few poses every cycle, so ticks share them.
     pose = pose_memo(solve_leg, config.geometry, gait.k_rad, gait.branch, config.limits)
 
-    # Every leg on its foothold. Rebuilt only on the first tick after the
-    # body or a foothold moved, so it solves exactly the targets a tick uses.
-    stance = None
-
     def stance_pose():
+        """Every leg on its foothold."""
         return {leg: pose(um_to_mm(wall_um[leg][0]), um_to_mm(wall_um[leg][1] - body_um), z_mm)
                 for leg in LEG_IDS}
 
-    # What a step reads that can differ from one step to the next: the exact
+    # What a cycle reads that can differ from one cycle to the next: the exact
     # bits of the cup pressures (0.0 and -0.0 stay apart), the footholds in
-    # the body frame, the valves and whether the one retry is spent. The rest
-    # is fixed for the run (n_ticks, p_eq, decay, idle_power, load_n, the
-    # pumps), and `cap` does not carry over: each phase grips before it reads it.
-    def step_state(retry_used):
+    # the body frame and whether the one retry is spent. Every valve is on
+    # suction between steps, the rest is fixed for the run (n_ticks, p_eq,
+    # decay, idle_power, load_n, the pumps), and `cap` does not carry over:
+    # each phase grips before it reads it.
+    def cycle_state(retry_used):
         return (struct.pack("<4d", *(pressure[leg] for leg in LEG_IDS)),
                 tuple((wall_um[leg][0], wall_um[leg][1] - body_um) for leg in LEG_IDS),
-                tuple(pstate.valve[leg] for leg in LEG_IDS), retry_used)
+                retry_used)
 
     def record(frame):
         """Emit a computed or replayed tick from its frame: the body share in um (already
@@ -312,7 +322,7 @@ def run_scenario(config, sink=None):
     def climb():
         """Run the ticks. Return (failure_tick, reason) where the run fails,
         or (None, None) when every cycle completes."""
-        nonlocal body_um, slip_count, stance
+        nonlocal body_um, slip_count
         # Every cup starts at the suction equilibrium; if that does not pass
         # the attach threshold, no cup can ever grip.
         if not all(pstate.grip(model)[0].values()):
@@ -322,24 +332,23 @@ def run_scenario(config, sink=None):
 
         retry_used = False
         cap = 0.0  # tangential capacity at the end of the last tick
-        # Position in the cycle -> (start state, frames, end state, slips) of the last step
-        # computed there; once the pressures settle, each step repeats the one a cycle earlier.
-        memo = {}
-        for position, step in list(enumerate(script.steps)) * config.cycles:
-            start = step_state(retry_used)
-            seen = memo.get(position)
-            if seen is not None and seen[0] == start:
-                for frame in seen[1]:
-                    body_um += frame[0]
-                    record(frame)
-                bits, feet, valves, retry_used = seen[2]  # the state the step ended in
-                pressure.update(zip(LEG_IDS, struct.unpack("<4d", bits)))
-                pstate.valve.update(zip(LEG_IDS, valves))
-                wall_um.update({other: (x, y + body_um) for other, (x, y) in zip(LEG_IDS, feet)})
-                slip_count += seen[3]
-                stance = None
-                continue
-            frames, slips = [], slip_count
+        # Once the cup pressures settle, each cycle repeats the one before it tick
+        # for tick. A cycle that starts in the state the previous cycle started in
+        # ends in it too, so the remaining cycles replay the previous one's frames.
+        start = None
+        per_cycle = len(script.steps)
+        for count, step in enumerate(script.steps * config.cycles):
+            if count % per_cycle == 0:
+                previous, start = start, cycle_state(retry_used)
+                if start == previous:
+                    cycles_left = config.cycles - count // per_cycle
+                    for _ in range(cycles_left):
+                        for frame in frames:
+                            body_um += frame[0]
+                            record(frame)
+                    slip_count += (slip_count - slips) * cycles_left
+                    break
+                frames, slips = [], slip_count
             leg = step.swing_leg
             old_bf = (um_to_mm(wall_um[leg][0]), um_to_mm(wall_um[leg][1] - body_um))
             new_bf = step.new_foothold_mm
@@ -349,6 +358,7 @@ def run_scenario(config, sink=None):
                 phase, cause = plan.pop(0)
                 n = n_ticks[phase]
                 speed = slip = 0.0
+                stance = stance_pose()
                 if phase == "advance":  # the pneumatics have not changed since the last tick
                     slip = slip_model(load_n, cap, config.c_slip, config.s_max)
                     shares = split_um(round(step.body_advance_um * (1.0 - slip)), n)
@@ -356,8 +366,6 @@ def run_scenario(config, sink=None):
                         slip_count += 1
                 else:
                     pstate.valve[leg] = Valve.SUCTION if phase in ("attach", "recover") else Valve.VENT
-                    if stance is None:
-                        stance = stance_pose()
                     foothold = new_bf if phase == "attach" else old_bf
                     angles = {**stance, leg: pose(*foothold, z_mm)}
                     if phase == "vent":
@@ -379,7 +387,7 @@ def run_scenario(config, sink=None):
                     elif phase == "advance":
                         share = shares[j]
                         body_um += share
-                        if share or stance is None:
+                        if share:
                             stance = stance_pose()
                         angles = stance
                         speed = um_to_mm(share) / tick
@@ -403,14 +411,12 @@ def run_scenario(config, sink=None):
                 if phase == "attach":
                     if attached[leg]:  # the grip of the attach's last tick
                         wall_um[leg] = (step.new_foothold_um[0], step.new_foothold_um[1] + body_um)
-                        stance = None
                     elif cause == "extension":
                         return ticks - 1, (f"attach timeout on leg {leg}: "
                                            f"{pressure[leg]:.3f} kPa above threshold "
                                            f"{model.attach_threshold_kpa} kPa")
                     else:
                         plan.insert(0, ("attach", "extension"))  # one more dwell
-            memo[position] = (start, frames, step_state(retry_used), slip_count - slips)
         return None, None
 
     failure_tick, failure_reason = climb()

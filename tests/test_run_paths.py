@@ -3,10 +3,17 @@
 Each case streams its series through `fileio.series_csv_sink`, exactly as
 `wallclimber simulate` does, and hashes the file and the sorted JSON of
 `fileio.summary_dict`. The hashes were recorded from the tick loop as it
-was before it was restructured into one function with a single exit, and
-those of `noise_replayed`, `settled_slip` and `slip_30_cycles` from the tick
-loop before it replayed repeated steps, so a change that alters one written
-float or one failure message fails here.
+was before it was restructured into one function with a single exit, those
+of `noise_replayed`, `settled_slip` and `slip_30_cycles` from the tick loop
+before it replayed repeated steps, and those of `mid_cycle_repeat` and
+`retry_rescues_step` from the loop that replayed single steps, before it
+replayed whole cycles. A change that alters one written float or one failure
+message fails here.
+
+A run replays a cycle once the cycle starts in the state the previous cycle
+started in: the exact bits of the cup pressures, the footholds in the body
+frame and whether the one retry is spent. That check runs once per cycle,
+and the replay holds one cycle of ticks and runs to the end of the run.
 """
 
 import hashlib
@@ -44,7 +51,7 @@ CASES = {
         dict(climb_angle_deg=60.0, noise_kpa=0.5, cycles=2), 1360, None,
         "64218c0578f7ce862d11e1d29ed43a9af1a7ab216a3fb7183cce51e45448f2df",
         "b16d18b2a750011eb9c58d61bc4ee10b78584170e6f4bb3fa0968a02028ac9ef"),
-    # cycles 3 and 4 replay the steps of cycle 2, and the jitter is drawn anew
+    # cycles 3 and 4 replay cycle 2, and the jitter is drawn anew
     "noise_replayed": (
         dict(climb_angle_deg=60.0, noise_kpa=0.5, cycles=4), 2720, None,
         "3f6bcb1a851e473b52360fd02207f57bffebe1cea16e9dcfc0e27f234d6c75d8",
@@ -57,11 +64,29 @@ CASES = {
         "ec95948f2f5e9949ec7db6a4ba1a2e0cab175c770b19ea930964a226fe1ebc98"),
     # a 2-tick dwell with 0.05 s ticks: the cup pressures repeat from the
     # second step on, but slip moves the footholds in the body frame, so
-    # cycle 2 is simulated anew before cycle 3 replays it
+    # cycle 2 starts in a new state and cycle 3 replays it
     "settled_slip": (
         dict(climb_angle_deg=45.0, tick_s=0.05, adhesion=AdhesionModel(dwell_s=0.1)), 312, None,
         "84b11b1a2871d9cc151fcb181706a2c0da3114cae4a39dede0e8d1dae1284749",
         "fc186fbeae8d823df531fc630e493f2b2c690594478c9f909b42ccd85dc8e82f"),
+    # the first step that repeats the step a cycle earlier is in the middle
+    # of cycle 3; the replay starts with cycle 4, the first whose start state
+    # repeats, and it fails if the footholds are left out of that state
+    "mid_cycle_repeat": (
+        dict(climb_angle_deg=25.0, mass_kg=15.0, cycles=8, tick_s=0.05,
+             gait=GaitParams(swing_s=0.05, advance_s=0.01),
+             adhesion=AdhesionModel(dwell_s=0.3, vent_s=0.05)), 288, None,
+        "ce9ef8ff59cef55927cd38769a353d3eb670cdfdd693a373467d884cb1d9fd9f",
+        "bfdfcdd684267c23ab4b4bd0354f263a7c3bf044999ef42904b632332dded053"),
+    # a 1-tick advance leaves leg 1 short of equilibrium, so leg 2's vent
+    # overloads on tick 131; the recover dwell re-grips leg 2 and tops leg 1
+    # up, and the repeated vent holds. With the retry spent, leg 3's vent
+    # overloads the same way on tick 313
+    "retry_rescues_step": (
+        dict(climb_angle_deg=90.0, mass_kg=14.9, cycles=2, gait=GaitParams(advance_s=0.01)),
+        314, 313,
+        "cd4669a5c1c191899633f2a45b737a9d348361537dc1e41591712294df4699a9",
+        "43c49db70e1e8f1fa9d92127dc454dd86a4c8d77d37071c49e963a68ac036651"),
     # 0.03 s ticks: every phase length is rounded, the advance to 13 ticks
     "coarse_tick": (
         dict(climb_angle_deg=45.0, tick_s=0.03), 684, None,

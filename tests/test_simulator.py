@@ -287,8 +287,8 @@ def test_run_solves_each_distinct_pose_once(monkeypatch):
 
 
 def test_repeated_steps_are_replayed_not_recomputed(monkeypatch):
-    # At 45 deg the cup pressures settle within two cycles; from then on every
-    # step repeats the step a cycle earlier, so 28 more cycles grip no more.
+    # At 45 deg the cup pressures settle within two cycles; cycle 3 starts in
+    # the state cycle 2 started in, so 28 more cycles replay it and grip no more.
     grips = []
     grip = PneumaticState.grip
 
@@ -340,8 +340,17 @@ def test_gait_params_rejects_non_finite_stance():
     (GaitParams, {"stance_mm": {1: (-80.0, 80.0)}}, "stance_mm"),
     (GaitParams, {"stance_mm": {1: (-80.0, 80.0), 2: (80.0, 80.0), 3: (80.0, -80.0),
                                 4: (-80.0, -80.0), 5: (0.0, 0.0)}}, "stance_mm"),
+    (GaitParams, {"stance_mm": {1: (-80.0, 80.0, 5.0), 2: (80.0, 80.0), 3: (80.0, -80.0),
+                                4: (-80.0, -80.0)}}, r"stance_mm\[1\]"),
+    (GaitParams, {"stance_mm": {1: (-80.0, 80.0), 2: (80.0, 80.0), 3: (80.0,),
+                                4: (-80.0, -80.0)}}, r"stance_mm\[3\]"),
+    (ScenarioConfig, {"limits": (-1.0, 1.0)}, "limits"),
+    (ScenarioConfig, {"geometry": None}, "geometry"),
+    (ScenarioConfig, {"gait": None}, "gait"),
+    (ScenarioConfig, {"adhesion": None}, "adhesion"),
 ], ids=["cycles", "cycles-bool", "samples_per_step", "nan-seed", "branch-name", "order-repeat",
-        "order-short", "stance-short", "stance-extra"])
+        "order-short", "stance-short", "stance-extra", "stance-xyz", "stance-1-tuple",
+        "limits-tuple", "geometry-none", "gait-none", "adhesion-none"])
 def test_inputs_that_would_fail_mid_run_are_rejected_when_built(make, kwargs, field):
     # unchecked, each of these builds and then crashes or runs nondeterministically
     with pytest.raises(ValueError, match=f"^{field} must be"):
