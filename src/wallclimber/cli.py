@@ -63,12 +63,19 @@ def _cmd_fk(args):
 def _cmd_gait(args):
     config = _load(args)
     gait = config.gait
-    rows = compile_joint_table(
-        plan_cycle(config), config.geometry, gait.z_mm, gait.k_rad, gait.samples_per_step,
-        step_duration_s=gait.swing_s + gait.advance_s, limits=config.limits,
-    )
-    fileio.write_joint_table(args.out, rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    script = plan_cycle(config)
+    rows = 0
+    with fileio.joint_table_sink(args.out) as write:
+        def sink(row):
+            nonlocal rows
+            write(row)
+            rows += 1
+
+        compile_joint_table(
+            script, config.geometry, gait.z_mm, gait.k_rad, gait.samples_per_step,
+            step_duration_s=gait.swing_s + gait.advance_s, limits=config.limits, sink=sink,
+        )
+    print(f"wrote {args.out} ({rows} rows)")
     return EXIT_OK
 
 

@@ -10,12 +10,16 @@ import math
 
 def require_finite(obj, *names):
     """Raise ValueError naming the first of the fields `names` of `obj`
-    that is NaN or infinite. Range checks alone let NaN through, since
-    every comparison with it is false."""
+    that is not a real number, or is NaN or infinite. Range checks alone
+    let NaN through, since every comparison with it is false."""
     for name in names:
         value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+        try:
+            finite = math.isfinite(value)
+        except TypeError:  # not a real number, such as a str or None
+            finite = False
+        if not finite:
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def require_int(obj, *names):

@@ -4,9 +4,11 @@ Files are bit-reproducible: floats are written with repr (shortest
 round-trip form), lines end with LF, headers are mandatory, and JSON
 keys are sorted. Angles are degrees in files, radians in memory. No
 CSV field ever needs quoting, so the CSV writers join their fields in one
-row writer, _write_rows, or stream through series_csv_sink. The two large
-writers format each repeated value once per file, in caches that are
-emptied at a fixed _CACHE_CAP entries, so memory stays flat in input size.
+row writer, _write_rows, or stream through one of the two sinks:
+series_csv_sink takes a run's ticks from run_scenario, joint_table_sink a
+gait's rows from compile_joint_table. These two large writers format each
+repeated value once per file, in caches that are emptied at a fixed
+_CACHE_CAP entries, so memory stays flat in input size.
 
 Every writer goes through _replacing: it writes `<path>.<pid>.tmp` and
 renames it onto `path` only on success, so a failed write leaves `path` as
@@ -92,12 +94,32 @@ def _write_rows(path, header, rows):
 
 
 def write_joint_table(path, rows):
-    """Write compiled gait rows; angles converted to degrees."""
-    cache = {}
-    _write_rows(path, JOINT_TABLE_HEADER, (
-        [_fmt(row.t_s), str(row.leg), _degrees_text(cache, row.angles),
-         "1" if row.attached else "0"]
-        for row in rows))
+    """Write compiled gait rows through joint_table_sink; angles converted to degrees."""
+    with joint_table_sink(path) as sink:
+        for row in rows:
+            sink(row)
+
+
+@contextmanager
+def joint_table_sink(path):
+    """Stream compiled gait rows into a joint-table CSV: yields a sink for
+    compile_joint_table that writes each JointTableRow as it arrives. The
+    angles are formatted once per JointAngles object (_degrees_text), t_s
+    once per sample: its text is reused while t_s equals the previous row's
+    and is nonzero, since 0.0 == -0.0 but they print apart."""
+    with _replacing(path) as handle:
+        handle.write(",".join(JOINT_TABLE_HEADER) + "\n")
+        degrees = {}
+        t_s = t_text = None
+
+        def write_row(row):
+            nonlocal t_s, t_text
+            if row.t_s != t_s or not t_s:
+                t_s, t_text = row.t_s, _fmt(row.t_s)
+            handle.write(f"{t_text},{row.leg},{_degrees_text(degrees, row.angles)},"
+                         f"{'1' if row.attached else '0'}\n")
+
+        yield write_row
 
 
 @dataclass(frozen=True)

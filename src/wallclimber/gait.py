@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BadOrder, GaitValidationError, KinematicsError, UnreachableFoothold
-from .kinematics import CupTarget, ElbowBranch, JointAngles, pose_memo, reachable, solve_leg
+from .kinematics import CupTarget, ElbowBranch, JointAngles, reachable, solve_leg
 
 LEG_IDS = (1, 2, 3, 4)
 UM_PER_MM = 1000
@@ -311,13 +311,21 @@ class JointTableRow:
 
 
 def compile_joint_table(script, geom, z_mm, k_rad, samples_per_step, *,
-                        step_duration_s=1.0, limits=None):
+                        step_duration_s=1.0, limits=None, sink=None):
     """Sample a validated script into per-leg joint angles.
 
     Each step contributes `samples_per_step` uniformly spaced samples;
     the swing runs over the whole step and the body advance lands
     between the last sample of a step and the first of the next. Rows
     come out in time order, legs 1..4 within each sample.
+
+    Every leg is solved at a step's first sample, in leg order; a stance
+    leg's later rows in the step share that sample's JointAngles and target
+    tuple, and only the swing leg is solved again at each sample. No memo
+    spans steps: it would hold one entry per swing sample.
+
+    With a `sink`, each row is handed to sink(row) as it is made and the
+    returned list stays empty.
     """
     if samples_per_step < 2:
         raise ValueError(f"samples_per_step must be >= 2, got {samples_per_step}")
@@ -325,25 +333,30 @@ def compile_joint_table(script, geom, z_mm, k_rad, samples_per_step, *,
     if not report.ok:
         raise GaitValidationError(report)
 
-    pose = pose_memo(solve_leg, geom, k_rad, script.branch, limits)
+    def solved(index, j, leg, target):
+        try:
+            return solve_leg(geom, CupTarget(*target, k_rad), script.branch, limits), target
+        except KinematicsError as exc:
+            raise type(exc)(
+                f"step {index} sample {j} leg {leg}: {exc}", plane=exc.plane
+            ) from exc
+
     rows = []
+    emit = rows.append if sink is None else sink
     for index, (step, stance) in enumerate(zip(script.steps, replay(script, script.initial))):
         swing_leg, new_bf = step.swing_leg, step.new_foothold_mm
         stance_mm = {leg: (um_to_mm(x), um_to_mm(y)) for leg, (x, y) in stance.items()}
+        held = {}  # stance leg -> (angles, target), solved at the step's first sample
         for j in range(samples_per_step):
             t = (index + j / samples_per_step) * step_duration_s
             progress = j / (samples_per_step - 1)
             for leg in LEG_IDS:
                 if leg == swing_leg:
-                    x, y, z = swing_waypoint(stance_mm[leg], new_bf, progress, z_mm,
-                                             script.lift_mm)
+                    angles, target = solved(index, j, leg, swing_waypoint(
+                        stance_mm[leg], new_bf, progress, z_mm, script.lift_mm))
+                elif j:
+                    angles, target = held[leg]
                 else:
-                    x, y, z = *stance_mm[leg], z_mm
-                try:
-                    angles = pose(x, y, z)
-                except KinematicsError as exc:
-                    raise type(exc)(
-                        f"step {index} sample {j} leg {leg}: {exc}", plane=exc.plane
-                    ) from exc
-                rows.append(JointTableRow(t, leg, angles, leg != swing_leg, (x, y, z)))
+                    angles, target = held[leg] = solved(index, j, leg, (*stance_mm[leg], z_mm))
+                emit(JointTableRow(t, leg, angles, leg != swing_leg, target))
     return rows

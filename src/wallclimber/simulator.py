@@ -74,7 +74,11 @@ class GaitParams:
         for leg, point in self.stance_mm.items():
             if len(point) != 2:
                 raise ValueError(f"stance_mm[{leg}] must be an (x, y) pair, got {point!r}")
-            if not all(math.isfinite(c) for c in point):
+            try:
+                finite = all(math.isfinite(c) for c in point)
+            except TypeError:  # a coordinate that is not a real number
+                finite = False
+            if not finite:
                 raise ValueError(f"stance_mm[{leg}] must be finite, got {point}")
         if self.step_length_mm <= 0.0:
             raise ValueError(f"step_length_mm must be > 0, got {self.step_length_mm}")
@@ -82,7 +86,11 @@ class GaitParams:
             raise ValueError(f"samples_per_step must be >= 2, got {self.samples_per_step}")
         if self.advance_mode not in ADVANCE_MODES:
             raise ValueError(f"advance_mode must be one of {ADVANCE_MODES}")
-        if sorted(self.order) != list(LEG_IDS):
+        try:
+            permutation = sorted(self.order) == list(LEG_IDS)
+        except TypeError:  # not iterable, or legs that do not compare
+            permutation = False
+        if not permutation:
             raise ValueError(f"order must be a permutation of {LEG_IDS}, got {self.order}")
         if not isinstance(self.branch, ElbowBranch):
             raise ValueError(f"branch must be an ElbowBranch, got {self.branch!r}")
@@ -134,6 +142,8 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be an instance of {kind.__name__}, got {value!r}")
         if not isinstance(self.limits, (JointLimits, type(None))):
             raise ValueError(f"limits must be None or a JointLimits, got {self.limits!r}")
+        if not isinstance(self.pump_legs, dict):
+            raise ValueError(f"pump_legs must be a dict of pump -> legs, got {self.pump_legs!r}")
         assign_pumps(self.pump_legs)
         if not 0.0 <= self.climb_angle_deg <= 90.0:
             raise ValueError(f"climb_angle_deg must be in [0, 90], got {self.climb_angle_deg}")

@@ -6,7 +6,7 @@ import pytest
 from wallclimber.errors import ZeroCapacity
 from wallclimber.fileio import write_series_csv, write_summary_json
 from wallclimber.gait import ADVANCE_PER_CYCLE
-from wallclimber.kinematics import solve_leg
+from wallclimber.kinematics import CupTarget, LegGeometry, solve_leg
 from wallclimber.pneumatics import AdhesionModel, PneumaticState
 from wallclimber.simulator import (
     GaitParams,
@@ -348,9 +348,22 @@ def test_gait_params_rejects_non_finite_stance():
     (ScenarioConfig, {"geometry": None}, "geometry"),
     (ScenarioConfig, {"gait": None}, "gait"),
     (ScenarioConfig, {"adhesion": None}, "adhesion"),
+    # values of a wrong type, which math.isfinite, sorted or .items() would
+    # otherwise reject with a TypeError or AttributeError that names no field
+    (ScenarioConfig, {"mass_kg": "2"}, "mass_kg"),
+    (ScenarioConfig, {"climb_angle_deg": None}, "climb_angle_deg"),
+    (LegGeometry, {"a1": "1"}, "a1"),
+    (CupTarget, {"x": "1", "y": 0, "z": 0, "k": 0}, "x"),
+    (AdhesionModel, {"vacuum_kpa": "1"}, "vacuum_kpa"),
+    (GaitParams, {"stance_mm": {1: ("a", "b"), 2: (80.0, 80.0), 3: (80.0, -80.0),
+                                4: (-80.0, -80.0)}}, r"stance_mm\[1\]"),
+    (ScenarioConfig, {"pump_legs": None}, "pump_legs"),
+    (GaitParams, {"order": None}, "order"),
 ], ids=["cycles", "cycles-bool", "samples_per_step", "nan-seed", "branch-name", "order-repeat",
         "order-short", "stance-short", "stance-extra", "stance-xyz", "stance-1-tuple",
-        "limits-tuple", "geometry-none", "gait-none", "adhesion-none"])
+        "limits-tuple", "geometry-none", "gait-none", "adhesion-none", "mass-str", "angle-none",
+        "geometry-str", "target-str", "vacuum-str", "stance-str", "pump-legs-none",
+        "order-none"])
 def test_inputs_that_would_fail_mid_run_are_rejected_when_built(make, kwargs, field):
     # unchecked, each of these builds and then crashes or runs nondeterministically
     with pytest.raises(ValueError, match=f"^{field} must be"):

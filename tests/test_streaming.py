@@ -1,4 +1,5 @@
-"""Streaming a run's ticks to a sink instead of storing them."""
+"""Streaming a run's ticks and a gait's joint-table rows to a sink instead of
+storing them."""
 
 import math
 import os
@@ -9,10 +10,17 @@ import pytest
 from wallclimber.cli import EXIT_OK, EXIT_SIMFAIL, EXIT_VALIDATION, main
 from wallclimber.config import CONFIG_ENV_VAR, load_config
 from wallclimber.errors import JointLimit
-from wallclimber.fileio import summary_dict, write_series_csv
-from wallclimber.kinematics import JointLimits
+from wallclimber.fileio import (
+    JOINT_TABLE_HEADER,
+    joint_table_sink,
+    summary_dict,
+    write_joint_table,
+    write_series_csv,
+)
+from wallclimber.gait import JointTableRow, compile_joint_table
+from wallclimber.kinematics import JointAngles, JointLimits
 from wallclimber.pneumatics import AdhesionModel
-from wallclimber.simulator import ScenarioConfig, run_scenario
+from wallclimber.simulator import ScenarioConfig, plan_cycle, run_scenario
 
 RUNS = {
     "default": ("[scenario]\n", EXIT_OK),
@@ -102,3 +110,123 @@ def _peak_alloc_bytes(cycles):
 
 def test_streamed_run_memory_stays_flat_in_cycles():
     assert _peak_alloc_bytes(20) < 2 * _peak_alloc_bytes(2)
+
+
+# --- the joint table -----------------------------------------------------------
+
+GAIT_TABLES = {
+    "default": "[gait]\n",
+    "minus": "[gait]\nbranch = minus\n",
+    "per-cycle": "[gait]\nadvance_mode = per_cycle\n",
+    "two-samples": "[gait]\nsamples_per_step = 2\n",
+}
+
+TIGHT_LIMITS_INI = "[joints]\nlimit_min_deg = -180\nlimit_max_deg = 177\n"
+
+
+def compile_config(config, **kwargs):
+    gait = config.gait
+    return compile_joint_table(plan_cycle(config), config.geometry, gait.z_mm, gait.k_rad,
+                               gait.samples_per_step,
+                               step_duration_s=gait.swing_s + gait.advance_s,
+                               limits=config.limits, **kwargs)
+
+
+def reference_table(rows):
+    """The joint-table file written field by field, with no formatting cache."""
+    lines = [JOINT_TABLE_HEADER]
+    for row in rows:
+        lines.append([repr(row.t_s), str(row.leg),
+                      *(repr(math.degrees(a)) for a in row.angles.as_tuple()),
+                      "1" if row.attached else "0"])
+    return "".join(",".join(line) + "\n" for line in lines).encode()
+
+
+@pytest.mark.parametrize("case", sorted(GAIT_TABLES))
+def test_streamed_joint_table_matches_list_mode_writer(case, tmp_path, capsys):
+    ini = tmp_path / "gait.ini"
+    ini.write_text(GAIT_TABLES[case], encoding="utf-8")
+    out = tmp_path / "cli.csv"
+    assert main(["--config", str(ini), "gait", "-o", str(out)]) == EXIT_OK
+    config = load_config(str(ini))
+    rows = compile_config(config)
+    assert capsys.readouterr().out == f"wrote {out} ({len(rows)} rows)\n"
+    seen = []
+    assert compile_config(config, sink=seen.append) == []
+    assert seen == rows
+    write_joint_table(tmp_path / "list.csv", rows)
+    streamed = out.read_bytes()
+    assert streamed == (tmp_path / "list.csv").read_bytes() == reference_table(rows)
+    assert rows[0].t_s == 0.0 and streamed.splitlines()[1].startswith(b"0.0,1,")
+
+
+def test_joint_table_sink_formats_each_zero_time_with_its_sign(tmp_path):
+    # 0.0 == -0.0, so a time text reused while t_s is unchanged would merge them
+    angles = JointAngles(0.5, -0.25, 1.0, 0.5)
+    times = [0.0, 0.0, -0.0, -0.0, 0.0, 0.25, 0.25, 0.5]
+    rows = [JointTableRow(t, 1 + i % 4, angles, True, (0.0, 0.0, 0.0))
+            for i, t in enumerate(times)]
+    path = tmp_path / "table.csv"
+    with joint_table_sink(path) as sink:
+        for row in rows:
+            sink(row)
+    assert path.read_bytes() == reference_table(rows)
+    assert [line.split(",")[0] for line in path.read_text(encoding="utf-8").splitlines()[1:]] == [
+        "0.0", "0.0", "-0.0", "-0.0", "0.0", "0.25", "0.25", "0.5"]
+
+
+def test_tight_limits_raise_after_rows_were_streamed():
+    # 3 steps x 10 samples x 4 legs, then 3 samples of step 3 and legs 1-3 of
+    # the 4th: every row before the first failing one reaches the sink
+    seen = []
+    with pytest.raises(JointLimit, match=r"^step 3 sample 3 leg 4: "):
+        compile_config(ScenarioConfig(limits=TIGHT_LIMITS), sink=seen.append)
+    assert len(seen) == 3 * 10 * 4 + 3 * 4 + 3
+
+
+@pytest.mark.parametrize("existing", [None, b"an earlier table\n"], ids=["fresh", "existing"])
+def test_failed_gait_leaves_table_path_as_it_was(existing, tmp_path, capsys):
+    ini = tmp_path / "gait.ini"
+    ini.write_text(TIGHT_LIMITS_INI, encoding="utf-8")
+    table = tmp_path / "table.csv"
+    if existing is not None:
+        table.write_bytes(existing)
+    assert main(["--config", str(ini), "gait", "-o", str(table)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "JointLimit" in err and "step 3 sample 3 leg 4" in err
+    if existing is None:
+        assert not table.exists()
+    else:
+        assert table.read_bytes() == existing
+    expected = ["gait.ini"] + ([] if existing is None else ["table.csv"])
+    assert sorted(os.listdir(tmp_path)) == expected
+
+
+def _compile_peak_alloc_bytes(samples):
+    config = ScenarioConfig()
+    script = plan_cycle(config)
+    tracemalloc.start()
+    try:
+        compile_joint_table(script, config.geometry, 100.0, math.pi / 2, samples,
+                            sink=lambda row: None)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_joint_table_memory_stays_flat_in_samples():
+    assert _compile_peak_alloc_bytes(2000) < 2 * _compile_peak_alloc_bytes(200)
+
+
+def test_stance_rows_of_a_step_share_one_pose():
+    samples = 10
+    rows = compile_config(ScenarioConfig())
+    for step in range(4):
+        step_rows = rows[step * samples * 4:(step + 1) * samples * 4]
+        for leg in (1, 2, 3, 4):
+            if leg == step + 1:  # the default order swings leg step + 1
+                continue
+            leg_rows = [row for row in step_rows if row.leg == leg]
+            assert len(leg_rows) == samples
+            assert len({id(row.angles) for row in leg_rows}) == 1
+            assert len({id(row.target_mm) for row in leg_rows}) == 1
