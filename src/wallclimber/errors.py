@@ -8,15 +8,25 @@ catch domain failures in one place while letting programming errors
 import math
 
 
+def is_finite_real(value):
+    """Whether `value` is a real number, and not NaN or infinite. A bool is
+    not one: math.isfinite(True) holds, but True is no mass or length."""
+    try:
+        return math.isfinite(value) and value is not True and value is not False
+    except TypeError:  # not a real number, such as a str or None
+        return False
+
+
 def require_finite(obj, *names):
     """Raise ValueError naming the first of the fields `names` of `obj`
-    that is not a real number, or is NaN or infinite. Range checks alone
-    let NaN through, since every comparison with it is false."""
+    for which is_finite_real fails. Range checks alone let NaN through,
+    since every comparison with it is false. The test is is_finite_real's,
+    inlined: every CupTarget, one per leg solve, runs it on four fields."""
     for name in names:
         value = getattr(obj, name)
         try:
-            finite = math.isfinite(value)
-        except TypeError:  # not a real number, such as a str or None
+            finite = math.isfinite(value) and value is not True and value is not False
+        except TypeError:
             finite = False
         if not finite:
             raise ValueError(f"{name} must be finite, got {value!r}")

@@ -6,9 +6,14 @@ keys are sorted. Angles are degrees in files, radians in memory. No
 CSV field ever needs quoting, so the CSV writers join their fields in one
 row writer, _write_rows, or stream through one of the two sinks:
 series_csv_sink takes a run's ticks from run_scenario, joint_table_sink a
-gait's rows from compile_joint_table. These two large writers format each
-repeated value once per file, in caches that are emptied at a fixed
-_CACHE_CAP entries, so memory stays flat in input size.
+gait's rows from compile_joint_table. Both format each JointAngles object
+once per file, in a cache emptied at _CACHE_CAP entries. The series sink
+also keeps the text after body_mm of each tick, keyed by the tick's
+`attached` dict, which a replayed tick shares with the tick it repeats.
+That cache has no cap, so it serves a cycle of any length. A run makes a
+new `attached` dict only on a computed tick, so the cache holds one entry
+per computed tick, noisy pressures included: a run stops computing once a
+cycle repeats (from the third cycle in every config tried).
 
 Every writer goes through _replacing: it writes `<path>.<pid>.tmp` and
 renames it onto `path` only on success, so a failed write leaves `path` as
@@ -30,7 +35,7 @@ JOINT_TABLE_HEADER = ["t_s", "leg", "theta1_deg", "theta2_deg", "theta3_deg",
 
 SWEEP_HEADER = ["angle_deg", "avg_speed_mm_s", "avg_power_w", "completed"]
 
-# A 30-cycle run has 1,360 poses and 609 leg pressure fields; a 32,000-row joint table 8,012 poses.
+# A 30-cycle run has 1,360 poses, a 32,000-row joint table 8,012.
 _CACHE_CAP = 4096
 
 
@@ -52,26 +57,18 @@ def _replacing(path):
         raise
 
 
-def _remember(cache, key, value, number=1):
-    """Store value under key, emptying a full cache first. Store nothing if
-    `number`, the value formatted, is zero: 0.0 == -0.0, but they print apart."""
-    if number:
-        if len(cache) >= _CACHE_CAP:
-            cache.clear()
-        cache[key] = value
-    return value
-
-
 def _degrees_text(cache, angles):
     """The four joint angles as CSV fields in degrees, formatted once per
     JointAngles object: solvers share one object between every tick or row
     with the same pose. Keyed by identity, not value, because JointAngles
     equality conflates 0.0 and -0.0; the entry keeps the object alive so
-    its id cannot be reused while the entry exists."""
+    its id cannot be reused while the entry exists. A full cache is emptied."""
     entry = cache.get(id(angles))
     if entry is None:
-        text = ",".join([_fmt(math.degrees(t)) for t in angles.as_tuple()])
-        entry = _remember(cache, id(angles), (angles, text))
+        if len(cache) >= _CACHE_CAP:
+            cache.clear()
+        entry = cache[id(angles)] = (
+            angles, ",".join([_fmt(math.degrees(t)) for t in angles.as_tuple()]))
     return entry[1]
 
 
@@ -155,32 +152,31 @@ def series_header():
 def series_row_formatter():
     """Return a function that formats one TickRecord as a series CSV line,
     newline included. Use one per file: it formats each repeated text once.
-    Angles are cached per JointAngles object (_degrees_text); a leg's valve,
-    pressure and attached fields by the Valve's id (hashing a Valve or reading
-    its .value runs Python code), the exact pressure and the flag; power_w and
-    slip by value, zeros excepted; body_mm is reformatted when it changes.
-    Each cache holds at most _CACHE_CAP entries, even with noisy pressures.
+    The text after body_mm (each leg's angles, valve, pressure and attached
+    flag, then power_w and slip) is kept per `attached` dict, with the six
+    objects it was formatted from, kept alive so that no new dict takes the
+    id: a tick whose six fields are those objects, as a replayed tick's are,
+    reuses it, and any other tick overwrites it. Identity, not equality,
+    because 0.0 == -0.0 but they print apart. Angles are cached per
+    JointAngles object (_degrees_text); body_mm is reformatted on change.
     """
-    degrees, texts = {}, {}
+    degrees, tails = {}, {}
     body = body_text = None
-
-    def number(value):
-        return texts.get(value) or _remember(texts, value, _fmt(value), value)
 
     def format_row(rec):
         nonlocal body, body_text
         if rec.body_mm != body or not body:
             body, body_text = rec.body_mm, _fmt(rec.body_mm)
         angles, valves, pressures, attached = rec.angles, rec.valve, rec.pressure_kpa, rec.attached
-        row = [_fmt(rec.t_s), body_text]
-        for leg in LEG_IDS:
-            valve, pressure, held = valves[leg], pressures[leg], attached[leg]
-            key = (id(valve), pressure, held)
-            text = texts.get(key) or _remember(
-                texts, key, f"{valve.value},{_fmt(pressure)},{'1' if held else '0'}", pressure)
-            row += (_degrees_text(degrees, angles[leg]), text)
-        row += (number(rec.power_w), number(rec.slip))
-        return ",".join(row) + "\n"
+        power, slip = rec.power_w, rec.slip
+        entry = tails.get(id(attached))
+        if (entry is None or entry[0] is not angles or entry[1] is not valves
+                or entry[2] is not pressures or entry[4] is not power or entry[5] is not slip):
+            tail = ",".join([f"{_degrees_text(degrees, angles[leg])},{valves[leg].value},"
+                             f"{_fmt(pressures[leg])},{'1' if attached[leg] else '0'}"
+                             for leg in LEG_IDS] + [_fmt(power), _fmt(slip)])
+            entry = tails[id(attached)] = (angles, valves, pressures, attached, power, slip, tail)
+        return f"{_fmt(rec.t_s)},{body_text},{entry[6]}\n"
 
     return format_row
 

@@ -21,7 +21,7 @@ import random
 import struct
 from dataclasses import dataclass, field, replace
 
-from .errors import ClimberError, ZeroCapacity, require_finite, require_int
+from .errors import ClimberError, ZeroCapacity, is_finite_real, require_finite, require_int
 from .gait import (
     ADVANCE_MODES,
     ADVANCE_PER_STEP,
@@ -69,16 +69,12 @@ class GaitParams:
         require_finite(self, "step_length_mm", "lift_mm", "z_mm", "k_rad", "swing_s",
                        "advance_s")
         require_int(self, "samples_per_step")
-        if set(self.stance_mm) != set(LEG_IDS):
-            raise ValueError(f"stance_mm must be keyed by {LEG_IDS}, got {list(self.stance_mm)}")
+        if not isinstance(self.stance_mm, dict) or set(self.stance_mm) != set(LEG_IDS):
+            raise ValueError(f"stance_mm must be a dict keyed by {LEG_IDS}, got {self.stance_mm!r}")
         for leg, point in self.stance_mm.items():
-            if len(point) != 2:
+            if not isinstance(point, (tuple, list)) or len(point) != 2:
                 raise ValueError(f"stance_mm[{leg}] must be an (x, y) pair, got {point!r}")
-            try:
-                finite = all(math.isfinite(c) for c in point)
-            except TypeError:  # a coordinate that is not a real number
-                finite = False
-            if not finite:
+            if not all(is_finite_real(c) for c in point):
                 raise ValueError(f"stance_mm[{leg}] must be finite, got {point}")
         if self.step_length_mm <= 0.0:
             raise ValueError(f"step_length_mm must be > 0, got {self.step_length_mm}")
@@ -142,9 +138,12 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be an instance of {kind.__name__}, got {value!r}")
         if not isinstance(self.limits, (JointLimits, type(None))):
             raise ValueError(f"limits must be None or a JointLimits, got {self.limits!r}")
-        if not isinstance(self.pump_legs, dict):
+        try:  # a wrong assignment of legs raises its own ValueError
+            pump_of_leg = isinstance(self.pump_legs, dict) and assign_pumps(self.pump_legs)
+        except TypeError:  # a pump whose legs are not a collection of leg ids
+            pump_of_leg = None
+        if not pump_of_leg:
             raise ValueError(f"pump_legs must be a dict of pump -> legs, got {self.pump_legs!r}")
-        assign_pumps(self.pump_legs)
         if not 0.0 <= self.climb_angle_deg <= 90.0:
             raise ValueError(f"climb_angle_deg must be in [0, 90], got {self.climb_angle_deg}")
         if self.mass_kg <= 0.0:
@@ -209,6 +208,9 @@ class TickRecord:
     end of the run, so a replay can start a cycle after the first step that
     repeats. Replayed ticks share the `angles`, `valve`, `pressure_kpa` and
     `attached` dicts of the ticks they repeat. Treat all four as read-only.
+    The series formatter relies on `attached` being a new dict on each
+    computed tick, shared only by that tick's replays: it keeps each tick's
+    text under that dict.
     """
 
     t_s: float

@@ -6,7 +6,7 @@ import pytest
 from wallclimber.errors import ZeroCapacity
 from wallclimber.fileio import write_series_csv, write_summary_json
 from wallclimber.gait import ADVANCE_PER_CYCLE
-from wallclimber.kinematics import CupTarget, LegGeometry, solve_leg
+from wallclimber.kinematics import CupTarget, JointLimits, LegGeometry, solve_leg
 from wallclimber.pneumatics import AdhesionModel, PneumaticState
 from wallclimber.simulator import (
     GaitParams,
@@ -359,11 +359,25 @@ def test_gait_params_rejects_non_finite_stance():
                                 4: (-80.0, -80.0)}}, r"stance_mm\[1\]"),
     (ScenarioConfig, {"pump_legs": None}, "pump_legs"),
     (GaitParams, {"order": None}, "order"),
+    (GaitParams, {"stance_mm": None}, "stance_mm"),
+    (GaitParams, {"stance_mm": {1: 5.0, 2: (80.0, 80.0), 3: (80.0, -80.0),
+                                4: (-80.0, -80.0)}}, r"stance_mm\[1\]"),
+    (ScenarioConfig, {"pump_legs": {"A": None, "B": (1, 2, 3, 4)}}, "pump_legs"),
+    # a bool, which math.isfinite takes as 0 or 1, in one float field of each dataclass
+    (LegGeometry, {"a1": True}, "a1"),
+    (JointLimits, {"lower": -1.0, "upper": True}, "upper"),
+    (CupTarget, {"x": 0.0, "y": True, "z": 100.0, "k": 0.0}, "y"),
+    (AdhesionModel, {"vacuum_kpa": True}, "vacuum_kpa"),
+    (GaitParams, {"lift_mm": True}, "lift_mm"),
+    (GaitParams, {"stance_mm": {1: (-80.0, 80.0), 2: (80.0, 80.0), 3: (80.0, -80.0),
+                                4: (False, -80.0)}}, r"stance_mm\[4\]"),
+    (ScenarioConfig, {"mass_kg": True}, "mass_kg"),
 ], ids=["cycles", "cycles-bool", "samples_per_step", "nan-seed", "branch-name", "order-repeat",
         "order-short", "stance-short", "stance-extra", "stance-xyz", "stance-1-tuple",
         "limits-tuple", "geometry-none", "gait-none", "adhesion-none", "mass-str", "angle-none",
         "geometry-str", "target-str", "vacuum-str", "stance-str", "pump-legs-none",
-        "order-none"])
+        "order-none", "stance-none", "stance-number", "pump-legs-value-none", "geometry-bool",
+        "limits-bool", "target-bool", "adhesion-bool", "gait-bool", "stance-bool", "mass-bool"])
 def test_inputs_that_would_fail_mid_run_are_rejected_when_built(make, kwargs, field):
     # unchecked, each of these builds and then crashes or runs nondeterministically
     with pytest.raises(ValueError, match=f"^{field} must be"):
