@@ -8,8 +8,8 @@ phase durations taken from the config and rounded to whole ticks.
 Gravity along the wall loads the attached cups tangentially. When the
 load approaches the friction-limited holding capacity part of each
 commanded body advance is lost to slip; when it exceeds capacity the
-controller re-attaches the released cup once and aborts the run if the
-overload persists (the report is marked incomplete rather than raising).
+run ends on that tick (the report is marked incomplete rather than
+raising).
 
 Runs are bit-for-bit deterministic: no wall clock, fixed iteration
 order, and the seed only feeds the optional pressure-trace jitter,
@@ -44,8 +44,8 @@ from .pneumatics import (
     vent,
 )
 
-# The phases of one step. A controller retry or an attach extension edits a
-# step's plan, and each phase it inserts carries that cause.
+# The phases of one step. An attach extension edits a step's plan, and the
+# phase it inserts carries that cause.
 STEP_PHASES = ("vent", "swing", "attach", "advance")
 
 
@@ -202,11 +202,11 @@ class TickRecord:
 
     Consecutive ticks of one phase in which no leg moved share one `angles`
     dict, and the ticks of one phase share one `valve` dict. Once per cycle
-    the run compares the cycle's start state (cup pressure bits, body-frame
-    footholds, whether the retry is spent) with the previous cycle's; on a
-    match it replays the previous cycle, at most one cycle of ticks, to the
-    end of the run, so a replay can start a cycle after the first step that
-    repeats. Replayed ticks share the `angles`, `valve`, `pressure_kpa` and
+    the run compares the cycle's start state (cup pressure bits and
+    body-frame footholds) with the previous cycle's; on a match it replays
+    the previous cycle, at most one cycle of ticks, to the end of the run,
+    so a replay can start a cycle after the first step that repeats.
+    Replayed ticks share the `angles`, `valve`, `pressure_kpa` and
     `attached` dicts of the ticks they repeat. Treat all four as read-only.
     The series formatter relies on `attached` being a new dict on each
     computed tick, shared only by that tick's replays: it keeps each tick's
@@ -277,7 +277,7 @@ def run_scenario(config, sink=None):
     script = plan_cycle(config)
     n_ticks = {phase: max(1, round(duration_s / tick)) for phase, duration_s in (
         ("vent", model.vent_s), ("swing", gait.swing_s), ("attach", model.dwell_s),
-        ("recover", model.dwell_s), ("advance", gait.advance_s))}
+        ("advance", gait.advance_s))}
 
     p_eq = model.equilibrium_kpa
     decay = suction_decay(model, tick)
@@ -309,15 +309,13 @@ def run_scenario(config, sink=None):
                 for leg in LEG_IDS}
 
     # What a cycle reads that can differ from one cycle to the next: the exact
-    # bits of the cup pressures (0.0 and -0.0 stay apart), the footholds in
-    # the body frame and whether the one retry is spent. Every valve is on
-    # suction between steps, the rest is fixed for the run (n_ticks, p_eq,
-    # decay, idle_power, load_n, the pumps), and `cap` does not carry over:
-    # each phase grips before it reads it.
-    def cycle_state(retry_used):
+    # bits of the cup pressures (0.0 and -0.0 stay apart) and the footholds in
+    # the body frame. Every valve is on suction between steps, the rest is
+    # fixed for the run (n_ticks, p_eq, decay, idle_power, load_n, the pumps),
+    # and `cap` does not carry over: each phase grips before it reads it.
+    def cycle_state():
         return (struct.pack("<4d", *(pressure[leg] for leg in LEG_IDS)),
-                tuple((wall_um[leg][0], wall_um[leg][1] - body_um) for leg in LEG_IDS),
-                retry_used)
+                tuple((wall_um[leg][0], wall_um[leg][1] - body_um) for leg in LEG_IDS))
 
     def record(frame):
         """Emit a computed or replayed tick from its frame: the body share in um (already
@@ -342,7 +340,6 @@ def run_scenario(config, sink=None):
                        f"{p_eq:.3f} kPa is above the attach threshold "
                        f"{model.attach_threshold_kpa} kPa, so no cup grips")
 
-        retry_used = False
         cap = 0.0  # tangential capacity at the end of the last tick
         # Once the cup pressures settle, each cycle repeats the one before it tick
         # for tick. A cycle that starts in the state the previous cycle started in
@@ -351,7 +348,7 @@ def run_scenario(config, sink=None):
         per_cycle = len(script.steps)
         for count, step in enumerate(script.steps * config.cycles):
             if count % per_cycle == 0:
-                previous, start = start, cycle_state(retry_used)
+                previous, start = start, cycle_state()
                 if start == previous:
                     cycles_left = config.cycles - count // per_cycle
                     for _ in range(cycles_left):
@@ -377,7 +374,7 @@ def run_scenario(config, sink=None):
                     if slip > 0.0 and step.body_advance_um > 0:
                         slip_count += 1
                 else:
-                    pstate.valve[leg] = Valve.SUCTION if phase in ("attach", "recover") else Valve.VENT
+                    pstate.valve[leg] = Valve.SUCTION if phase == "attach" else Valve.VENT
                     foothold = new_bf if phase == "attach" else old_bf
                     angles = {**stance, leg: pose(*foothold, z_mm)}
                     if phase == "vent":
@@ -411,14 +408,8 @@ def run_scenario(config, sink=None):
                     record(frames[-1])
 
                     if load_n > cap:
-                        if phase != "vent" or retry_used:
-                            return ticks - 1, (f"adhesion overload: tangential load "
-                                               f"{load_n:.3f} N > holding capacity {cap:.3f} N")
-                        # One controller retry: re-grip the cup that was just
-                        # released, hold position for a dwell, then redo the step.
-                        retry_used = True
-                        plan = [(name, "retry") for name in ("recover",) + STEP_PHASES]
-                        break
+                        return ticks - 1, (f"adhesion overload: tangential load "
+                                           f"{load_n:.3f} N > holding capacity {cap:.3f} N")
 
                 if phase == "attach":
                     if attached[leg]:  # the grip of the attach's last tick

@@ -5,15 +5,17 @@ Each case streams its series through `fileio.series_csv_sink`, exactly as
 `fileio.summary_dict`. The hashes were recorded from the tick loop as it
 was before it was restructured into one function with a single exit, those
 of `noise_replayed`, `settled_slip` and `slip_30_cycles` from the tick loop
-before it replayed repeated steps, and those of `mid_cycle_repeat` and
-`retry_rescues_step` from the loop that replayed single steps, before it
-replayed whole cycles. A change that alters one written float or one failure
-message fails here.
+before it replayed repeated steps, and those of `mid_cycle_repeat` from the
+loop that replayed single steps, before it replayed whole cycles. Those of
+`first_vent_overload` and `unsettled_vent_overload` were recorded when an
+overload on a vent tick started to end the run like an overload on any other
+tick. A change that alters one written float or one failure message fails
+here.
 
 A run replays a cycle once the cycle starts in the state the previous cycle
-started in: the exact bits of the cup pressures, the footholds in the body
-frame and whether the one retry is spent. That check runs once per cycle,
-and the replay holds one cycle of ticks and runs to the end of the run.
+started in: the exact bits of the cup pressures and the footholds in the
+body frame. That check runs once per cycle, and the replay holds one cycle
+of ticks and runs to the end of the run.
 """
 
 import hashlib
@@ -27,12 +29,12 @@ from wallclimber.simulator import GaitParams, ScenarioConfig, run_scenario
 
 # name -> (config overrides, ticks, failure_tick, series sha256, summary sha256)
 CASES = {
-    # the cup released on the first vent tick is re-gripped once, then the
-    # second vent overloads the three remaining cups
-    "retry_then_overload": (
-        dict(climb_angle_deg=90.0, mass_kg=170 / 9.81), 52, 51,
-        "7cbcfaf3c10d361c7906ed50a9ff497dd65558f796a191b611261d8f5db19bc1",
-        "8393b8fdc02fe1c1d6de09f5b84f440e823dc797497a9093241074cc184ff3db"),
+    # the load lies between the three- and four-cup capacities, so releasing
+    # the first cup overloads the other three on the run's first tick
+    "first_vent_overload": (
+        dict(climb_angle_deg=90.0, mass_kg=170 / 9.81), 1, 0,
+        "0e00c9136f5540d7b77a23edf18f6b6c105006d59ee5ca62d2a53a114f8e8361",
+        "838a630a20d0660376e3e79c2e4aca66694d763245462c96580b25aeb19e6f92"),
     # every attach needs its one extra dwell
     "attach_extension": (
         dict(adhesion=AdhesionModel(leak_kpa_per_s=115.0)), 2640, None,
@@ -78,15 +80,13 @@ CASES = {
              adhesion=AdhesionModel(dwell_s=0.3, vent_s=0.05)), 288, None,
         "ce9ef8ff59cef55927cd38769a353d3eb670cdfdd693a373467d884cb1d9fd9f",
         "bfdfcdd684267c23ab4b4bd0354f263a7c3bf044999ef42904b632332dded053"),
-    # a 1-tick advance leaves leg 1 short of equilibrium, so leg 2's vent
-    # overloads on tick 131; the recover dwell re-grips leg 2 and tops leg 1
-    # up, and the repeated vent holds. With the retry spent, leg 3's vent
-    # overloads the same way on tick 313
-    "retry_rescues_step": (
+    # the first step holds, but its 1-tick advance leaves leg 1 short of
+    # equilibrium, so leg 2's vent overloads on its first tick, tick 131
+    "unsettled_vent_overload": (
         dict(climb_angle_deg=90.0, mass_kg=14.9, cycles=2, gait=GaitParams(advance_s=0.01)),
-        314, 313,
-        "cd4669a5c1c191899633f2a45b737a9d348361537dc1e41591712294df4699a9",
-        "43c49db70e1e8f1fa9d92127dc454dd86a4c8d77d37071c49e963a68ac036651"),
+        132, 131,
+        "80415a36a3b1ee54dc23fbc400fa81ab4f7ff9d4a4cd2b6f5f297c58f75a59b7",
+        "81cf06f78573a361ddfb4777fe9da7298e9d663dec1f8fcde8a6d3fcc4f13936"),
     # 0.03 s ticks: every phase length is rounded, the advance to 13 ticks
     "coarse_tick": (
         dict(climb_angle_deg=45.0, tick_s=0.03), 684, None,

@@ -58,7 +58,7 @@ def reference_row(rec):
 
 
 @pytest.mark.parametrize("case", sorted(RUNS))
-def test_streamed_series_matches_plain_formatter(case, tmp_path, capsys):
+def test_streamed_series_matches_plain_formatter(case, tmp_path, capsys, assert_same_lines):
     text, exit_code = RUNS[case]
     ini = tmp_path / "run.ini"
     ini.write_text(text, encoding="utf-8")
@@ -70,7 +70,7 @@ def test_streamed_series_matches_plain_formatter(case, tmp_path, capsys):
         assert report.ticks // 3 > fileio._CACHE_CAP and len(poses) > fileio._CACHE_CAP
     expected = ",".join(fileio.series_header()) + "\n"
     expected += "".join(reference_row(rec) for rec in report.records)
-    assert (tmp_path / "run.series.csv").read_text(encoding="utf-8") == expected
+    assert_same_lines((tmp_path / "run.series.csv").read_text(encoding="utf-8"), expected)
 
 
 def test_signed_zeros_print_as_given():

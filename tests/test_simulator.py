@@ -7,7 +7,7 @@ from wallclimber.errors import ZeroCapacity
 from wallclimber.fileio import write_series_csv, write_summary_json
 from wallclimber.gait import ADVANCE_PER_CYCLE
 from wallclimber.kinematics import CupTarget, JointLimits, LegGeometry, solve_leg
-from wallclimber.pneumatics import AdhesionModel, PneumaticState
+from wallclimber.pneumatics import AdhesionModel, PneumaticState, Valve
 from wallclimber.simulator import (
     GaitParams,
     ScenarioConfig,
@@ -158,7 +158,7 @@ def test_power_model_units():
 
 def test_overload_marks_run_failed_not_raise():
     # 4-cup capacity is mu * 4 * 50 kPa * 1963 mm^2 = 196.3 N; one tonne
-    # at 90 degrees is far past it even after the retry.
+    # at 90 degrees is far past it.
     report = run_scenario(ScenarioConfig(climb_angle_deg=90.0, mass_kg=1000.0))
     assert not report.completed
     assert report.failure_tick is not None
@@ -168,15 +168,19 @@ def test_overload_marks_run_failed_not_raise():
 
 
 def test_overload_between_three_and_four_cup_capacity():
-    # load sits between cap3 = 147.2 N and cap4 = 196.3 N: the single
-    # re-attach succeeds but the next release trips the overload again.
+    # load sits between cap3 = 147.2 N and cap4 = 196.3 N: the four cups hold
+    # it, but venting leg 1 on the run's first tick leaves three, which do not.
+    # Unlike a run whose cups never grip (failure tick 0 after 0 ticks), this
+    # one fails at tick 0 after 1 tick.
     mass = 170.0 / 9.81
     report = run_scenario(ScenarioConfig(climb_angle_deg=90.0, mass_kg=mass))
     assert not report.completed
-    assert "overload" in report.failure_reason
-    # the retry bought it one recovery dwell before the final abort
-    flat_ticks = len(run_scenario(ScenarioConfig(cycles=1)).records)
-    assert len(report.records) < flat_ticks
+    assert (report.ticks, report.failure_tick) == (1, 0)
+    assert report.failure_reason == (
+        "adhesion overload: tangential load 170.000 N > holding capacity 147.225 N")
+    (rec,) = report.records
+    assert rec.valve[1] is Valve.VENT
+    assert rec.attached == {1: False, 2: True, 3: True, 4: True}
 
 
 def test_attach_timeout_marks_run_failed():

@@ -26,7 +26,7 @@ RUNS = {
     "default": ("[scenario]\n", EXIT_OK),
     # slip is active on every advance
     "slip": ("[scenario]\nclimb_angle_deg = 45\ncycles = 3\n", EXIT_OK),
-    # overload after the one retry
+    # overload on the first vent tick
     "overload": ("[scenario]\nclimb_angle_deg = 90\nmass_kg = 1000\n", EXIT_SIMFAIL),
 }
 
@@ -41,7 +41,7 @@ def clean_env(monkeypatch):
 
 
 @pytest.mark.parametrize("case", sorted(RUNS))
-def test_streamed_series_matches_list_mode_writer(case, tmp_path, capsys):
+def test_streamed_series_matches_list_mode_writer(case, tmp_path, capsys, assert_same_lines):
     text, exit_code = RUNS[case]
     ini = tmp_path / "run.ini"
     ini.write_text(text, encoding="utf-8")
@@ -50,7 +50,8 @@ def test_streamed_series_matches_list_mode_writer(case, tmp_path, capsys):
     report = run_scenario(load_config(str(ini)))
     assert report.ticks == len(report.records) > 0
     write_series_csv(tmp_path / "list.csv", report)
-    assert (tmp_path / "run.series.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+    assert_same_lines((tmp_path / "run.series.csv").read_bytes(),
+                      (tmp_path / "list.csv").read_bytes())
 
 
 @pytest.mark.parametrize("config", [
