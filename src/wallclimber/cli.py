@@ -6,9 +6,10 @@ file is taken from --config, then the WALLCLIMBER_CONFIG environment
 variable, then built-in defaults.
 
 Exit codes: 0 success, 2 usage error, 3 validation error (bad config,
-unreachable target, invalid gait, no -o directory or an output path that
-is a directory, both checked before the run, or an output file that
-cannot be written), 4 simulation failure.
+unreachable target, non-finite fk angle, invalid gait, an empty -o, no
+-o directory or an output path that is a directory, all checked before
+the run, or an output file that cannot be written), 4 simulation
+failure.
 """
 
 import argparse
@@ -19,7 +20,7 @@ import sys
 
 from . import fileio
 from .config import CONFIG_ENV_VAR, load_config, resolve_config_path
-from .errors import ClimberError, ConfigError
+from .errors import ClimberError, ConfigError, require_finite
 from .gait import compile_joint_table
 from .kinematics import CupTarget, ElbowBranch, fk_leg, fk_normal_z, fk_planar_xy, solve_leg
 from .simulator import plan_cycle, run_scenario, sweep_climb_angle
@@ -51,6 +52,7 @@ def _cmd_ik(args):
 
 
 def _cmd_fk(args):
+    require_finite(args, "theta1", "theta2", "theta3", "theta4")
     config = _load(args)
     t1, t2, t3, t4 = (math.radians(v) for v in (args.theta1, args.theta2,
                                                 args.theta3, args.theta4))
@@ -190,6 +192,8 @@ def main(argv=None):
             return _fail(f"error: the directory of -o {out!r} does not exist", EXIT_VALIDATION)
         simulate = args.command == "simulate"
         for path in (f"{out}.series.csv", f"{out}.summary.json") if simulate else (out,):
+            if not path:
+                return _fail("error: -o must name a file, got ''", EXIT_VALIDATION)
             if os.path.isdir(path):
                 error = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
                 return _fail(f"error: cannot write the output: {error}", EXIT_VALIDATION)

@@ -228,7 +228,9 @@ class SimReport:
     """Per-tick series plus run summary.
 
     `records` holds the ticks only when the run had no sink; `ticks`
-    counts them either way.
+    counts them either way. `failure_code` is None on success, else
+    `attach_timeout` or `adhesion_overload`; it tells apart two runs that
+    both fail at tick 0, and `summary.json` leaves it out.
     """
 
     climb_angle_deg: float
@@ -243,6 +245,7 @@ class SimReport:
     slip_count: int
     completed: bool
     failure_tick: int = None
+    failure_code: str = None
     failure_reason: str = None
     ticks: int = 0
 
@@ -263,10 +266,12 @@ def run_scenario(config, sink=None):
 
     Each tick's TickRecord is passed to `sink` when one is given, and the
     report's `records` stays empty; without a sink the records are
-    collected in `records`. Deterministic for a given config. Overload and
-    attach timeouts mark the report completed=False (with failing tick
-    and reason) instead of raising; planning errors (bad stance,
-    unreachable footholds) raise.
+    collected in `records`. A run whose sink is `_drop` builds no
+    TickRecord and draws no pressure jitter; its `ticks` and energy are
+    counted as before, so its summary is the same. Deterministic for a
+    given config. Overload and attach timeouts mark the report
+    completed=False (with failing tick, code and reason) instead of
+    raising; planning errors (bad stance, unreachable footholds) raise.
     """
     gait = config.gait
     model = config.adhesion
@@ -296,6 +301,7 @@ def run_scenario(config, sink=None):
     body_um = 0
     records = []
     emit = records.append if sink is None else sink
+    keep = sink is not _drop  # whether anything reads the TickRecords
     ticks = 0
     energy_j = 0.0
     slip_count = 0
@@ -319,26 +325,30 @@ def run_scenario(config, sink=None):
 
     def record(frame):
         """Emit a computed or replayed tick from its frame: the body share in um (already
-        applied), then the TickRecord fields after body_mm, with noiseless pressures."""
+        applied), then the TickRecord fields after body_mm, with noiseless pressures
+        (None when nothing reads the records)."""
         nonlocal energy_j, ticks
         _, angles, valves, pressures, attached, power, slip = frame
         energy_j += power * tick
+        ticks += 1
+        if not keep:
+            return
         if jitter > 0.0:
             pressures = {leg: p + rng.uniform(-jitter, jitter) for leg, p in pressures.items()}
-        ticks += 1
         emit(TickRecord(ticks * tick, um_to_mm(body_um), angles, valves, pressures, attached,
                         power, slip))
 
     def climb():
-        """Run the ticks. Return (failure_tick, reason) where the run fails,
-        or (None, None) when every cycle completes."""
+        """Run the ticks. Return (failure_tick, failure_code, reason) where the
+        run fails, or (None, None, None) when every cycle completes."""
         nonlocal body_um, slip_count
         # Every cup starts at the suction equilibrium; if that does not pass
         # the attach threshold, no cup can ever grip.
         if not all(pstate.grip(model)[0].values()):
-            return 0, (f"attach timeout before the first step: the suction equilibrium "
-                       f"{p_eq:.3f} kPa is above the attach threshold "
-                       f"{model.attach_threshold_kpa} kPa, so no cup grips")
+            return 0, "attach_timeout", (
+                f"attach timeout before the first step: the suction equilibrium "
+                f"{p_eq:.3f} kPa is above the attach threshold "
+                f"{model.attach_threshold_kpa} kPa, so no cup grips")
 
         cap = 0.0  # tangential capacity at the end of the last tick
         # Once the cup pressures settle, each cycle repeats the one before it tick
@@ -403,26 +413,28 @@ def run_scenario(config, sink=None):
 
                     attached, _, cap = pstate.grip(model)
                     power = power_model(config, speed, active_pumps) if speed else idle_power
-                    pressures = {other: pressure[other] for other in LEG_IDS}
+                    pressures = {other: pressure[other] for other in LEG_IDS} if keep else None
                     frames.append((share, angles, valves, pressures, attached, power, slip))
                     record(frames[-1])
 
                     if load_n > cap:
-                        return ticks - 1, (f"adhesion overload: tangential load "
-                                           f"{load_n:.3f} N > holding capacity {cap:.3f} N")
+                        return ticks - 1, "adhesion_overload", (
+                            f"adhesion overload: tangential load "
+                            f"{load_n:.3f} N > holding capacity {cap:.3f} N")
 
                 if phase == "attach":
                     if attached[leg]:  # the grip of the attach's last tick
                         wall_um[leg] = (step.new_foothold_um[0], step.new_foothold_um[1] + body_um)
                     elif cause == "extension":
-                        return ticks - 1, (f"attach timeout on leg {leg}: "
-                                           f"{pressure[leg]:.3f} kPa above threshold "
-                                           f"{model.attach_threshold_kpa} kPa")
+                        return ticks - 1, "attach_timeout", (
+                            f"attach timeout on leg {leg}: "
+                            f"{pressure[leg]:.3f} kPa above threshold "
+                            f"{model.attach_threshold_kpa} kPa")
                     else:
                         plan.insert(0, ("attach", "extension"))  # one more dwell
-        return None, None
+        return None, None, None
 
-    failure_tick, failure_reason = climb()
+    failure_tick, failure_code, failure_reason = climb()
     duration_s = ticks * tick
     displacement_mm = um_to_mm(body_um)
     avg_speed = displacement_mm / duration_s if duration_s > 0.0 else 0.0
@@ -440,6 +452,7 @@ def run_scenario(config, sink=None):
         slip_count=slip_count,
         completed=failure_tick is None,
         failure_tick=failure_tick,
+        failure_code=failure_code,
         failure_reason=failure_reason,
         ticks=ticks,
     )
@@ -454,7 +467,9 @@ class SweepRow:
 
 
 def _drop(_record):
-    """Sink for runs whose ticks nobody reads."""
+    """Sink for runs whose ticks nobody reads. run_scenario never calls it: a
+    run given this sink builds no TickRecord, and still counts its ticks and
+    energy."""
 
 
 def sweep_climb_angle(base, angles_deg):

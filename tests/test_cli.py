@@ -84,6 +84,16 @@ def test_fk_round_trip_of_ik(capsys):
     assert capsys.readouterr().out.splitlines()[0] == "200.000000 0.000000 100.000000 90.000000"
 
 
+@pytest.mark.parametrize("argv, field", [(["nan", "0", "0", "0"], "theta1"),
+                                         (["0", "inf", "0", "0"], "theta2"),
+                                         (["0", "0", "0", "nan"], "theta4")])
+def test_fk_rejects_non_finite_angle(argv, field, capsys):
+    assert main(["fk", *argv]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{field} must be finite" in captured.err
+
+
 # --- gait --------------------------------------------------------------------
 
 def test_gait_writes_table(tmp_path, capsys):
@@ -253,6 +263,21 @@ def test_missing_output_directory_fails_before_running(argv, runner, tmp_path, m
     argv = [arg.format(missing=missing) for arg in argv]
     assert main(argv) == EXIT_VALIDATION
     assert argv[-1] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, runner", [
+    (["sweep", "0", "-o", ""], "sweep_climb_angle"),
+    (["gait", "-o", ""], "compile_joint_table"),
+], ids=["sweep", "gait"])
+def test_empty_output_path_fails_before_running(argv, runner, tmp_path, monkeypatch, capsys):
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError(f"{runner} ran although -o is empty")
+
+    monkeypatch.setattr(cli, runner, must_not_run)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_VALIDATION
+    assert "-o must name a file" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

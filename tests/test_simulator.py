@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from wallclimber.errors import ZeroCapacity
+from wallclimber import simulator
+from wallclimber.errors import ClimberError, ZeroCapacity
 from wallclimber.fileio import write_series_csv, write_summary_json
 from wallclimber.gait import ADVANCE_PER_CYCLE
 from wallclimber.kinematics import CupTarget, JointLimits, LegGeometry, solve_leg
@@ -176,6 +177,7 @@ def test_overload_between_three_and_four_cup_capacity():
     report = run_scenario(ScenarioConfig(climb_angle_deg=90.0, mass_kg=mass))
     assert not report.completed
     assert (report.ticks, report.failure_tick) == (1, 0)
+    assert report.failure_code == "adhesion_overload"
     assert report.failure_reason == (
         "adhesion overload: tangential load 170.000 N > holding capacity 147.225 N")
     (rec,) = report.records
@@ -187,7 +189,13 @@ def test_attach_timeout_marks_run_failed():
     leaky = AdhesionModel(leak_kpa_per_s=200.0)
     report = run_scenario(ScenarioConfig(cycles=1, adhesion=leaky))
     assert not report.completed
+    assert report.failure_code == "attach_timeout"
     assert "attach timeout" in report.failure_reason
+    # the first step's extra dwell is not enough: the timeout return in the loop
+    report = run_scenario(ScenarioConfig(cycles=1, adhesion=AdhesionModel(leak_kpa_per_s=119.9)))
+    assert (report.ticks, report.failure_tick) == (180, 179)
+    assert report.failure_code == "attach_timeout"
+    assert report.failure_reason.startswith("attach timeout on leg 1: ")
 
 
 def test_leak_above_threshold_fails_before_the_first_tick():
@@ -199,6 +207,7 @@ def test_leak_above_threshold_fails_before_the_first_tick():
     assert not report.completed
     assert report.failure_tick == 0
     assert report.ticks == 0 and report.records == []
+    assert report.failure_code == "attach_timeout"
     assert "attach timeout" in report.failure_reason
     assert "-16.667 kPa" in report.failure_reason and "-30.0 kPa" in report.failure_reason
     assert "overload" not in report.failure_reason
@@ -220,13 +229,45 @@ def test_sweep_trends():
     assert all(row.completed for row in rows)
 
 
-def test_sweep_single_angle_matches_direct_run():
-    config = ScenarioConfig(cycles=1)
-    rows = sweep_climb_angle(config, [0.0])
-    direct = run_scenario(config)
-    assert rows[0].avg_speed_mm_s == direct.average_speed_mm_s
-    assert rows[0].avg_power_w == direct.average_power_w
-    assert rows[0].completed == direct.completed
+@pytest.mark.parametrize("config", [
+    ScenarioConfig(),
+    ScenarioConfig(noise_kpa=0.5, seed=3),
+    ScenarioConfig(mass_kg=16.0),
+    ScenarioConfig(limits=JointLimits(-math.pi, math.radians(177.0))),
+    ScenarioConfig(cycles=30),
+], ids=["default", "noise", "heavy", "tight-limits", "30-cycles"])
+def test_sweep_rows_match_direct_runs(config):
+    # A sweep builds no TickRecord; each of its rows must still be the summary
+    # of a run that collects its records, replayed cycles and failed runs too.
+    angles = [0.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0]
+    rows = sweep_climb_angle(config, angles)
+    assert [row.angle_deg for row in rows] == angles
+    for row in rows:
+        try:
+            direct = run_scenario(replace(config, climb_angle_deg=row.angle_deg))
+        except ClimberError:  # a planning error: the sweep flags the angle
+            assert math.isnan(row.avg_speed_mm_s) and math.isnan(row.avg_power_w)
+            assert row.completed is False
+            continue
+        assert len(direct.records) == direct.ticks
+        assert row.avg_speed_mm_s == direct.average_speed_mm_s
+        assert row.avg_power_w == direct.average_power_w
+        assert row.completed == direct.completed
+
+
+def test_sweep_builds_no_tick_records(monkeypatch):
+    built = []
+    tick_record = simulator.TickRecord
+
+    def counting(*args):
+        built.append(1)
+        return tick_record(*args)
+
+    monkeypatch.setattr(simulator, "TickRecord", counting)
+    sweep_climb_angle(ScenarioConfig(cycles=2), [0.0, 45.0, 90.0])
+    assert len(built) == 0
+    report = run_scenario(ScenarioConfig(cycles=2))
+    assert len(built) == report.ticks == len(report.records)
 
 
 def test_sweep_rejects_bad_inputs():
