@@ -299,9 +299,14 @@ def swing_waypoint(old_mm, new_mm, progress, z_mm, lift_mm):
     return x, y, z
 
 
-@dataclass(frozen=True)
+@dataclass
 class JointTableRow:
-    """One compiled sample: commanded pose and solved angles for one leg."""
+    """One compiled sample: commanded pose and solved angles for one leg.
+
+    Not frozen, so not hashable: compile_joint_table builds a new row for
+    every sample and leg and never reads one back once emitted. The frozen
+    JointAngles and the `target_mm` tuple may be shared between rows.
+    """
 
     t_s: float
     leg: int

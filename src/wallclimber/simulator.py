@@ -196,9 +196,14 @@ def power_model(config, speed_mm_s, active_pumps):
     return config.servo_power_w + active_pumps * config.pump_power_w + lift_w
 
 
-@dataclass(frozen=True)
+@dataclass
 class TickRecord:
     """State snapshot at the end of one tick.
+
+    Not frozen: a run builds a new record for every tick, replayed ticks
+    included, and never reads one back once emitted, so a sink may keep or
+    change the ones it is given. Records share only frozen JointAngles and
+    the read-only dicts below.
 
     Consecutive ticks of one phase in which no leg moved share one `angles`
     dict, and the ticks of one phase share one `valve` dict. Once per cycle

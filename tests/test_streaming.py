@@ -1,6 +1,7 @@
 """Streaming a run's ticks and a gait's joint-table rows to a sink instead of
 storing them."""
 
+import dataclasses
 import math
 import os
 import tracemalloc
@@ -18,7 +19,7 @@ from wallclimber.fileio import (
     write_series_csv,
 )
 from wallclimber.gait import JointTableRow, compile_joint_table
-from wallclimber.kinematics import JointAngles, JointLimits
+from wallclimber.kinematics import CupTarget, JointAngles, JointLimits
 from wallclimber.pneumatics import AdhesionModel
 from wallclimber.simulator import ScenarioConfig, plan_cycle, run_scenario
 
@@ -54,12 +55,17 @@ def test_streamed_series_matches_list_mode_writer(case, tmp_path, capsys, assert
                       (tmp_path / "list.csv").read_bytes())
 
 
-@pytest.mark.parametrize("config", [
-    ScenarioConfig(cycles=1),
-    ScenarioConfig(climb_angle_deg=45.0, cycles=2, noise_kpa=0.5, seed=3),
-    ScenarioConfig(climb_angle_deg=90.0, mass_kg=1000.0),
-    ScenarioConfig(climb_angle_deg=30.0, adhesion=AdhesionModel(leak_kpa_per_s=200.0)),
-], ids=["flat", "slip-noisy", "overload", "leaky"])
+SINK_RUNS = {
+    "flat": ScenarioConfig(cycles=1),
+    "slip-noisy": ScenarioConfig(climb_angle_deg=45.0, cycles=2, noise_kpa=0.5, seed=3),
+    "overload": ScenarioConfig(climb_angle_deg=90.0, mass_kg=1000.0),
+    "leaky": ScenarioConfig(climb_angle_deg=30.0, adhesion=AdhesionModel(leak_kpa_per_s=200.0)),
+    # the third cycle replays the second
+    "replay": ScenarioConfig(climb_angle_deg=45.0, cycles=3),
+}
+
+
+@pytest.mark.parametrize("config", SINK_RUNS.values(), ids=SINK_RUNS.keys())
 def test_sink_mode_matches_list_mode(config):
     listed = run_scenario(config)
     seen = []
@@ -68,6 +74,30 @@ def test_sink_mode_matches_list_mode(config):
     assert streamed.ticks == listed.ticks == len(listed.records)
     assert seen == listed.records
     assert summary_dict(streamed) == summary_dict(listed)
+
+
+@pytest.mark.parametrize("config", SINK_RUNS.values(), ids=SINK_RUNS.keys())
+def test_sink_may_overwrite_the_records_it_is_given(config):
+    # the tick loop never reads an emitted record back, so a sink may change it
+    listed = run_scenario(config)
+    copies = []
+
+    def overwrite(record):
+        copies.append(dataclasses.replace(record))
+        record.t_s, record.body_mm, record.power_w = -1.0, -2.0, -3.0
+
+    streamed = run_scenario(config, sink=overwrite)
+    assert copies == listed.records
+    assert summary_dict(streamed) == summary_dict(listed)
+
+
+def test_every_tick_is_its_own_record_and_what_records_share_stays_frozen():
+    report = run_scenario(SINK_RUNS["replay"])
+    records = report.records
+    assert len({id(record.attached) for record in records}) < report.ticks  # it replays
+    assert len({id(record) for record in records}) == report.ticks == len(records)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        records[-1].angles[1].theta1 = 0.0
 
 
 def test_tight_limits_raise_after_ticks_were_streamed():
@@ -174,6 +204,30 @@ def test_joint_table_sink_formats_each_zero_time_with_its_sign(tmp_path):
     assert path.read_bytes() == reference_table(rows)
     assert [line.split(",")[0] for line in path.read_text(encoding="utf-8").splitlines()[1:]] == [
         "0.0", "0.0", "-0.0", "-0.0", "0.0", "0.25", "0.25", "0.5"]
+
+
+def test_joint_table_sink_may_overwrite_the_rows_it_is_given():
+    # compile_joint_table never reads an emitted row back, so a sink may change it
+    rows = compile_config(ScenarioConfig())
+    copies = []
+
+    def overwrite(row):
+        copies.append(dataclasses.replace(row))
+        row.t_s = -1.0
+
+    assert compile_config(ScenarioConfig(), sink=overwrite) == []
+    assert copies == rows
+
+
+def test_every_row_is_its_own_object_and_what_rows_share_stays_frozen():
+    rows = compile_config(ScenarioConfig())
+    assert len({id(row) for row in rows}) == len(rows)
+    row = rows[-1]
+    assert type(row.target_mm) is tuple
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.angles.theta1 = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        CupTarget(*row.target_mm, math.pi / 2).x = 0.0
 
 
 def test_tight_limits_raise_after_rows_were_streamed():
