@@ -21,7 +21,8 @@ def require_finite(obj, *names):
     """Raise ValueError naming the first of the fields `names` of `obj`
     for which is_finite_real fails. Range checks alone let NaN through,
     since every comparison with it is false. The test is is_finite_real's,
-    inlined: every CupTarget, one per leg solve, runs it on four fields."""
+    inlined: every config object and every CupTarget built from outside
+    input runs it (a run's own memoised solves skip it, see pose_memo)."""
     for name in names:
         value = getattr(obj, name)
         try:

@@ -123,7 +123,7 @@ class ElbowBranch(Enum):
 
     @property
     def sign(self):
-        return float(self.value)
+        return float(self._value_)  # not .value: that goes through the Enum descriptor
 
 
 def wrap_pi(angle):
@@ -221,15 +221,27 @@ def pose_memo(solve, geom, k, branch, limits):
     """Return pose(x, y, z): solve(geom, CupTarget(x, y, z, k), branch, limits)
     once per distinct target, so equal poses share one JointAngles. The key is
     the target's exact bits; float keys would conflate 0.0 and -0.0, which
-    atan2 tells apart. Callers pass their own module's solve_leg binding, so
-    patching that binding (in a test or a tracer) reaches every solve."""
+    atan2 tells apart. run_scenario passes its own module's solve_leg binding,
+    so patching that binding (in a test or a tracer) reaches every solve.
+
+    Each target is a frozen CupTarget, equal to a checked one, built without
+    running CupTarget's check again: run_scenario computes every input from a
+    ScenarioConfig that was checked when it was built.
+      * x and y are um_to_mm of integer um, or a swing_waypoint between two
+        such points;
+      * z is gait.z_mm, or z_mm - lift_mm * f with 0 <= f <= 1, and GaitParams
+        enforces 0 <= lift_mm <= z_mm, both finite, so z >= 0;
+      * k is gait.k_rad, which GaitParams checks.
+    A CupTarget built from any other input runs the check as before."""
     solved = {}
 
     def pose(x, y, z):
         key = struct.pack("<3d", x, y, z)
         hit = solved.get(key)
         if hit is None:
-            hit = solved[key] = solve(geom, CupTarget(x, y, z, k), branch, limits)
+            target = object.__new__(CupTarget)
+            target.__dict__.update(x=x, y=y, z=z, k=k)
+            hit = solved[key] = solve(geom, target, branch, limits)
         return hit
 
     return pose

@@ -300,16 +300,23 @@ def test_joint_limits_reject_non_finite():
 
 
 def test_cup_target_rejects_negative_clearance():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="wall clearance z must be >= 0"):
         CupTarget(100.0, 0.0, -1.0, 0.0)
 
 
 @pytest.mark.parametrize("field", ["x", "y", "z", "k"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_cup_target_rejects_non_finite(field, value):
+    # Only a run's own memoised solves skip the check; a target built for a
+    # direct solve is checked before anything is solved.
     coords = {"x": 150.0, "y": 0.0, "z": 100.0, "k": math.pi / 2, field: value}
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        CupTarget(**coords)
+        solve_leg(GEOM, CupTarget(**coords))
+
+
+def test_elbow_branch_signs_are_floats():
+    assert type(ElbowBranch.PLUS.sign) is float and ElbowBranch.PLUS.sign == 1.0
+    assert type(ElbowBranch.MINUS.sign) is float and ElbowBranch.MINUS.sign == -1.0
 
 
 def test_joint_limits_validation():

@@ -11,18 +11,28 @@ slip model, advance mode, noise), every tick of a run must keep:
 * a total energy equal to the in-order sum of power times tick.
 
 Runs that fail (overload, attach timeout) are checked the same way up to
-their last tick. Two planning properties ride along: every generated cycle
-closes exactly in integer micrometres, and forward kinematics of a solved
-leg returns its target on either elbow branch. The examples are
-derandomised, so every run of the suite tries the same scenarios.
+their last tick. Three planning properties ride along: every generated
+cycle closes exactly in integer micrometres, forward kinematics of a solved
+leg returns its target on either elbow branch, and every swing waypoint is
+a finite point at a clearance of at least 0 (what lets a run's pose memo
+skip CupTarget's check). The examples are derandomised, so every run of
+the suite tries the same scenarios.
 """
 
 import math
 
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from wallclimber.gait import ADVANCE_MODES, LEG_IDS, FootholdMap, generate_cycle, replay, validate
+from wallclimber.gait import (
+    ADVANCE_MODES,
+    LEG_IDS,
+    FootholdMap,
+    generate_cycle,
+    replay,
+    swing_waypoint,
+    validate,
+)
 from wallclimber.kinematics import CupTarget, ElbowBranch, LegGeometry, fk_leg, solve_leg
 from wallclimber.pneumatics import AdhesionModel, Valve
 from wallclimber.simulator import GaitParams, ScenarioConfig, run_scenario
@@ -115,3 +125,26 @@ def test_solving_then_forward_kinematics_returns_the_target(links, theta1, elbow
     # theta3 + theta4 cannot always equal k exactly: k may carry bits finer
     # than the spacing of floats near the two joint angles
     assert abs(echo.k - k) <= math.ulp(max(abs(angles.theta3), abs(angles.theta4)))
+
+
+@st.composite
+def clearance_and_lift(draw):
+    """(z_mm, lift_mm) with 0 <= lift_mm <= z_mm, as GaitParams enforces."""
+    z_mm = draw(finite(0.0, 1e300))
+    return z_mm, draw(st.one_of(st.just(z_mm), finite(0.0, z_mm)))
+
+
+# Planning keeps footholds within a leg's reach, far inside these bounds,
+# which leave the endpoints' difference room to stay finite.
+endpoints = st.tuples(finite(-1e300, 1e300), finite(-1e300, 1e300))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(old_mm=endpoints, new_mm=endpoints,
+       progress=st.one_of(st.just(0.5), finite(0.0, 1.0)), clearance=clearance_and_lift())
+@example(old_mm=(150.0, -80.0), new_mm=(150.0, 80.0), progress=0.5, clearance=(100.0, 100.0))
+def test_swing_waypoints_are_finite_and_clear_of_the_wall(old_mm, new_mm, progress, clearance):
+    z_mm, lift_mm = clearance
+    x, y, z = swing_waypoint(old_mm, new_mm, progress, z_mm, lift_mm)
+    assert math.isfinite(x) and math.isfinite(y)
+    assert math.isfinite(z) and z >= 0.0

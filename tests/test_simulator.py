@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -229,19 +229,23 @@ def test_sweep_trends():
     assert all(row.completed for row in rows)
 
 
-@pytest.mark.parametrize("config", [
+SWEEP_ANGLES = [0.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0]
+SWEEP_CONFIGS = [
     ScenarioConfig(),
     ScenarioConfig(noise_kpa=0.5, seed=3),
     ScenarioConfig(mass_kg=16.0),
     ScenarioConfig(limits=JointLimits(-math.pi, math.radians(177.0))),
     ScenarioConfig(cycles=30),
-], ids=["default", "noise", "heavy", "tight-limits", "30-cycles"])
+]
+
+
+@pytest.mark.parametrize("config", SWEEP_CONFIGS,
+                         ids=["default", "noise", "heavy", "tight-limits", "30-cycles"])
 def test_sweep_rows_match_direct_runs(config):
     # A sweep builds no TickRecord; each of its rows must still be the summary
     # of a run that collects its records, replayed cycles and failed runs too.
-    angles = [0.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0]
-    rows = sweep_climb_angle(config, angles)
-    assert [row.angle_deg for row in rows] == angles
+    rows = sweep_climb_angle(config, SWEEP_ANGLES)
+    assert [row.angle_deg for row in rows] == SWEEP_ANGLES
     for row in rows:
         try:
             direct = run_scenario(replace(config, climb_angle_deg=row.angle_deg))
@@ -329,6 +333,31 @@ def test_run_solves_each_distinct_pose_once(monkeypatch):
     # ticks with the same pose share one frozen JointAngles object
     shared = {id(angles) for rec in report.records for angles in rec.angles.values()}
     assert len(shared) == 880
+
+
+def test_memo_targets_are_checked_equivalent_cup_targets(monkeypatch):
+    # The pose memo builds its targets without running CupTarget's check; each
+    # must still be a frozen CupTarget that equals, hashes and prints like a
+    # checked one, whether the run fails, replays cycles or is part of a sweep.
+    targets = []
+
+    def counting_solve(geom, target, branch, limits):
+        targets.append(target)
+        return solve_leg(geom, target, branch, limits)
+
+    monkeypatch.setattr("wallclimber.simulator.solve_leg", counting_solve)
+    run_scenario(ScenarioConfig())
+    run_scenario(ScenarioConfig(climb_angle_deg=45.0, cycles=3))
+    for config in SWEEP_CONFIGS:
+        sweep_climb_angle(config, SWEEP_ANGLES)
+    assert len(targets) > 880
+    for target in targets:
+        assert type(target) is CupTarget
+        checked = CupTarget(target.x, target.y, target.z, target.k)
+        assert target == checked and hash(target) == hash(checked)
+        assert repr(target) == repr(checked)
+        with pytest.raises(FrozenInstanceError):
+            target.x = 0.0
 
 
 def test_repeated_steps_are_replayed_not_recomputed(monkeypatch):
