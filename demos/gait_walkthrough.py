@@ -26,7 +26,7 @@ def main():
         print(f"  step {i}: leg {step.swing_leg} swings to "
               f"{step.new_foothold_mm} mm, then body +{step.body_advance_mm} mm")
 
-    report = validate(script, geom, stance)
+    report = validate(script, geom)
     print("\nValidation:", "clean" if report.ok else report.violations)
 
     print("\nExact closure over 5 cycles (integer micrometres):")
@@ -42,8 +42,10 @@ def main():
     back = {leg: (wall[leg][0], wall[leg][1] - body) for leg in (1, 2, 3, 4)}
     print("  stance pattern identical to start:", back == stance.points_um)
 
-    rows = compile_joint_table(script, geom, z_mm=100.0, k_rad=math.pi / 2,
-                               samples_per_step=5, step_duration_s=1.0)
+    print(f"\nThe plan's own pose, which the compile reads: z={script.z_mm} mm, "
+          f"k={math.degrees(script.k_rad):g} deg, lift={script.lift_mm} mm, "
+          f"branch={script.branch.name}")
+    rows = compile_joint_table(script, geom, samples_per_step=5, step_duration_s=1.0)
     print(f"\nCompiled table: {len(rows)} rows (first 8):")
     for row in rows[:8]:
         angles = ", ".join(f"{math.degrees(t):8.3f}" for t in row.angles.as_tuple())

@@ -73,10 +73,9 @@ def _cmd_gait(args):
             write(row)
             rows += 1
 
-        compile_joint_table(
-            script, config.geometry, gait.z_mm, gait.k_rad, gait.samples_per_step,
-            step_duration_s=gait.swing_s + gait.advance_s, limits=config.limits, sink=sink,
-        )
+        compile_joint_table(script, config.geometry, gait.samples_per_step,
+                            step_duration_s=gait.swing_s + gait.advance_s,
+                            limits=config.limits, sink=sink)
     print(f"wrote {args.out} ({rows} rows)")
     return EXIT_OK
 

@@ -16,7 +16,8 @@ floats appear only at the kinematics boundary.
 import math
 from dataclasses import dataclass, field
 
-from .errors import BadOrder, GaitValidationError, KinematicsError, UnreachableFoothold
+from .errors import (BadOrder, GaitValidationError, KinematicsError, UnreachableFoothold,
+                     require_finite)
 from .kinematics import CupTarget, ElbowBranch, JointAngles, reachable, solve_leg
 
 LEG_IDS = (1, 2, 3, 4)
@@ -107,17 +108,29 @@ class GaitStep:
 
 @dataclass
 class GaitScript:
-    """A validated one-cycle plan plus the planning parameters needed to
-    replay or compile it."""
+    """A one-cycle plan with its start stance and its pose: the wall
+    clearance z, the approach angle k, the swing lift and the elbow branch.
+
+    validate, replay, compile_joint_table and run_scenario read the stance
+    and the pose only from here, so what they check, replay, compile and
+    run is one plan. No field has a default: a plan names its whole pose.
+    Building one checks that z_mm, k_rad and lift_mm are finite and that
+    branch is an ElbowBranch; validate checks the rest.
+    """
 
     steps: list
     step_length_um: int
     initial: FootholdMap
-    advance_mode: str = ADVANCE_PER_STEP
-    z_mm: float = 100.0
-    k_rad: float = math.pi / 2
-    lift_mm: float = 20.0
-    branch: ElbowBranch = ElbowBranch.PLUS
+    advance_mode: str
+    z_mm: float
+    k_rad: float
+    lift_mm: float
+    branch: ElbowBranch
+
+    def __post_init__(self):
+        require_finite(self, "z_mm", "k_rad", "lift_mm")
+        if not isinstance(self.branch, ElbowBranch):
+            raise ValueError(f"branch must be an ElbowBranch, got {self.branch!r}")
 
     @property
     def step_length_mm(self):
@@ -185,18 +198,11 @@ def generate_cycle(geom, footholds, step_length_mm, order=LEG_IDS, *,
         steps.append(GaitStep(leg, (x, y + length_um - advanced_um), advance))
         advanced_um += advance
 
-    script = GaitScript(
-        steps=steps,
-        step_length_um=length_um,
-        initial=footholds.copy(),
-        advance_mode=advance_mode,
-        z_mm=z_mm,
-        k_rad=k_rad,
-        lift_mm=lift_mm,
-        branch=branch,
-    )
+    script = GaitScript(steps=steps, step_length_um=length_um, initial=footholds.copy(),
+                        advance_mode=advance_mode, z_mm=z_mm, k_rad=k_rad, lift_mm=lift_mm,
+                        branch=branch)
 
-    report = validate(script, geom, footholds, limits=limits)
+    report = validate(script, geom, limits=limits)
     for violation in report.violations:
         if violation.kind == "unreachable":
             raise UnreachableFoothold(str(violation), leg=violation.leg, step=violation.step)
@@ -205,9 +211,10 @@ def generate_cycle(geom, footholds, step_length_mm, order=LEG_IDS, *,
     return script
 
 
-def validate(script, geom, footholds, limits=None):
-    """Replay a script symbolically against a starting stance and report
-    every violated invariant (no exceptions; the report carries them).
+def validate(script, geom, limits=None):
+    """Replay a script symbolically from its own start stance,
+    `script.initial`, at its own z, k and lift, and report every violated
+    invariant (no exceptions; the report carries them).
 
     Checks: swing coverage (each leg exactly once), at least three legs
     attached at every instant, every commanded foothold inside the
@@ -233,13 +240,13 @@ def validate(script, geom, footholds, limits=None):
     if sorted(swings) != list(LEG_IDS):
         report.add("coverage", f"swing legs {swings} do not cover each of {LEG_IDS} exactly once")
 
-    z = script.z_mm
-    attached = dict(footholds.attached)
+    z, initial = script.z_mm, script.initial
+    attached = dict(initial.attached)
     for leg in LEG_IDS:
         if attached[leg]:
-            check_reach(footholds.points_um[leg], z, -1, leg, "initial foothold")
+            check_reach(initial.points_um[leg], z, -1, leg, "initial foothold")
 
-    stances = list(replay(script, footholds))
+    stances = list(replay(script))
     for index, (step, before, after) in enumerate(zip(script.steps, stances, stances[1:])):
         leg = step.swing_leg
         old_bf = before[leg]
@@ -268,20 +275,20 @@ def validate(script, geom, footholds, limits=None):
         report.add("closure",
                    f"body advanced {advanced_um} um over the cycle, "
                    f"expected {script.step_length_um}")
-    if stances[-1] != footholds.points_um:
+    if stances[-1] != initial.points_um:
         report.add("closure",
                    f"body-frame stance {stances[-1]} does not return to initial "
-                   f"{footholds.points_um}")
-    if attached != footholds.attached:
+                   f"{initial.points_um}")
+    if attached != initial.attached:
         report.add("closure", "attachment flags changed over the cycle")
     return report
 
 
-def replay(script, footholds):
-    """Walk a script from a starting stance. Yield the body-frame stance,
-    leg -> (x, y) in integer micrometres, before each step and once more
-    after the cycle; a closed cycle yields the starting stance last."""
-    wall_um = dict(footholds.points_um)
+def replay(script):
+    """Walk a script from its start stance, `script.initial`. Yield the
+    body-frame stance, leg -> (x, y) in integer micrometres, before each step
+    and once more after the cycle; a closed cycle yields the start stance last."""
+    wall_um = dict(script.initial.points_um)
     body_um = 0
     for step in script.steps:
         yield {leg: (wall_um[leg][0], wall_um[leg][1] - body_um) for leg in LEG_IDS}
@@ -315,9 +322,11 @@ class JointTableRow:
     target_mm: tuple  # (x, y, z) the row was solved for
 
 
-def compile_joint_table(script, geom, z_mm, k_rad, samples_per_step, *,
-                        step_duration_s=1.0, limits=None, sink=None):
-    """Sample a validated script into per-leg joint angles.
+def compile_joint_table(script, geom, samples_per_step, *, step_duration_s=1.0, limits=None,
+                        sink=None):
+    """Sample a script into per-leg joint angles at its own pose: z, k, lift
+    and elbow branch all come from the script, which is validated first (a
+    GaitValidationError before any row is made).
 
     Each step contributes `samples_per_step` uniformly spaced samples;
     the swing runs over the whole step and the body advance lands
@@ -334,9 +343,10 @@ def compile_joint_table(script, geom, z_mm, k_rad, samples_per_step, *,
     """
     if samples_per_step < 2:
         raise ValueError(f"samples_per_step must be >= 2, got {samples_per_step}")
-    report = validate(script, geom, script.initial, limits=limits)
+    report = validate(script, geom, limits=limits)
     if not report.ok:
         raise GaitValidationError(report)
+    z_mm, k_rad = script.z_mm, script.k_rad
 
     def solved(index, j, leg, target):
         try:
@@ -348,7 +358,7 @@ def compile_joint_table(script, geom, z_mm, k_rad, samples_per_step, *,
 
     rows = []
     emit = rows.append if sink is None else sink
-    for index, (step, stance) in enumerate(zip(script.steps, replay(script, script.initial))):
+    for index, (step, stance) in enumerate(zip(script.steps, replay(script))):
         swing_leg, new_bf = step.swing_leg, step.new_foothold_mm
         stance_mm = {leg: (um_to_mm(x), um_to_mm(y)) for leg, (x, y) in stance.items()}
         held = {}  # stance leg -> (angles, target), solved at the step's first sample

@@ -257,7 +257,8 @@ class SimReport:
 
 def plan_cycle(config):
     """The validated one-cycle GaitScript of a scenario's gait, geometry and
-    joint limits."""
+    joint limits. It carries the gait's z, k, lift and elbow branch, and
+    run_scenario reads them from it, not from the gait."""
     gait = config.gait
     return generate_cycle(
         config.geometry, FootholdMap.from_mm(gait.stance_mm), gait.step_length_mm, gait.order,
@@ -282,9 +283,8 @@ def run_scenario(config, sink=None):
     model = config.adhesion
     tick = config.tick_s
     load_n = config.tangential_load_n
-    z_mm = gait.z_mm
-
     script = plan_cycle(config)
+    z_mm = script.z_mm
     n_ticks = {phase: max(1, round(duration_s / tick)) for phase, duration_s in (
         ("vent", model.vent_s), ("swing", gait.swing_s), ("attach", model.dwell_s),
         ("advance", gait.advance_s))}
@@ -312,7 +312,7 @@ def run_scenario(config, sink=None):
     slip_count = 0
 
     # The gait revisits the same few poses every cycle, so ticks share them.
-    pose = pose_memo(solve_leg, config.geometry, gait.k_rad, gait.branch, config.limits)
+    pose = pose_memo(solve_leg, config.geometry, script.k_rad, script.branch, config.limits)
 
     def stance_pose():
         """Every leg on its foothold."""
@@ -406,7 +406,7 @@ def run_scenario(config, sink=None):
                     if phase == "vent":
                         pressure[leg] = vent(vent_p0, (j + 1) / n)
                     elif phase == "swing":
-                        waypoint = swing_waypoint(old_bf, new_bf, (j + 1) / n, z_mm, gait.lift_mm)
+                        waypoint = swing_waypoint(old_bf, new_bf, (j + 1) / n, z_mm, script.lift_mm)
                         angles = {**stance, leg: pose(*waypoint)}
                     elif phase == "advance":
                         share = shares[j]

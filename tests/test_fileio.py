@@ -21,7 +21,7 @@ GEOM = LegGeometry()
 
 def compiled_rows():
     script = generate_cycle(GEOM, FootholdMap.square_stance(), 40.0)
-    return compile_joint_table(script, GEOM, 100.0, math.pi / 2, 4)
+    return compile_joint_table(script, GEOM, 4)
 
 
 def test_joint_table_round_trip(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,13 +9,11 @@ from wallclimber.errors import (
     GaitValidationError,
     JointLimit,
     UnreachableFoothold,
-    ZUnreachable,
 )
 from wallclimber.gait import (
     ADVANCE_PER_CYCLE,
     LEG_IDS,
     FootholdMap,
-    GaitScript,
     GaitStep,
     compile_joint_table,
     generate_cycle,
@@ -22,9 +21,14 @@ from wallclimber.gait import (
     split_um,
     validate,
 )
+from wallclimber.config import load_config
 from wallclimber.kinematics import CupTarget, JointLimits, LegGeometry, fk_leg, solve_leg
+from wallclimber.simulator import ScenarioConfig, plan_cycle, run_scenario
 
 GEOM = LegGeometry()
+
+# A pose other than the default in each of z, k, lift and elbow branch.
+POSE_INI = "[gait]\nz_mm = 90\nk_deg = 80\nlift_mm = 10\nbranch = minus\n"
 
 
 def default_cycle(**kwargs):
@@ -40,7 +44,7 @@ def test_generate_cycle_default():
     for step in script.steps:
         assert step.body_advance_mm == 10.0
     assert sum(s.body_advance_um for s in script.steps) == mm_to_um(40.0)
-    report = validate(script, GEOM, FootholdMap.square_stance())
+    report = validate(script, GEOM)
     assert report.ok
 
 
@@ -57,13 +61,13 @@ def test_generate_cycle_rejects_bad_order():
 def test_generate_cycle_custom_order():
     script = default_cycle(order=(3, 1, 4, 2))
     assert [s.swing_leg for s in script.steps] == [3, 1, 4, 2]
-    assert validate(script, GEOM, FootholdMap.square_stance()).ok
+    assert validate(script, GEOM).ok
 
 
 def test_generate_cycle_per_cycle_advance():
     script = default_cycle(advance_mode=ADVANCE_PER_CYCLE)
     assert [s.body_advance_um for s in script.steps] == [0, 0, 0, 40000]
-    assert validate(script, GEOM, FootholdMap.square_stance()).ok
+    assert validate(script, GEOM).ok
 
 
 def test_generate_cycle_unreachable_foothold():
@@ -85,7 +89,7 @@ def test_validate_detects_two_detached_legs():
     script = default_cycle()
     stance = FootholdMap.square_stance()
     stance.attached[4] = False  # one leg already off the wall
-    report = validate(script, GEOM, stance)
+    report = validate(dataclasses.replace(script, initial=stance), GEOM)
     kinds = {v.kind for v in report.violations}
     assert "attach_count" in kinds
     assert any("attached=2" in v.detail for v in report.violations)
@@ -93,32 +97,19 @@ def test_validate_detects_two_detached_legs():
 
 def test_validate_detects_unreachable_foothold():
     script = default_cycle()
-    bad = GaitScript(
-        steps=[
-            GaitStep(1, (0, 300000), script.steps[0].body_advance_um),
-            *script.steps[1:],
-        ],
-        step_length_um=script.step_length_um,
-        initial=script.initial,
-        z_mm=script.z_mm,
-        k_rad=script.k_rad,
-        lift_mm=script.lift_mm,
-    )
-    report = validate(bad, GEOM, FootholdMap.square_stance())
+    bad = dataclasses.replace(script, steps=[
+        GaitStep(1, (0, 300000), script.steps[0].body_advance_um),
+        *script.steps[1:],
+    ])
+    report = validate(bad, GEOM)
     assert any(v.kind == "unreachable" for v in report.violations)
 
 
 def test_validate_detects_coverage_and_closure():
     script = default_cycle()
-    twice = GaitScript(
-        steps=[script.steps[0], script.steps[0], script.steps[2], script.steps[3]],
-        step_length_um=script.step_length_um,
-        initial=script.initial,
-        z_mm=script.z_mm,
-        k_rad=script.k_rad,
-        lift_mm=script.lift_mm,
-    )
-    report = validate(twice, GEOM, FootholdMap.square_stance())
+    twice = dataclasses.replace(
+        script, steps=[script.steps[0], script.steps[0], script.steps[2], script.steps[3]])
+    report = validate(twice, GEOM)
     kinds = {v.kind for v in report.violations}
     assert "coverage" in kinds
     assert "closure" in kinds
@@ -126,32 +117,28 @@ def test_validate_detects_coverage_and_closure():
 
 def test_validate_reports_excessive_lift_instead_of_crashing():
     script = default_cycle()
-    toppled = GaitScript(
-        steps=script.steps,
-        step_length_um=script.step_length_um,
-        initial=script.initial,
-        z_mm=script.z_mm,
-        k_rad=script.k_rad,
-        lift_mm=script.z_mm + 50.0,  # cup would have to pass through the body
-    )
-    report = validate(toppled, GEOM, FootholdMap.square_stance())
+    # the cup would have to pass through the body
+    toppled = dataclasses.replace(script, lift_mm=script.z_mm + 50.0)
+    report = validate(toppled, GEOM)
     assert any("negative" in v.detail for v in report.violations)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("z_mm", math.nan), ("k_rad", math.inf), ("lift_mm", math.nan), ("lift_mm", None),
+    ("branch", 1), ("branch", "plus"),
+])
+def test_gait_script_checks_its_pose_when_built(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        dataclasses.replace(default_cycle(), **{name: value})
 
 
 def test_validate_flags_negative_advance():
     script = default_cycle()
-    backwards = GaitScript(
-        steps=[
-            GaitStep(1, script.steps[0].new_foothold_um, -10000),
-            *script.steps[1:],
-        ],
-        step_length_um=script.step_length_um,
-        initial=script.initial,
-        z_mm=script.z_mm,
-        k_rad=script.k_rad,
-        lift_mm=script.lift_mm,
-    )
-    report = validate(backwards, GEOM, FootholdMap.square_stance())
+    backwards = dataclasses.replace(script, steps=[
+        GaitStep(1, script.steps[0].new_foothold_um, -10000),
+        *script.steps[1:],
+    ])
+    report = validate(backwards, GEOM)
     assert any(v.kind == "advance" for v in report.violations)
 
 
@@ -174,22 +161,37 @@ def test_cycle_closure_exact_over_many_cycles():
 
 # --- compilation ----------------------------------------------------------
 
-def test_compile_first_rows_match_initial_stance():
-    script = default_cycle()
-    rows = compile_joint_table(script, GEOM, 100.0, math.pi / 2, 5)
-    stance = FootholdMap.square_stance()
-    first = {row.leg: row for row in rows[:4]}
-    for leg in LEG_IDS:
-        x, y = stance.point_mm(leg)
-        expected = solve_leg(GEOM, CupTarget(x, y, 100.0, math.pi / 2), script.branch)
-        assert first[leg].angles == expected
-        assert first[leg].t_s == 0.0
+def test_compile_first_rows_match_initial_stance(tmp_path):
+    ini = tmp_path / "pose.ini"
+    ini.write_text(POSE_INI, encoding="utf-8")
+    for config in (ScenarioConfig(), load_config(str(ini))):
+        script = plan_cycle(config)
+        rows = compile_joint_table(script, GEOM, 5)
+        stance = FootholdMap.square_stance()
+        first = {row.leg: row for row in rows[:4]}
+        for leg in LEG_IDS:
+            x, y = stance.point_mm(leg)
+            expected = solve_leg(GEOM, CupTarget(x, y, script.z_mm, script.k_rad), script.branch)
+            assert first[leg].angles == expected
+            assert first[leg].t_s == 0.0
+        # every row is solved at the script's pose, not at a default one
+        assert {row.target_mm[2] for row in rows if row.attached} == {script.z_mm}
+        assert min(row.target_mm[2] for row in rows if not row.attached) == (
+            script.z_mm - script.lift_mm)
+        for row in rows:
+            assert fk_leg(GEOM, row.angles).k == pytest.approx(script.k_rad, abs=1e-12)
+        # the run solves the same pose: on its first tick every cup is on its foothold
+        run = run_scenario(dataclasses.replace(config, cycles=1))
+        assert run.records[0].angles == {leg: first[leg].angles for leg in LEG_IDS}
+        lowest = min(fk_leg(GEOM, angles).z
+                     for record in run.records for angles in record.angles.values())
+        assert lowest == pytest.approx(script.z_mm - script.lift_mm, abs=1e-9)
 
 
 def test_compile_row_count_and_ordering():
     script = default_cycle()
     samples = 7
-    rows = compile_joint_table(script, GEOM, 100.0, math.pi / 2, samples)
+    rows = compile_joint_table(script, GEOM, samples)
     assert len(rows) == 4 * samples * 4
     # time never decreases; legs cycle 1..4 within each sample
     times = [row.t_s for row in rows]
@@ -199,7 +201,7 @@ def test_compile_row_count_and_ordering():
 
 def test_compile_rows_fk_round_trip():
     script = default_cycle()
-    rows = compile_joint_table(script, GEOM, 100.0, math.pi / 2, 6)
+    rows = compile_joint_table(script, GEOM, 6)
     for row in rows:
         echo = fk_leg(GEOM, row.angles)
         assert abs(echo.x - row.target_mm[0]) <= 1e-9
@@ -212,7 +214,7 @@ def test_compile_swing_waypoints_follow_line_with_lift():
     # independent recomputation of the swing leg's commanded pose
     script = default_cycle()
     samples = 5
-    rows = compile_joint_table(script, GEOM, 100.0, math.pi / 2, samples)
+    rows = compile_joint_table(script, GEOM, samples)
     stance = FootholdMap.square_stance()
     old = stance.point_mm(1)
     new = script.steps[0].new_foothold_mm
@@ -233,7 +235,7 @@ def test_compile_swing_waypoints_follow_line_with_lift():
 def test_compile_attached_flags():
     script = default_cycle()
     samples = 3
-    rows = compile_joint_table(script, GEOM, 100.0, math.pi / 2, samples)
+    rows = compile_joint_table(script, GEOM, samples)
     for index, step in enumerate(script.steps):
         chunk = rows[index * 4 * samples:(index + 1) * 4 * samples]
         for row in chunk:
@@ -245,7 +247,7 @@ def test_compile_with_limits_keeps_all_angles_inside():
     # every sample was limit-checked at solve time
     limits = JointLimits(-math.pi, math.pi)
     script = generate_cycle(GEOM, FootholdMap.square_stance(), 40.0, limits=limits)
-    rows = compile_joint_table(script, GEOM, 100.0, math.pi / 2, 5, limits=limits)
+    rows = compile_joint_table(script, GEOM, 5, limits=limits)
     for row in rows:
         for angle in row.angles.as_tuple():
             assert limits.lower <= angle <= limits.upper
@@ -254,39 +256,34 @@ def test_compile_with_limits_keeps_all_angles_inside():
 def test_compile_rejects_single_sample():
     script = default_cycle()
     with pytest.raises(ValueError):
-        compile_joint_table(script, GEOM, 100.0, math.pi / 2, 1)
+        compile_joint_table(script, GEOM, 1)
 
 
 def test_compile_rejects_invalid_script():
     script = default_cycle()
     stance = FootholdMap.square_stance()
     stance.attached[4] = False
-    bad = GaitScript(
-        steps=script.steps,
-        step_length_um=script.step_length_um,
-        initial=stance,
-        z_mm=script.z_mm,
-        k_rad=script.k_rad,
-        lift_mm=script.lift_mm,
-    )
+    bad = dataclasses.replace(script, initial=stance)
     with pytest.raises(GaitValidationError):
-        compile_joint_table(bad, GEOM, 100.0, math.pi / 2, 4)
+        compile_joint_table(bad, GEOM, 4)
 
 
-def test_compile_propagates_kinematics_error_with_location():
-    # the script validates at its own z, but compiling at an impossible
-    # clearance must name the failing step/sample/leg
-    script = default_cycle()
-    with pytest.raises(ZUnreachable) as info:
-        compile_joint_table(script, GEOM, 250.0, math.pi / 2, 4)
-    message = str(info.value)
-    assert "step 0" in message and "sample 0" in message and "leg" in message
+def test_compile_validates_the_pose_of_the_script():
+    # compile solves at the script's own z, so a plan moved to an impossible
+    # clearance is refused by its validation before any row is made
+    far = dataclasses.replace(default_cycle(), z_mm=250.0)
+    seen = []
+    with pytest.raises(GaitValidationError) as info:
+        compile_joint_table(far, GEOM, 4, sink=seen.append)
+    assert "z_unreachable" in str(info.value)
+    assert {v.kind for v in info.value.report.violations} == {"unreachable"}
+    assert seen == []
 
 
 def test_compile_timing_grid():
     script = default_cycle()
     samples = 4
-    rows = compile_joint_table(script, GEOM, 100.0, math.pi / 2, samples,
+    rows = compile_joint_table(script, GEOM, samples,
                                step_duration_s=2.0)
     per_leg = [row.t_s for row in rows if row.leg == 2]
     expected = [(i + j / samples) * 2.0 for i in range(4) for j in range(samples)]
@@ -313,7 +310,7 @@ def test_compile_names_unreachable_swing_sample_under_tight_limits():
     limits = JointLimits(-math.pi, math.radians(177.0))
     script = default_cycle()
     with pytest.raises(JointLimit, match=r"^step 3 sample 3 leg 4: theta1="):
-        compile_joint_table(script, GEOM, 100.0, math.pi / 2, 10, limits=limits)
+        compile_joint_table(script, GEOM, 10, limits=limits)
 
 
 def test_compile_solves_each_distinct_target_once(monkeypatch):
@@ -324,7 +321,7 @@ def test_compile_solves_each_distinct_target_once(monkeypatch):
         return solve_leg(geom, target, branch, limits)
 
     monkeypatch.setattr("wallclimber.gait.solve_leg", counting_solve)
-    rows = compile_joint_table(default_cycle(), GEOM, 100.0, math.pi / 2, 10)
+    rows = compile_joint_table(default_cycle(), GEOM, 10)
     assert len(rows) == 160
     assert len(targets) == len(set(targets)) == len({row.target_mm for row in rows})
     assert len({id(row.angles) for row in rows}) == len(targets)

@@ -96,11 +96,11 @@ def test_every_cycle_closes_exactly(stance, order, step_length_mm, advance_mode)
     footholds = FootholdMap.from_mm(stance)
     script = generate_cycle(geom, footholds, step_length_mm, tuple(order),
                             advance_mode=advance_mode)
-    stances = list(replay(script, footholds))
+    stances = list(replay(script))
     assert len(stances) == len(script.steps) + 1
     assert stances[0] == stances[-1] == footholds.points_um
     assert sum(step.body_advance_um for step in script.steps) == script.step_length_um
-    assert not [v for v in validate(script, geom, footholds).violations if v.kind == "closure"]
+    assert not [v for v in validate(script, geom).violations if v.kind == "closure"]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

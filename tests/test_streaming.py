@@ -157,8 +157,7 @@ TIGHT_LIMITS_INI = "[joints]\nlimit_min_deg = -180\nlimit_max_deg = 177\n"
 
 def compile_config(config, **kwargs):
     gait = config.gait
-    return compile_joint_table(plan_cycle(config), config.geometry, gait.z_mm, gait.k_rad,
-                               gait.samples_per_step,
+    return compile_joint_table(plan_cycle(config), config.geometry, gait.samples_per_step,
                                step_duration_s=gait.swing_s + gait.advance_s,
                                limits=config.limits, **kwargs)
 
@@ -262,8 +261,7 @@ def _compile_peak_alloc_bytes(samples):
     script = plan_cycle(config)
     tracemalloc.start()
     try:
-        compile_joint_table(script, config.geometry, 100.0, math.pi / 2, samples,
-                            sink=lambda row: None)
+        compile_joint_table(script, config.geometry, samples, sink=lambda row: None)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
