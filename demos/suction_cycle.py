@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Narrate the pneumatic side: gripping a cup, the pressure curve,
-holding forces, releasing, and what a leaky surface does.
+holding forces, releasing, a leaky cup that needs its extension dwell,
+and a surface too porous to grip.
 
 Usage: python demos/suction_cycle.py
 """
@@ -50,6 +51,14 @@ def main():
     out = "pneumatic_events_demo.csv"
     write_events_csv(out, trace)
     print(f"wrote {out} ({len(trace)} events)")
+
+    print("\n--- a leaky surface: the cup grips on its extension dwell ---")
+    slow = AdhesionModel(leak_kpa_per_s=115.0)
+    print(f"  equilibrium {slow.equilibrium_kpa:.2f} kPa: one dwell ends short of the threshold")
+    events, _ = attach_sequence(PneumaticState.initial(), 1, slow)
+    for event in events:
+        print(f"  t={event.t_s:4.2f}s  {event.pressure_kpa:8.3f} kPa  "
+              f"{'attached' if event.attached else 'not attached'}")
 
     print("\n--- a surface too porous to grip ---")
     leaky = AdhesionModel(leak_kpa_per_s=200.0)

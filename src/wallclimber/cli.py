@@ -21,7 +21,7 @@ import sys
 from . import fileio
 from .config import CONFIG_ENV_VAR, load_config, resolve_config_path
 from .errors import ClimberError, ConfigError, require_finite
-from .gait import compile_joint_table
+from .gait import LEG_IDS, compile_joint_table
 from .kinematics import CupTarget, ElbowBranch, fk_leg, fk_normal_z, fk_planar_xy, solve_leg
 from .simulator import plan_cycle, run_scenario, sweep_climb_angle
 
@@ -66,16 +66,11 @@ def _cmd_gait(args):
     config = _load(args)
     gait = config.gait
     script = plan_cycle(config)
-    rows = 0
-    with fileio.joint_table_sink(args.out) as write:
-        def sink(row):
-            nonlocal rows
-            write(row)
-            rows += 1
-
+    with fileio.joint_table_sink(args.out) as sink:
         compile_joint_table(script, config.geometry, gait.samples_per_step,
                             step_duration_s=gait.swing_s + gait.advance_s,
                             limits=config.limits, sink=sink)
+    rows = gait.samples_per_step * len(LEG_IDS) * len(script.steps)
     print(f"wrote {args.out} ({rows} rows)")
     return EXIT_OK
 

@@ -104,7 +104,8 @@ class PumpOff(ClimberError):
 
 
 class AttachTimeout(ClimberError):
-    """Cup pressure cannot reach the attach threshold within the dwell."""
+    """Cup pressure has not passed the attach threshold after the last dwell
+    that pneumatics.ATTACH_DWELLS allows; a run reports `attach_timeout`."""
 
 
 class NotAttached(ClimberError):

@@ -106,7 +106,7 @@ class GaitStep:
         return um_to_mm(self.body_advance_um)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaitScript:
     """A one-cycle plan with its start stance and its pose: the wall
     clearance z, the approach angle k, the swing lift and the elbow branch.
@@ -114,8 +114,8 @@ class GaitScript:
     validate, replay, compile_joint_table and run_scenario read the stance
     and the pose only from here, so what they check, replay, compile and
     run is one plan. No field has a default: a plan names its whole pose.
-    Building one checks that z_mm, k_rad and lift_mm are finite and that
-    branch is an ElbowBranch; validate checks the rest.
+    It is frozen, and building one checks that z_mm, k_rad and lift_mm are
+    finite and that branch is an ElbowBranch; validate checks the rest.
     """
 
     steps: list

@@ -22,6 +22,9 @@ from .errors import AttachTimeout, NotAttached, PumpOff, require_finite
 
 DEFAULT_PUMP_LEGS = {"A": (1, 2), "B": (3, 4)}
 
+# The attach policy: one dwell, one extension if the cup has not gripped, then a timeout.
+ATTACH_DWELLS = 2
+
 
 class Valve(Enum):
     SUCTION = "suction"
@@ -114,8 +117,8 @@ def assign_pumps(pump_legs):
 class PneumaticState:
     """Snapshot of pumps, valves, and cup pressures.
 
-    Transition helpers return updated copies; treat instances as
-    immutable snapshots and thread mutations through one owner.
+    Transition helpers return updated copies and leave their input as it
+    was. run_scenario mutates its own state in place, tick by tick.
     """
 
     pump_on: dict
@@ -198,30 +201,32 @@ class PneumaticEvent:
 
 
 def attach_sequence(state, leg, model):
-    """Switch a vented leg to SUCTION and dwell until it grips.
+    """Switch a vented leg to SUCTION and dwell until it grips: at most
+    ATTACH_DWELLS dwells, the policy that run_scenario follows too.
 
-    Returns (events, new_state). Raises PumpOff if the assigned pump is
-    not running, AttachTimeout if the pressure cannot pass the attach
-    threshold within one dwell (leaky surface: the leak-shifted
-    equilibrium sits above the threshold).
+    Returns (events, new_state), an event at the switch and one per dwell.
+    Raises PumpOff if the assigned pump is not running, AttachTimeout if
+    the pressure has not passed the attach threshold after the last dwell.
     """
     if state.valve[leg] is not Valve.VENT:
         raise ValueError(f"leg {leg} valve must be VENT before attaching")
     if not state.pump_running(leg):
         raise PumpOff(f"pump {state.pump_of_leg[leg]} for leg {leg} is off")
 
-    p0 = state.pressure_kpa[leg]
-    p_end = pressure_under_suction(model, p0, model.dwell_s)
     new = state.with_valve(leg, Valve.SUCTION)
-    new.pressure_kpa[leg] = p_end
-    if not new.is_attached(leg, model):
-        raise AttachTimeout(
-            f"leg {leg} reached {p_end:.3f} kPa after {model.dwell_s} s dwell, "
-            f"threshold {model.attach_threshold_kpa} kPa "
-            f"(equilibrium {model.equilibrium_kpa:.3f} kPa)"
-        )
-    return [PneumaticEvent(0.0, leg, Valve.SUCTION, p0, False),
-            PneumaticEvent(model.dwell_s, leg, Valve.SUCTION, p_end, True)], new
+    p = state.pressure_kpa[leg]
+    events = [PneumaticEvent(0.0, leg, Valve.SUCTION, p, False)]
+    for dwell in range(1, ATTACH_DWELLS + 1):
+        p = new.pressure_kpa[leg] = pressure_under_suction(model, p, model.dwell_s)
+        attached = new.is_attached(leg, model)
+        events.append(PneumaticEvent(dwell * model.dwell_s, leg, Valve.SUCTION, p, attached))
+        if attached:
+            return events, new
+    raise AttachTimeout(
+        f"leg {leg} reached {p:.3f} kPa after {ATTACH_DWELLS} dwells of {model.dwell_s} s, "
+        f"threshold {model.attach_threshold_kpa} kPa "
+        f"(equilibrium {model.equilibrium_kpa:.3f} kPa)"
+    )
 
 
 def detach_sequence(state, leg, model):

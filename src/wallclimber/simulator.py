@@ -2,8 +2,9 @@
 
 A run executes the climbing cycle tick by tick. Every step goes
 through four phases -- vent the swing cup, swing it to the next
-foothold, pull vacuum until it grips, then advance the body -- with
-phase durations taken from the config and rounded to whole ticks.
+foothold, pull vacuum until it grips (at most pneumatics.ATTACH_DWELLS
+dwells, as in attach_sequence), then advance the body -- with phase
+durations taken from the config and rounded to whole ticks.
 
 Gravity along the wall loads the attached cups tangentially. When the
 load approaches the friction-limited holding capacity part of each
@@ -34,6 +35,7 @@ from .gait import (
 )
 from .kinematics import ElbowBranch, JointLimits, LegGeometry, pose_memo, solve_leg
 from .pneumatics import (
+    ATTACH_DWELLS,
     DEFAULT_PUMP_LEGS,
     AdhesionModel,
     PneumaticState,
@@ -43,10 +45,6 @@ from .pneumatics import (
     suction_decay,
     vent,
 )
-
-# The phases of one step. An attach extension edits a step's plan, and the
-# phase it inserts carries that cause.
-STEP_PHASES = ("vent", "swing", "attach", "advance")
 
 
 @dataclass
@@ -377,9 +375,9 @@ def run_scenario(config, sink=None):
             old_bf = (um_to_mm(wall_um[leg][0]), um_to_mm(wall_um[leg][1] - body_um))
             new_bf = step.new_foothold_mm
 
-            plan = [(name, "normal") for name in STEP_PHASES]
+            plan = ["vent", "swing", *["attach"] * ATTACH_DWELLS, "advance"]
             while plan:
-                phase, cause = plan.pop(0)
+                phase = plan.pop(0)
                 n = n_ticks[phase]
                 speed = slip = 0.0
                 stance = stance_pose()
@@ -430,13 +428,12 @@ def run_scenario(config, sink=None):
                 if phase == "attach":
                     if attached[leg]:  # the grip of the attach's last tick
                         wall_um[leg] = (step.new_foothold_um[0], step.new_foothold_um[1] + body_um)
-                    elif cause == "extension":
+                        del plan[:plan.count("attach")]  # the dwells left
+                    elif plan[0] != "attach":
                         return ticks - 1, "attach_timeout", (
                             f"attach timeout on leg {leg}: "
                             f"{pressure[leg]:.3f} kPa above threshold "
                             f"{model.attach_threshold_kpa} kPa")
-                    else:
-                        plan.insert(0, ("attach", "extension"))  # one more dwell
         return None, None, None
 
     failure_tick, failure_code, failure_reason = climb()

@@ -79,20 +79,24 @@ def test_summary_round_trip(tmp_path):
 
 
 def test_events_round_trip(tmp_path):
-    model = AdhesionModel()
-    events, state = attach_sequence(PneumaticState.initial(), 2, model)
-    more, _ = detach_sequence(state, 2, model)
-    events += more
-    path = tmp_path / "events.csv"
-    fileio.write_events_csv(path, events)
-    back = fileio.read_events_csv(path)
-    assert len(back) == len(events)
-    for original, (t, leg, valve, pressure, attached) in zip(events, back):
-        assert t == original.t_s
-        assert leg == original.leg
-        assert valve == original.valve.value
-        assert pressure == original.pressure_kpa
-        assert attached == original.attached
+    # leak 115 kPa/s grips only after the extension dwell: one more attach event
+    for leak, grips in ((0.0, [False, True]), (115.0, [False, False, True])):
+        model = AdhesionModel(leak_kpa_per_s=leak)
+        events, state = attach_sequence(PneumaticState.initial(), 2, model)
+        assert [e.t_s for e in events] == [i * model.dwell_s for i in range(len(grips))]
+        assert [e.attached for e in events] == grips
+        more, _ = detach_sequence(state, 2, model)
+        events += more
+        path = tmp_path / f"events_{leak:g}.csv"
+        fileio.write_events_csv(path, events)
+        back = fileio.read_events_csv(path)
+        assert len(back) == len(events)
+        for original, (t, leg, valve, pressure, attached) in zip(events, back):
+            assert t == original.t_s
+            assert leg == original.leg
+            assert valve == original.valve.value
+            assert pressure == original.pressure_kpa
+            assert attached == original.attached
 
 
 def test_sweep_round_trip(tmp_path):

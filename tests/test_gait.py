@@ -132,6 +132,16 @@ def test_gait_script_checks_its_pose_when_built(name, value):
         dataclasses.replace(default_cycle(), **{name: value})
 
 
+def test_gait_script_pose_cannot_be_assigned_past_its_check():
+    # frozen: the pose is set only by building, which checks it
+    script = default_cycle()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        script.lift_mm = math.nan
+    assert script.lift_mm == 20.0
+    with pytest.raises(ValueError, match="^lift_mm must be finite"):
+        dataclasses.replace(script, lift_mm=math.nan)
+
+
 def test_validate_flags_negative_advance():
     script = default_cycle()
     backwards = dataclasses.replace(script, steps=[

@@ -16,6 +16,7 @@ from wallclimber.pneumatics import (
     relax,
     suction_decay,
 )
+from wallclimber.simulator import ScenarioConfig, run_scenario
 
 MODEL = AdhesionModel()
 
@@ -69,6 +70,20 @@ def test_attach_timeout_with_leak():
     state = PneumaticState.initial()
     with pytest.raises(AttachTimeout):
         attach_sequence(state, 2, leaky)
+
+
+@pytest.mark.parametrize("leak", [100.0, 110.0, 112.0, 115.0, 118.0, 119.9, 125.0])
+def test_attach_sequence_times_out_exactly_when_a_run_does(leak):
+    # one attach policy: 112-118 kPa/s grip only after the extension dwell,
+    # 119.9 misses after it, and 125 puts the equilibrium above the threshold
+    model = AdhesionModel(leak_kpa_per_s=leak)
+    report = run_scenario(ScenarioConfig(cycles=1, adhesion=model))
+    try:
+        attach_sequence(PneumaticState.initial(), 1, model)
+        timed_out = False
+    except AttachTimeout:
+        timed_out = True
+    assert timed_out == (report.failure_code == "attach_timeout")
 
 
 def test_attach_with_tolerable_leak():
