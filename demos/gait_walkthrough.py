@@ -1,25 +1,27 @@
 #!/usr/bin/env python3
-"""Build one climbing cycle, validate it, show the exact closure
-bookkeeping, and compile it into a joint-angle table.
+"""Plan one climbing cycle from a GaitParams, validate it, show the exact
+closure bookkeeping, and compile it into a joint-angle table.
 
 Usage: python demos/gait_walkthrough.py
 """
 
 import math
 
-from wallclimber import FootholdMap, LegGeometry, compile_joint_table, generate_cycle, validate
+from wallclimber import (FootholdMap, GaitParams, LegGeometry, compile_joint_table,
+                         generate_cycle, validate)
 from wallclimber.fileio import write_joint_table
 
 
 def main():
     geom = LegGeometry()
-    stance = FootholdMap.square_stance()
+    gait = GaitParams(step_length_mm=40.0)  # every other knob at its default
+    stance = FootholdMap.from_mm(gait.stance_mm)
     print("=" * 60)
     print("Initial stance (body frame, mm):")
     for leg in (1, 2, 3, 4):
         print(f"  leg {leg}: {stance.point_mm(leg)}")
 
-    script = generate_cycle(geom, stance, step_length_mm=40.0)
+    script = generate_cycle(geom, gait)
     print(f"\nCycle of {len(script.steps)} steps, step length "
           f"{script.step_length_mm} mm, advance mode '{script.advance_mode}':")
     for i, step in enumerate(script.steps):

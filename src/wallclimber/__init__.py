@@ -6,6 +6,7 @@ inclined-platform scenario runner."""
 from .config import load_config
 from .gait import (
     FootholdMap,
+    GaitParams,
     GaitScript,
     GaitStep,
     compile_joint_table,
@@ -35,7 +36,6 @@ from .pneumatics import (
     holding_capacity,
 )
 from .simulator import (
-    GaitParams,
     ScenarioConfig,
     SimReport,
     power_model,

@@ -21,9 +21,9 @@ import sys
 from . import fileio
 from .config import CONFIG_ENV_VAR, load_config, resolve_config_path
 from .errors import ClimberError, ConfigError, require_finite
-from .gait import LEG_IDS, compile_joint_table
+from .gait import LEG_IDS, compile_joint_table, generate_cycle
 from .kinematics import CupTarget, ElbowBranch, fk_leg, fk_normal_z, fk_planar_xy, solve_leg
-from .simulator import plan_cycle, run_scenario, sweep_climb_angle
+from .simulator import run_scenario, sweep_climb_angle
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -65,7 +65,7 @@ def _cmd_fk(args):
 def _cmd_gait(args):
     config = _load(args)
     gait = config.gait
-    script = plan_cycle(config)
+    script = generate_cycle(config.geometry, gait, config.limits)
     with fileio.joint_table_sink(args.out) as sink:
         compile_joint_table(script, config.geometry, gait.samples_per_step,
                             step_duration_s=gait.swing_s + gait.advance_s,

@@ -75,10 +75,6 @@ class JointLimit(KinematicsError):
 
 # --- gait ---------------------------------------------------------------
 
-class BadOrder(ClimberError):
-    """Swing order is not a permutation of the four leg ids."""
-
-
 class UnreachableFoothold(ClimberError):
     """A planned foothold cannot be reached; carries leg id and step index."""
 

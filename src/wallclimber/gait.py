@@ -16,8 +16,8 @@ floats appear only at the kinematics boundary.
 import math
 from dataclasses import dataclass, field
 
-from .errors import (BadOrder, GaitValidationError, KinematicsError, UnreachableFoothold,
-                     require_finite)
+from .errors import (GaitValidationError, KinematicsError, UnreachableFoothold, is_finite_real,
+                     require_finite, require_int)
 from .kinematics import CupTarget, ElbowBranch, JointAngles, reachable, solve_leg
 
 LEG_IDS = (1, 2, 3, 4)
@@ -84,8 +84,59 @@ class FootholdMap:
     def points_mm(self):
         return {leg: self.point_mm(leg) for leg in LEG_IDS}
 
-    def copy(self):
-        return FootholdMap(dict(self.points_um), dict(self.attached))
+
+@dataclass(frozen=True)
+class GaitParams:
+    """Gait planning knobs for a scenario (mm, radians, seconds).
+
+    The one place the gait's defaults and checks are written: generate_cycle
+    plans from it as it is. It is frozen, so no field changes past its check;
+    the entries of `stance_mm` can still be assigned.
+    """
+
+    stance_mm: dict = field(default_factory=lambda: FootholdMap.square_stance().points_mm())
+    step_length_mm: float = 40.0
+    order: tuple = LEG_IDS
+    lift_mm: float = 20.0
+    z_mm: float = 100.0
+    k_rad: float = math.pi / 2
+    branch: ElbowBranch = ElbowBranch.PLUS
+    samples_per_step: int = 10
+    advance_mode: str = ADVANCE_PER_STEP
+    swing_s: float = 0.6
+    advance_s: float = 0.4
+
+    def __post_init__(self):
+        require_finite(self, "step_length_mm", "lift_mm", "z_mm", "k_rad", "swing_s",
+                       "advance_s")
+        require_int(self, "samples_per_step")
+        if not isinstance(self.stance_mm, dict) or set(self.stance_mm) != set(LEG_IDS):
+            raise ValueError(f"stance_mm must be a dict keyed by {LEG_IDS}, got {self.stance_mm!r}")
+        for leg, point in self.stance_mm.items():
+            if not isinstance(point, (tuple, list)) or len(point) != 2:
+                raise ValueError(f"stance_mm[{leg}] must be an (x, y) pair, got {point!r}")
+            if not all(is_finite_real(c) for c in point):
+                raise ValueError(f"stance_mm[{leg}] must be finite, got {point}")
+        if self.step_length_mm <= 0.0:
+            raise ValueError(f"step_length_mm must be > 0, got {self.step_length_mm}")
+        if self.samples_per_step < 2:
+            raise ValueError(f"samples_per_step must be >= 2, got {self.samples_per_step}")
+        if self.advance_mode not in ADVANCE_MODES:
+            raise ValueError(f"advance_mode must be one of {ADVANCE_MODES}")
+        try:
+            permutation = sorted(self.order) == list(LEG_IDS)
+        except TypeError:  # not iterable, or legs that do not compare
+            permutation = False
+        if not permutation:
+            raise ValueError(f"order must be a permutation of {LEG_IDS}, got {self.order}")
+        if not isinstance(self.branch, ElbowBranch):
+            raise ValueError(f"branch must be an ElbowBranch, got {self.branch!r}")
+        if self.swing_s <= 0.0 or self.advance_s <= 0.0:
+            raise ValueError("swing_s and advance_s must be > 0")
+        if not 0.0 <= self.lift_mm <= self.z_mm:
+            raise ValueError(
+                f"lift_mm must lie in [0, z_mm], got lift={self.lift_mm} z={self.z_mm}"
+            )
 
 
 @dataclass(frozen=True)
@@ -166,25 +217,19 @@ class GaitValidationReport:
         self.violations.append(Violation(kind, detail, step, leg))
 
 
-def generate_cycle(geom, footholds, step_length_mm, order=LEG_IDS, *,
-                   z_mm=100.0, k_rad=math.pi / 2, lift_mm=20.0,
-                   advance_mode=ADVANCE_PER_STEP, branch=ElbowBranch.PLUS,
-                   limits=None):
-    """Build one climbing cycle: each leg in `order` swings one step length
-    up the wall (+y), with the body advance split per `advance_mode`.
+def generate_cycle(geom, gait, limits=None):
+    """Build one climbing cycle from a GaitParams: from `gait.stance_mm`,
+    each leg in `gait.order` swings one step length up the wall (+y), with
+    the body advance split per `gait.advance_mode`. The script carries the
+    gait's z, k, lift and elbow branch; the GaitParams checked all of these
+    when it was built.
 
     The result is validated before it is returned; reach problems raise
     UnreachableFoothold naming the leg and step.
     """
-    if step_length_mm <= 0.0:
-        raise ValueError(f"step_length must be > 0, got {step_length_mm}")
-    if sorted(order) != list(LEG_IDS):
-        raise BadOrder(f"swing order {tuple(order)} is not a permutation of {LEG_IDS}")
-    if advance_mode not in ADVANCE_MODES:
-        raise ValueError(f"advance_mode must be one of {ADVANCE_MODES}, got {advance_mode!r}")
-
-    length_um = mm_to_um(step_length_mm)
-    if advance_mode == ADVANCE_PER_STEP:
+    footholds, order = FootholdMap.from_mm(gait.stance_mm), gait.order
+    length_um = mm_to_um(gait.step_length_mm)
+    if gait.advance_mode == ADVANCE_PER_STEP:
         advances = split_um(length_um, len(order))
     else:
         advances = [0] * (len(order) - 1) + [length_um]
@@ -198,9 +243,9 @@ def generate_cycle(geom, footholds, step_length_mm, order=LEG_IDS, *,
         steps.append(GaitStep(leg, (x, y + length_um - advanced_um), advance))
         advanced_um += advance
 
-    script = GaitScript(steps=steps, step_length_um=length_um, initial=footholds.copy(),
-                        advance_mode=advance_mode, z_mm=z_mm, k_rad=k_rad, lift_mm=lift_mm,
-                        branch=branch)
+    script = GaitScript(steps=steps, step_length_um=length_um, initial=footholds,
+                        advance_mode=gait.advance_mode, z_mm=gait.z_mm, k_rad=gait.k_rad,
+                        lift_mm=gait.lift_mm, branch=gait.branch)
 
     report = validate(script, geom, limits=limits)
     for violation in report.violations:
@@ -341,8 +386,10 @@ def compile_joint_table(script, geom, samples_per_step, *, step_duration_s=1.0, 
     With a `sink`, each row is handed to sink(row) as it is made and the
     returned list stays empty.
     """
-    if samples_per_step < 2:
-        raise ValueError(f"samples_per_step must be >= 2, got {samples_per_step}")
+    if type(samples_per_step) is not int or samples_per_step < 2:  # a bool is no count
+        raise ValueError(f"samples_per_step must be an integer >= 2, got {samples_per_step!r}")
+    if not is_finite_real(step_duration_s) or step_duration_s <= 0.0:
+        raise ValueError(f"step_duration_s must be finite and > 0, got {step_duration_s!r}")
     report = validate(script, geom, limits=limits)
     if not report.ok:
         raise GaitValidationError(report)

@@ -226,12 +226,12 @@ def pose_memo(solve, geom, k, branch, limits):
 
     Each target is a frozen CupTarget, equal to a checked one, built without
     running CupTarget's check again: run_scenario computes every input from
-    the GaitScript that plan_cycle built from a checked ScenarioConfig.
+    the GaitScript that generate_cycle built from a checked, frozen GaitParams.
       * x and y are um_to_mm of integer um, or a swing_waypoint between two
         such points;
       * z is script.z_mm, or z_mm - lift_mm * f with 0 <= f <= 1, where
-        plan_cycle copies z_mm and lift_mm from the GaitParams, which enforces
-        0 <= lift_mm <= z_mm, both finite, so z >= 0;
+        generate_cycle copies z_mm and lift_mm from the GaitParams, which
+        enforces 0 <= lift_mm <= z_mm, both finite, so z >= 0;
       * k is script.k_rad, copied from the GaitParams, which checks it.
     A CupTarget built from any other input runs the check as before."""
     solved = {}

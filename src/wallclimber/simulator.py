@@ -22,18 +22,16 @@ import random
 import struct
 from dataclasses import dataclass, field, replace
 
-from .errors import ClimberError, ZeroCapacity, is_finite_real, require_finite, require_int
+from .errors import ClimberError, ZeroCapacity, require_finite, require_int
 from .gait import (
-    ADVANCE_MODES,
-    ADVANCE_PER_STEP,
     LEG_IDS,
-    FootholdMap,
+    GaitParams,
     generate_cycle,
     split_um,
     swing_waypoint,
     um_to_mm,
 )
-from .kinematics import ElbowBranch, JointLimits, LegGeometry, pose_memo, solve_leg
+from .kinematics import JointLimits, LegGeometry, pose_memo, solve_leg
 from .pneumatics import (
     ATTACH_DWELLS,
     DEFAULT_PUMP_LEGS,
@@ -47,63 +45,15 @@ from .pneumatics import (
 )
 
 
-@dataclass
-class GaitParams:
-    """Gait planning knobs for a scenario (mm, radians, seconds)."""
-
-    stance_mm: dict = field(default_factory=lambda: FootholdMap.square_stance().points_mm())
-    step_length_mm: float = 40.0
-    order: tuple = LEG_IDS
-    lift_mm: float = 20.0
-    z_mm: float = 100.0
-    k_rad: float = math.pi / 2
-    branch: ElbowBranch = ElbowBranch.PLUS
-    samples_per_step: int = 10
-    advance_mode: str = ADVANCE_PER_STEP
-    swing_s: float = 0.6
-    advance_s: float = 0.4
-
-    def __post_init__(self):
-        require_finite(self, "step_length_mm", "lift_mm", "z_mm", "k_rad", "swing_s",
-                       "advance_s")
-        require_int(self, "samples_per_step")
-        if not isinstance(self.stance_mm, dict) or set(self.stance_mm) != set(LEG_IDS):
-            raise ValueError(f"stance_mm must be a dict keyed by {LEG_IDS}, got {self.stance_mm!r}")
-        for leg, point in self.stance_mm.items():
-            if not isinstance(point, (tuple, list)) or len(point) != 2:
-                raise ValueError(f"stance_mm[{leg}] must be an (x, y) pair, got {point!r}")
-            if not all(is_finite_real(c) for c in point):
-                raise ValueError(f"stance_mm[{leg}] must be finite, got {point}")
-        if self.step_length_mm <= 0.0:
-            raise ValueError(f"step_length_mm must be > 0, got {self.step_length_mm}")
-        if self.samples_per_step < 2:
-            raise ValueError(f"samples_per_step must be >= 2, got {self.samples_per_step}")
-        if self.advance_mode not in ADVANCE_MODES:
-            raise ValueError(f"advance_mode must be one of {ADVANCE_MODES}")
-        try:
-            permutation = sorted(self.order) == list(LEG_IDS)
-        except TypeError:  # not iterable, or legs that do not compare
-            permutation = False
-        if not permutation:
-            raise ValueError(f"order must be a permutation of {LEG_IDS}, got {self.order}")
-        if not isinstance(self.branch, ElbowBranch):
-            raise ValueError(f"branch must be an ElbowBranch, got {self.branch!r}")
-        if self.swing_s <= 0.0 or self.advance_s <= 0.0:
-            raise ValueError("swing_s and advance_s must be > 0")
-        if not 0.0 <= self.lift_mm <= self.z_mm:
-            raise ValueError(
-                f"lift_mm must lie in [0, z_mm], got lift={self.lift_mm} z={self.z_mm}"
-            )
-
-
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Everything one deterministic run needs.
 
     The power/slip calibration values (servo and pump draw, lift
     efficiency, slip gain and cap, robot mass) are desk-scale defaults,
     not measurements; they reproduce the qualitative speed/power trends
-    against climb angle, not absolute numbers.
+    against climb angle, not absolute numbers. It is frozen, so no field
+    changes past its check; the entries of `pump_legs` can still be assigned.
     """
 
     climb_angle_deg: float = 0.0
@@ -253,20 +203,10 @@ class SimReport:
     ticks: int = 0
 
 
-def plan_cycle(config):
-    """The validated one-cycle GaitScript of a scenario's gait, geometry and
-    joint limits. It carries the gait's z, k, lift and elbow branch, and
-    run_scenario reads them from it, not from the gait."""
-    gait = config.gait
-    return generate_cycle(
-        config.geometry, FootholdMap.from_mm(gait.stance_mm), gait.step_length_mm, gait.order,
-        z_mm=gait.z_mm, k_rad=gait.k_rad, lift_mm=gait.lift_mm,
-        advance_mode=gait.advance_mode, branch=gait.branch, limits=config.limits,
-    )
-
-
 def run_scenario(config, sink=None):
-    """Run one scenario and return its SimReport.
+    """Run one scenario and return its SimReport. The run follows the
+    GaitScript that generate_cycle plans from the config's gait, geometry
+    and joint limits, and reads z, k, lift and elbow branch from it.
 
     Each tick's TickRecord is passed to `sink` when one is given, and the
     report's `records` stays empty; without a sink the records are
@@ -281,7 +221,7 @@ def run_scenario(config, sink=None):
     model = config.adhesion
     tick = config.tick_s
     load_n = config.tangential_load_n
-    script = plan_cycle(config)
+    script = generate_cycle(config.geometry, gait, config.limits)
     z_mm = script.z_mm
     n_ticks = {phase: max(1, round(duration_s / tick)) for phase, duration_s in (
         ("vent", model.vent_s), ("swing", gait.swing_s), ("attach", model.dwell_s),

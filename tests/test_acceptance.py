@@ -14,7 +14,7 @@ import pytest
 
 from wallclimber.cli import EXIT_OK, EXIT_SIMFAIL, main
 from wallclimber.errors import NotAttached, PumpOff
-from wallclimber.gait import LEG_IDS, FootholdMap, generate_cycle, mm_to_um
+from wallclimber.gait import LEG_IDS, FootholdMap, GaitParams, generate_cycle, mm_to_um
 from wallclimber.kinematics import (
     CupTarget,
     ElbowBranch,
@@ -113,7 +113,7 @@ def test_criterion_4_gait_safety():
 
 def test_criterion_5_cycle_closure():
     stance = FootholdMap.square_stance()
-    script = generate_cycle(GEOM, stance, 40.0)
+    script = generate_cycle(GEOM, GaitParams(step_length_mm=40.0))
     for cycles in (1, 5, 20):
         # simulated displacement, exact in integer micrometres
         report = run_scenario(ScenarioConfig(cycles=cycles))

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from wallclimber import fileio
-from wallclimber.gait import FootholdMap, JointTableRow, compile_joint_table, generate_cycle
+from wallclimber.gait import GaitParams, JointTableRow, compile_joint_table, generate_cycle
 from wallclimber.kinematics import JointAngles, LegGeometry
 from wallclimber.pneumatics import (
     AdhesionModel,
@@ -20,7 +20,7 @@ GEOM = LegGeometry()
 
 
 def compiled_rows():
-    script = generate_cycle(GEOM, FootholdMap.square_stance(), 40.0)
+    script = generate_cycle(GEOM, GaitParams())
     return compile_joint_table(script, GEOM, 4)
 
 

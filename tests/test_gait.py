@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from wallclimber.errors import (
-    BadOrder,
     GaitValidationError,
     JointLimit,
     UnreachableFoothold,
@@ -14,6 +13,7 @@ from wallclimber.gait import (
     ADVANCE_PER_CYCLE,
     LEG_IDS,
     FootholdMap,
+    GaitParams,
     GaitStep,
     compile_joint_table,
     generate_cycle,
@@ -23,7 +23,7 @@ from wallclimber.gait import (
 )
 from wallclimber.config import load_config
 from wallclimber.kinematics import CupTarget, JointLimits, LegGeometry, fk_leg, solve_leg
-from wallclimber.simulator import ScenarioConfig, plan_cycle, run_scenario
+from wallclimber.simulator import ScenarioConfig, run_scenario
 
 GEOM = LegGeometry()
 
@@ -31,8 +31,8 @@ GEOM = LegGeometry()
 POSE_INI = "[gait]\nz_mm = 90\nk_deg = 80\nlift_mm = 10\nbranch = minus\n"
 
 
-def default_cycle(**kwargs):
-    return generate_cycle(GEOM, FootholdMap.square_stance(), 40.0, **kwargs)
+def default_cycle(limits=None, **gait):
+    return generate_cycle(GEOM, GaitParams(**gait), limits)
 
 
 # --- generation -----------------------------------------------------------
@@ -49,12 +49,13 @@ def test_generate_cycle_default():
 
 
 def test_generate_cycle_rejects_zero_step():
-    with pytest.raises(ValueError):
-        generate_cycle(GEOM, FootholdMap.square_stance(), 0.0)
+    # the GaitParams refuses it before generate_cycle is called
+    with pytest.raises(ValueError, match="^step_length_mm must be > 0"):
+        default_cycle(step_length_mm=0.0)
 
 
 def test_generate_cycle_rejects_bad_order():
-    with pytest.raises(BadOrder):
+    with pytest.raises(ValueError, match="^order must be a permutation"):
         default_cycle(order=(1, 1, 2, 3))
 
 
@@ -73,7 +74,7 @@ def test_generate_cycle_per_cycle_advance():
 def test_generate_cycle_unreachable_foothold():
     # a 200 mm step puts the new foothold at radius ~291 mm, past full reach
     with pytest.raises(UnreachableFoothold) as info:
-        generate_cycle(GEOM, FootholdMap.square_stance(), 200.0)
+        default_cycle(step_length_mm=200.0)
     assert info.value.leg in LEG_IDS
 
 
@@ -175,7 +176,7 @@ def test_compile_first_rows_match_initial_stance(tmp_path):
     ini = tmp_path / "pose.ini"
     ini.write_text(POSE_INI, encoding="utf-8")
     for config in (ScenarioConfig(), load_config(str(ini))):
-        script = plan_cycle(config)
+        script = generate_cycle(config.geometry, config.gait, config.limits)
         rows = compile_joint_table(script, GEOM, 5)
         stance = FootholdMap.square_stance()
         first = {row.leg: row for row in rows[:4]}
@@ -256,7 +257,7 @@ def test_compile_with_limits_keeps_all_angles_inside():
     # a half-turn window passes the whole default cycle; success means
     # every sample was limit-checked at solve time
     limits = JointLimits(-math.pi, math.pi)
-    script = generate_cycle(GEOM, FootholdMap.square_stance(), 40.0, limits=limits)
+    script = default_cycle(limits=limits)
     rows = compile_joint_table(script, GEOM, 5, limits=limits)
     for row in rows:
         for angle in row.angles.as_tuple():
@@ -267,6 +268,20 @@ def test_compile_rejects_single_sample():
     script = default_cycle()
     with pytest.raises(ValueError):
         compile_joint_table(script, GEOM, 1)
+
+
+@pytest.mark.parametrize("samples, duration, name", [
+    (2.5, 1.0, "samples_per_step"), (True, 1.0, "samples_per_step"),
+    (3, math.nan, "step_duration_s"), (3, math.inf, "step_duration_s"),
+    (3, -1.0, "step_duration_s"), (3, 0.0, "step_duration_s"), (3, "1", "step_duration_s"),
+])
+def test_compile_rejects_bad_sampling_naming_it(samples, duration, name):
+    # unchecked, these raise a bare TypeError or return NaN, negative or all-zero times
+    seen = []
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        compile_joint_table(default_cycle(), GEOM, samples, step_duration_s=duration,
+                            sink=seen.append)
+    assert seen == []
 
 
 def test_compile_rejects_invalid_script():

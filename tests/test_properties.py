@@ -94,8 +94,8 @@ stance_points = st.tuples(st.one_of(finite(-100.0, -20.0), finite(20.0, 100.0)),
 def test_every_cycle_closes_exactly(stance, order, step_length_mm, advance_mode):
     geom = LegGeometry()
     footholds = FootholdMap.from_mm(stance)
-    script = generate_cycle(geom, footholds, step_length_mm, tuple(order),
-                            advance_mode=advance_mode)
+    script = generate_cycle(geom, GaitParams(stance_mm=stance, step_length_mm=step_length_mm,
+                                             order=tuple(order), advance_mode=advance_mode))
     stances = list(replay(script))
     assert len(stances) == len(script.steps) + 1
     assert stances[0] == stances[-1] == footholds.points_um

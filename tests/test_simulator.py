@@ -311,6 +311,24 @@ def test_scenario_config_invariants():
         GaitParams(lift_mm=150.0, z_mm=100.0)
 
 
+@pytest.mark.parametrize("make, name, value", [
+    (ScenarioConfig, "tick_s", 0.0),
+    (ScenarioConfig, "cycles", 2.5),
+    (ScenarioConfig, "climb_angle_deg", math.nan),
+    (GaitParams, "step_length_mm", 0.0),
+    (GaitParams, "order", (1, 1, 2, 3)),
+], ids=["tick", "cycles", "angle", "step-length", "order"])
+def test_configs_cannot_be_assigned_past_their_check(make, name, value):
+    # frozen: a field is set only by building, which checks it; assigned,
+    # each of these would end a run in a ZeroDivisionError or a bare TypeError
+    config = make()
+    with pytest.raises(FrozenInstanceError):
+        setattr(config, name, value)
+    assert getattr(config, name) == getattr(make(), name)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        replace(config, **{name: value})
+
+
 def test_tangential_load():
     config = ScenarioConfig(climb_angle_deg=90.0)
     assert config.tangential_load_n == pytest.approx(2.0 * 9.81, rel=1e-12)

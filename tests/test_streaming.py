@@ -18,10 +18,10 @@ from wallclimber.fileio import (
     write_joint_table,
     write_series_csv,
 )
-from wallclimber.gait import JointTableRow, compile_joint_table
+from wallclimber.gait import JointTableRow, compile_joint_table, generate_cycle
 from wallclimber.kinematics import CupTarget, JointAngles, JointLimits
 from wallclimber.pneumatics import AdhesionModel
-from wallclimber.simulator import ScenarioConfig, plan_cycle, run_scenario
+from wallclimber.simulator import ScenarioConfig, _drop, run_scenario
 
 RUNS = {
     "default": ("[scenario]\n", EXIT_OK),
@@ -62,6 +62,7 @@ SINK_RUNS = {
     "leaky": ScenarioConfig(climb_angle_deg=30.0, adhesion=AdhesionModel(leak_kpa_per_s=200.0)),
     # the third cycle replays the second
     "replay": ScenarioConfig(climb_angle_deg=45.0, cycles=3),
+    "noisy-replay": ScenarioConfig(climb_angle_deg=45.0, cycles=5, noise_kpa=0.5, seed=3),
 }
 
 
@@ -74,6 +75,10 @@ def test_sink_mode_matches_list_mode(config):
     assert streamed.ticks == listed.ticks == len(listed.records)
     assert seen == listed.records
     assert summary_dict(streamed) == summary_dict(listed)
+    # a run that builds no TickRecord still counts and sums every tick
+    dropped = run_scenario(config, sink=_drop)
+    assert dropped.records == [] and dropped.ticks == listed.ticks
+    assert summary_dict(dropped) == summary_dict(listed)
 
 
 @pytest.mark.parametrize("config", SINK_RUNS.values(), ids=SINK_RUNS.keys())
@@ -157,7 +162,8 @@ TIGHT_LIMITS_INI = "[joints]\nlimit_min_deg = -180\nlimit_max_deg = 177\n"
 
 def compile_config(config, **kwargs):
     gait = config.gait
-    return compile_joint_table(plan_cycle(config), config.geometry, gait.samples_per_step,
+    script = generate_cycle(config.geometry, gait, config.limits)
+    return compile_joint_table(script, config.geometry, gait.samples_per_step,
                                step_duration_s=gait.swing_s + gait.advance_s,
                                limits=config.limits, **kwargs)
 
@@ -258,7 +264,7 @@ def test_failed_gait_leaves_table_path_as_it_was(existing, tmp_path, capsys):
 
 def _compile_peak_alloc_bytes(samples):
     config = ScenarioConfig()
-    script = plan_cycle(config)
+    script = generate_cycle(config.geometry, config.gait)
     tracemalloc.start()
     try:
         compile_joint_table(script, config.geometry, samples, sink=lambda row: None)
