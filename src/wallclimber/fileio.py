@@ -7,13 +7,17 @@ CSV field ever needs quoting, so the CSV writers join their fields in one
 row writer, _write_rows, or stream through one of the two sinks:
 series_csv_sink takes a run's ticks from run_scenario, joint_table_sink a
 gait's rows from compile_joint_table. Both format each JointAngles object
-once per file, in a cache emptied at _CACHE_CAP entries. The series sink
-also keeps the text after body_mm of each tick, keyed by the tick's
-`attached` dict, which a replayed tick shares with the tick it repeats.
-That cache has no cap, so it serves a cycle of any length. A run makes a
-new `attached` dict only on a computed tick, so the cache holds one entry
-per computed tick, noisy pressures included: a run stops computing once a
-cycle repeats (from the third cycle in every config tried).
+once per file (_degrees_text). The series keys that cache by the object's
+id and empties it at _CACHE_CAP entries. The table keys it by leg, so it
+holds at most four entries: compile_joint_table shares a pose only between
+the rows of one leg in one step, and a swing pose is never used again.
+The series sink also keeps the text after body_mm of each tick, keyed by
+the tick's `attached` dict, which a replayed tick shares with the tick it
+repeats. That cache has no cap, so it serves a cycle of any length. A run
+makes a new `attached` dict only on a computed tick, so the cache holds
+one entry per computed tick, noisy pressures included: a run stops
+computing once a cycle repeats (from the third cycle in every config
+tried).
 
 Every writer goes through _replacing: it writes `<path>.<pid>.tmp` and
 renames it onto `path` only on success, so a failed write leaves `path` as
@@ -35,7 +39,7 @@ JOINT_TABLE_HEADER = ["t_s", "leg", "theta1_deg", "theta2_deg", "theta3_deg",
 
 SWEEP_HEADER = ["angle_deg", "avg_speed_mm_s", "avg_power_w", "completed"]
 
-# A 30-cycle run has 1,360 poses, a 32,000-row joint table 8,012.
+# A 30-cycle run has 1,360 poses. The joint table keys by leg, so it holds 4.
 _CACHE_CAP = 4096
 
 
@@ -57,17 +61,19 @@ def _replacing(path):
         raise
 
 
-def _degrees_text(cache, angles):
+def _degrees_text(cache, key, angles):
     """The four joint angles as CSV fields in degrees, formatted once per
     JointAngles object: solvers share one object between every tick or row
-    with the same pose. Keyed by identity, not value, because JointAngles
-    equality conflates 0.0 and -0.0; the entry keeps the object alive so
-    its id cannot be reused while the entry exists. A full cache is emptied."""
-    entry = cache.get(id(angles))
-    if entry is None:
+    with the same pose. The caller picks the key; an entry serves only the
+    object it was formatted from (identity, not value, because JointAngles
+    equality conflates 0.0 and -0.0) and keeps that object alive, so an id
+    used as the key cannot be reused while the entry exists. A miss
+    overwrites the key's entry; a full cache is emptied first."""
+    entry = cache.get(key)
+    if entry is None or entry[0] is not angles:
         if len(cache) >= _CACHE_CAP:
             cache.clear()
-        entry = cache[id(angles)] = (
+        entry = cache[key] = (
             angles, ",".join([_fmt(math.degrees(t)) for t in angles.as_tuple()]))
     return entry[1]
 
@@ -101,9 +107,12 @@ def write_joint_table(path, rows):
 def joint_table_sink(path):
     """Stream compiled gait rows into a joint-table CSV: yields a sink for
     compile_joint_table that writes each JointTableRow as it arrives. The
-    angles are formatted once per JointAngles object (_degrees_text), t_s
-    once per sample: its text is reused while t_s equals the previous row's
-    and is nonzero, since 0.0 == -0.0 but they print apart."""
+    angles are formatted by _degrees_text keyed by leg: each leg's last
+    pose text serves that leg's next rows while they share its JointAngles
+    object, as a stance leg's rows of one step do, and no swing pose
+    outlives the next row of its leg. t_s is formatted once per sample: its
+    text is reused while t_s equals the previous row's and is nonzero,
+    since 0.0 == -0.0 but they print apart."""
     with _replacing(path) as handle:
         handle.write(",".join(JOINT_TABLE_HEADER) + "\n")
         degrees = {}
@@ -113,7 +122,7 @@ def joint_table_sink(path):
             nonlocal t_s, t_text
             if row.t_s != t_s or not t_s:
                 t_s, t_text = row.t_s, _fmt(row.t_s)
-            handle.write(f"{t_text},{row.leg},{_degrees_text(degrees, row.angles)},"
+            handle.write(f"{t_text},{row.leg},{_degrees_text(degrees, row.leg, row.angles)},"
                          f"{'1' if row.attached else '0'}\n")
 
         yield write_row
@@ -172,8 +181,9 @@ def series_row_formatter():
         entry = tails.get(id(attached))
         if (entry is None or entry[0] is not angles or entry[1] is not valves
                 or entry[2] is not pressures or entry[4] is not power or entry[5] is not slip):
-            tail = ",".join([f"{_degrees_text(degrees, angles[leg])},{valves[leg].value},"
-                             f"{_fmt(pressures[leg])},{'1' if attached[leg] else '0'}"
+            tail = ",".join([f"{_degrees_text(degrees, id(angles[leg]), angles[leg])},"
+                             f"{valves[leg].value},{_fmt(pressures[leg])},"
+                             f"{'1' if attached[leg] else '0'}"
                              for leg in LEG_IDS] + [_fmt(power), _fmt(slip)])
             entry = tails[id(attached)] = (angles, valves, pressures, attached, power, slip, tail)
         return f"{_fmt(rec.t_s)},{body_text},{entry[6]}\n"

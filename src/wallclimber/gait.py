@@ -14,7 +14,9 @@ floats appear only at the kinematics boundary.
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import (GaitValidationError, KinematicsError, UnreachableFoothold, is_finite_real,
                      require_finite, require_int)
@@ -90,11 +92,12 @@ class GaitParams:
     """Gait planning knobs for a scenario (mm, radians, seconds).
 
     The one place the gait's defaults and checks are written: generate_cycle
-    plans from it as it is. It is frozen, so no field changes past its check;
-    the entries of `stance_mm` can still be assigned.
+    plans from it as it is. It is frozen, so no field changes past its check,
+    and `stance_mm` is stored as a read-only mapping of (x, y) tuples, so
+    neither do its entries.
     """
 
-    stance_mm: dict = field(default_factory=lambda: FootholdMap.square_stance().points_mm())
+    stance_mm: Mapping = field(default_factory=lambda: FootholdMap.square_stance().points_mm())
     step_length_mm: float = 40.0
     order: tuple = LEG_IDS
     lift_mm: float = 20.0
@@ -110,15 +113,19 @@ class GaitParams:
         require_finite(self, "step_length_mm", "lift_mm", "z_mm", "k_rad", "swing_s",
                        "advance_s")
         require_int(self, "samples_per_step")
-        if not isinstance(self.stance_mm, dict) or set(self.stance_mm) != set(LEG_IDS):
-            raise ValueError(f"stance_mm must be a dict keyed by {LEG_IDS}, got {self.stance_mm!r}")
+        if not isinstance(self.stance_mm, Mapping) or set(self.stance_mm) != set(LEG_IDS):
+            raise ValueError(f"stance_mm must be a mapping keyed by {LEG_IDS}, "
+                             f"got {self.stance_mm!r}")
         for leg, point in self.stance_mm.items():
             if not isinstance(point, (tuple, list)) or len(point) != 2:
                 raise ValueError(f"stance_mm[{leg}] must be an (x, y) pair, got {point!r}")
             if not all(is_finite_real(c) for c in point):
                 raise ValueError(f"stance_mm[{leg}] must be finite, got {point}")
-        if self.step_length_mm <= 0.0:
-            raise ValueError(f"step_length_mm must be > 0, got {self.step_length_mm}")
+        object.__setattr__(self, "stance_mm", MappingProxyType(
+            {leg: tuple(point) for leg, point in self.stance_mm.items()}))
+        if mm_to_um(self.step_length_mm) <= 0:  # plans keep whole micrometres
+            raise ValueError(f"step_length_mm must be > 0 and round to at least 1 um, "
+                             f"got {self.step_length_mm}")
         if self.samples_per_step < 2:
             raise ValueError(f"samples_per_step must be >= 2, got {self.samples_per_step}")
         if self.advance_mode not in ADVANCE_MODES:
@@ -383,6 +390,17 @@ def compile_joint_table(script, geom, samples_per_step, *, step_duration_s=1.0, 
     tuple, and only the swing leg is solved again at each sample. No memo
     spans steps: it would hold one entry per swing sample.
 
+    Each target is a frozen CupTarget, equal to a checked one, built as
+    kinematics.pose_memo builds them, without running CupTarget's check
+    again: the validate call refuses every script whose targets could fail
+    it. x and y are um_to_mm of the replayed stance or of a step's foothold,
+    each a point validate found in reach (a non-finite one raises there), or
+    a swing_waypoint between two of them. z is z_mm, or z_mm - lift_mm * f
+    with 0 <= f <= 1, so it lies between z_mm and z_mm - lift_mm: validate
+    checks the first at the swing's ends and the second at the lifted
+    mid-swing point, reporting a negative one as unreachable and raising on
+    a non-finite one. k is k_rad, which GaitScript checks when built.
+
     With a `sink`, each row is handed to sink(row) as it is made and the
     returned list stays empty.
     """
@@ -396,8 +414,10 @@ def compile_joint_table(script, geom, samples_per_step, *, step_duration_s=1.0, 
     z_mm, k_rad = script.z_mm, script.k_rad
 
     def solved(index, j, leg, target):
+        cup = object.__new__(CupTarget)
+        cup.__dict__.update(x=target[0], y=target[1], z=target[2], k=k_rad)
         try:
-            return solve_leg(geom, CupTarget(*target, k_rad), script.branch, limits), target
+            return solve_leg(geom, cup, script.branch, limits), target
         except KinematicsError as exc:
             raise type(exc)(
                 f"step {index} sample {j} leg {leg}: {exc}", plane=exc.plane

@@ -20,7 +20,9 @@ which is off by default.
 import math
 import random
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 from .errors import ClimberError, ZeroCapacity, require_finite, require_int
 from .gait import (
@@ -53,7 +55,8 @@ class ScenarioConfig:
     efficiency, slip gain and cap, robot mass) are desk-scale defaults,
     not measurements; they reproduce the qualitative speed/power trends
     against climb angle, not absolute numbers. It is frozen, so no field
-    changes past its check; the entries of `pump_legs` can still be assigned.
+    changes past its check, and `pump_legs` is stored as a read-only
+    mapping, so neither do its entries.
     """
 
     climb_angle_deg: float = 0.0
@@ -64,7 +67,7 @@ class ScenarioConfig:
     geometry: LegGeometry = field(default_factory=LegGeometry)
     gait: GaitParams = field(default_factory=GaitParams)
     adhesion: AdhesionModel = field(default_factory=AdhesionModel)
-    pump_legs: dict = field(default_factory=lambda: dict(DEFAULT_PUMP_LEGS))
+    pump_legs: Mapping = field(default_factory=lambda: dict(DEFAULT_PUMP_LEGS))
     limits: JointLimits = None
     servo_power_w: float = 6.0
     pump_power_w: float = 5.0
@@ -87,11 +90,13 @@ class ScenarioConfig:
         if not isinstance(self.limits, (JointLimits, type(None))):
             raise ValueError(f"limits must be None or a JointLimits, got {self.limits!r}")
         try:  # a wrong assignment of legs raises its own ValueError
-            pump_of_leg = isinstance(self.pump_legs, dict) and assign_pumps(self.pump_legs)
+            pump_of_leg = isinstance(self.pump_legs, Mapping) and assign_pumps(self.pump_legs)
         except TypeError:  # a pump whose legs are not a collection of leg ids
             pump_of_leg = None
         if not pump_of_leg:
-            raise ValueError(f"pump_legs must be a dict of pump -> legs, got {self.pump_legs!r}")
+            raise ValueError(f"pump_legs must be a mapping of pump -> legs, "
+                             f"got {self.pump_legs!r}")
+        object.__setattr__(self, "pump_legs", MappingProxyType(dict(self.pump_legs)))
         if not 0.0 <= self.climb_angle_deg <= 90.0:
             raise ValueError(f"climb_angle_deg must be in [0, 90], got {self.climb_angle_deg}")
         if self.mass_kg <= 0.0:

@@ -2,6 +2,7 @@ import configparser
 import dataclasses
 import math
 import re
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -197,10 +198,10 @@ cycles = 4  ; inline comment
 
 def flat(obj, path=()):
     """Every leaf field of a config: path -> value, through nested
-    dataclasses and dicts."""
+    dataclasses and mappings (the configs store their dicts read-only)."""
     if dataclasses.is_dataclass(obj):
         items = [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
-    elif isinstance(obj, dict):
+    elif isinstance(obj, Mapping):
         items = obj.items()
     else:
         return {path: obj}

@@ -54,6 +54,19 @@ def test_generate_cycle_rejects_zero_step():
         default_cycle(step_length_mm=0.0)
 
 
+@pytest.mark.parametrize("step_length_mm", [0.0004, 0.0005])  # 0.5 um rounds half-even to 0
+def test_step_length_that_rounds_to_zero_um_is_refused(step_length_mm):
+    # plans keep whole micrometres: a 0 um step would "complete" a run with
+    # no displacement
+    with pytest.raises(ValueError, match="^step_length_mm must be > 0 and round to at least 1 um"):
+        GaitParams(step_length_mm=step_length_mm)
+
+
+def test_step_length_that_rounds_to_one_um_is_accepted():
+    script = default_cycle(step_length_mm=0.0006)
+    assert script.step_length_um == 1 and validate(script, GEOM).ok
+
+
 def test_generate_cycle_rejects_bad_order():
     with pytest.raises(ValueError, match="^order must be a permutation"):
         default_cycle(order=(1, 1, 2, 3))

@@ -85,7 +85,8 @@ def test_signed_zeros_print_as_given():
 def test_replayed_ticks_are_formatted_from_the_tick_they_repeat(tmp_path, monkeypatch):
     degrees_text, calls = fileio._degrees_text, []
     monkeypatch.setattr(fileio, "_degrees_text",
-                        lambda cache, angles: calls.append(angles) or degrees_text(cache, angles))
+                        lambda cache, key, angles: calls.append(angles)
+                        or degrees_text(cache, key, angles))
     # A run makes a new attached dict on each computed tick, and a replayed
     # tick shares the dict of the tick it repeats. `seen` keeps every dict
     # alive, so no id is reused.

@@ -317,16 +317,24 @@ def test_scenario_config_invariants():
     (ScenarioConfig, "climb_angle_deg", math.nan),
     (GaitParams, "step_length_mm", 0.0),
     (GaitParams, "order", (1, 1, 2, 3)),
-], ids=["tick", "cycles", "angle", "step-length", "order"])
+    (GaitParams, "stance_mm", {1: (math.nan, 80.0)}),
+    (ScenarioConfig, "pump_legs", {"A": None}),
+], ids=["tick", "cycles", "angle", "step-length", "order", "stance", "pumps"])
 def test_configs_cannot_be_assigned_past_their_check(make, name, value):
     # frozen: a field is set only by building, which checks it; assigned,
     # each of these would end a run in a ZeroDivisionError or a bare TypeError
+    # or ValueError that names no field
     config = make()
     with pytest.raises(FrozenInstanceError):
         setattr(config, name, value)
     assert getattr(config, name) == getattr(make(), name)
     with pytest.raises(ValueError, match=f"^{name} must be"):
         replace(config, **{name: value})
+    if isinstance(value, dict):  # a mapping field is read-only: no entry can be assigned
+        for key, entry in value.items():
+            with pytest.raises(TypeError):
+                getattr(config, name)[key] = entry
+        assert getattr(config, name) == getattr(make(), name)
 
 
 def test_tangential_load():
@@ -419,6 +427,17 @@ def test_gait_params_rejects_non_finite_stance():
     stance = {1: (-80.0, math.inf), 2: (80.0, 80.0), 3: (80.0, -80.0), 4: (-80.0, -80.0)}
     with pytest.raises(ValueError, match=r"stance_mm\[1\] must be finite"):
         GaitParams(stance_mm=stance)
+
+
+def test_gait_params_keeps_its_own_copy_of_the_stance():
+    # a list point becomes a tuple, and the caller's dict stays the caller's
+    stance = {1: [-70.0, 75.0], 2: (70.0, 75.0), 3: (70.0, -75.0), 4: (-70.0, -75.0)}
+    gait = GaitParams(stance_mm=stance)
+    stance[1][0] = math.nan
+    stance[2] = (math.nan, 0.0)
+    assert dict(gait.stance_mm) == {1: (-70.0, 75.0), 2: (70.0, 75.0), 3: (70.0, -75.0),
+                                    4: (-70.0, -75.0)}
+    assert all(type(point) is tuple for point in gait.stance_mm.values())
 
 
 @pytest.mark.parametrize("make, kwargs, field", [

@@ -1,6 +1,7 @@
 """Streaming a run's ticks and a gait's joint-table rows to a sink instead of
 storing them."""
 
+import contextlib
 import dataclasses
 import math
 import os
@@ -8,9 +9,10 @@ import tracemalloc
 
 import pytest
 
+from wallclimber import gait as gait_module
 from wallclimber.cli import EXIT_OK, EXIT_SIMFAIL, EXIT_VALIDATION, main
 from wallclimber.config import CONFIG_ENV_VAR, load_config
-from wallclimber.errors import JointLimit
+from wallclimber.errors import GaitValidationError, JointLimit
 from wallclimber.fileio import (
     JOINT_TABLE_HEADER,
     joint_table_sink,
@@ -19,7 +21,7 @@ from wallclimber.fileio import (
     write_series_csv,
 )
 from wallclimber.gait import JointTableRow, compile_joint_table, generate_cycle
-from wallclimber.kinematics import CupTarget, JointAngles, JointLimits
+from wallclimber.kinematics import CupTarget, JointAngles, JointLimits, solve_leg
 from wallclimber.pneumatics import AdhesionModel
 from wallclimber.simulator import ScenarioConfig, _drop, run_scenario
 
@@ -262,12 +264,15 @@ def test_failed_gait_leaves_table_path_as_it_was(existing, tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == expected
 
 
-def _compile_peak_alloc_bytes(samples):
+def _compile_peak_alloc_bytes(samples, writer=None):
+    """The tracemalloc peak of a compile into `writer`'s sink, or into a
+    sink that drops each row."""
     config = ScenarioConfig()
     script = generate_cycle(config.geometry, config.gait)
     tracemalloc.start()
     try:
-        compile_joint_table(script, config.geometry, samples, sink=lambda row: None)
+        with writer or contextlib.nullcontext(lambda row: None) as sink:
+            compile_joint_table(script, config.geometry, samples, sink=sink)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -275,6 +280,72 @@ def _compile_peak_alloc_bytes(samples):
 
 def test_streamed_joint_table_memory_stays_flat_in_samples():
     assert _compile_peak_alloc_bytes(2000) < 2 * _compile_peak_alloc_bytes(200)
+
+
+def test_joint_table_file_memory_stays_flat_in_samples(tmp_path):
+    # the writer keeps one pose text per leg, not one per swing sample
+    path = tmp_path / "table.csv"
+    assert (_compile_peak_alloc_bytes(2000, joint_table_sink(path))
+            < 2 * _compile_peak_alloc_bytes(200, joint_table_sink(path)))
+
+
+# The default tables above and a pose whose z, k, lift and elbow branch all
+# differ from the defaults.
+TRUSTED_TARGET_TABLES = {
+    **GAIT_TABLES,
+    "pose": "[gait]\nz_mm = 90\nk_deg = 80\nlift_mm = 10\nbranch = minus\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRUSTED_TARGET_TABLES))
+def test_compile_targets_equal_checked_targets(case, tmp_path, monkeypatch):
+    # compile_joint_table builds its CupTargets without the check; each must
+    # be the frozen CupTarget that the checked constructor gives
+    ini = tmp_path / "gait.ini"
+    ini.write_text(TRUSTED_TARGET_TABLES[case], encoding="utf-8")
+    config = load_config(str(ini))
+    targets = []
+
+    def recording_solve(geom, target, branch, limits):
+        targets.append(target)
+        return solve_leg(geom, target, branch, limits)
+
+    monkeypatch.setattr(gait_module, "solve_leg", recording_solve)
+    compile_config(config, sink=lambda row: None)
+    # each step solves every leg at its first sample, then the swing leg alone
+    assert len(targets) == 4 * (4 + config.gait.samples_per_step - 1)
+    for target in targets:
+        checked = CupTarget(target.x, target.y, target.z, target.k)
+        assert type(target) is CupTarget and target.k == config.gait.k_rad
+        assert target == checked and hash(target) == hash(checked)
+        assert repr(target) == repr(checked)  # signed zeros too
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            target.z = -1.0
+
+
+def _with_nan_foothold(script):
+    first = script.steps[0]
+    nan_step = dataclasses.replace(first, new_foothold_um=(math.nan, first.new_foothold_um[1]))
+    return dataclasses.replace(script, steps=[nan_step, *script.steps[1:]])
+
+
+@pytest.mark.parametrize("change, error", [
+    (lambda script: dataclasses.replace(script, lift_mm=script.z_mm + 1), GaitValidationError),
+    (lambda script: dataclasses.replace(script, z_mm=-1.0), GaitValidationError),
+    (_with_nan_foothold, ValueError),
+], ids=["lift-past-wall", "negative-z", "nan-foothold"])
+def test_compile_refuses_scripts_whose_targets_would_fail_the_check(change, error,
+                                                                    monkeypatch):
+    # the validate call at the top of the compile is what makes the unchecked
+    # targets safe: these scripts are refused before any solve or row
+    config = ScenarioConfig()
+    script = change(generate_cycle(config.geometry, config.gait))
+    solves, seen = [], []
+    monkeypatch.setattr(gait_module, "solve_leg", lambda *args: solves.append(args))
+    with pytest.raises(error) as raised:
+        compile_joint_table(script, config.geometry, 10, sink=seen.append)
+    assert type(raised.value) is error
+    assert solves == [] and seen == []
 
 
 def test_stance_rows_of_a_step_share_one_pose():
