@@ -31,7 +31,9 @@ from enum import Enum
 from .errors import DegenerateTarget, JointLimit, OutOfReach, ZUnreachable, require_finite
 
 # Rounding slack when a target sits exactly on the reach boundary:
-# |D| up to 1 + D_CLAMP_TOL is clamped to +/-1 instead of rejected.
+# |D| up to 1 + D_CLAMP_TOL is clamped to +/-1 instead of rejected. Each
+# range check is written `not abs(v) <= 1 + D_CLAMP_TOL`, so a NaN is
+# rejected too and a clamp only ever sees a finite value.
 D_CLAMP_TOL = 1e-12
 
 
@@ -158,26 +160,50 @@ def _split_approach_angle(k, theta3):
     return theta3, k - theta3
 
 
-def ik_planar_xy(geom, x, y, branch=ElbowBranch.PLUS, limits=None):
-    """Solve the xy pair for a contact point, returning (theta1, theta2).
+def _planar_d(geom, x, y):
+    """Return the planar pair's D for contact point (x, y), clamped to [-1, 1].
 
-    Raises DegenerateTarget at the origin, OutOfReach outside the
-    annulus, and JointLimit when `limits` is given and violated.
+    Raises DegenerateTarget at the origin and OutOfReach outside the
+    annulus, or when x or y is NaN.
     """
     r_sq = x * x + y * y
     if r_sq == 0.0:
         raise DegenerateTarget("planar target (0, 0): heading atan2(y, x) undefined", plane="xy")
 
     d = (r_sq - geom.a1 * geom.a1 - geom.a2 * geom.a2) / (2.0 * geom.a1 * geom.a2)
-    if abs(d) > 1.0 + D_CLAMP_TOL:
+    if not abs(d) <= 1.0 + D_CLAMP_TOL:
         inner, outer = geom.xy_reach
         raise OutOfReach(
             f"planar target ({x}, {y}) at radius {math.sqrt(r_sq):.6f} mm outside "
             f"annulus [{inner:.6f}, {outer:.6f}] mm (D={d:.6f})",
             plane="xy",
         )
-    d = max(-1.0, min(1.0, d))
+    return 1.0 if d > 1.0 else -1.0 if d < -1.0 else d
 
+
+def _normal_sin(geom, z, k):
+    """Return sin(theta3) of the normal pair for clearance z and approach
+    angle k, clamped to [-1, 1]. Raises ZUnreachable outside that range, or
+    when z or k is NaN.
+    """
+    arg = (z - geom.a4 * math.sin(k)) / geom.a3
+    if not abs(arg) <= 1.0 + D_CLAMP_TOL:
+        raise ZUnreachable(
+            f"clearance z={z} mm at approach k={k:.6f} rad needs sin(theta3)={arg:.6f} "
+            "outside [-1, 1]",
+            plane="zy",
+        )
+    return 1.0 if arg > 1.0 else -1.0 if arg < -1.0 else arg
+
+
+def ik_planar_xy(geom, x, y, branch=ElbowBranch.PLUS, limits=None):
+    """Solve the xy pair for a contact point, returning (theta1, theta2).
+
+    Raises DegenerateTarget at the origin, OutOfReach outside the
+    annulus (a NaN coordinate included), and JointLimit when `limits` is
+    given and violated.
+    """
+    d = _planar_d(geom, x, y)
     theta2 = math.atan2(branch.sign * math.sqrt(1.0 - d * d), d)
     theta1 = wrap_pi(
         math.atan2(y, x)
@@ -194,17 +220,9 @@ def ik_normal_zy(geom, z, k, limits=None):
     theta3 is the asin principal value (the mirror solution would fold
     the leg through the body); theta4 completes the approach angle k, to
     within one ulp where no float pair sums to k (_split_approach_angle).
+    Raises ZUnreachable when no theta3 exists (a NaN z or k included).
     """
-    arg = (z - geom.a4 * math.sin(k)) / geom.a3
-    if abs(arg) > 1.0 + D_CLAMP_TOL:
-        raise ZUnreachable(
-            f"clearance z={z} mm at approach k={k:.6f} rad needs sin(theta3)={arg:.6f} "
-            "outside [-1, 1]",
-            plane="zy",
-        )
-    arg = max(-1.0, min(1.0, arg))
-
-    theta3, theta4 = _split_approach_angle(k, math.asin(arg))
+    theta3, theta4 = _split_approach_angle(k, math.asin(_normal_sin(geom, z, k)))
     if limits is not None:
         limits.require((("theta3", theta3), ("theta4", theta4)), plane="zy")
     return theta3, theta4
@@ -217,12 +235,22 @@ def solve_leg(geom, target, branch=ElbowBranch.PLUS, limits=None):
     return JointAngles(theta1, theta2, theta3, theta4)
 
 
+def check_reach(geom, x, y, z, k):
+    """Raise what solve_leg(geom, CupTarget(x, y, z, k)) raises without
+    limits, in the same order, and solve nothing: for a caller that needs
+    only to know that the pose is in reach."""
+    _planar_d(geom, x, y)
+    _normal_sin(geom, z, k)
+
+
 def pose_memo(solve, geom, k, branch, limits):
     """Return pose(x, y, z): solve(geom, CupTarget(x, y, z, k), branch, limits)
     once per distinct target, so equal poses share one JointAngles. The key is
     the target's exact bits; float keys would conflate 0.0 and -0.0, which
     atan2 tells apart. run_scenario passes its own module's solve_leg binding,
-    so patching that binding (in a test or a tracer) reaches every solve.
+    so patching that binding (in a test or a tracer) reaches every solve. A
+    run that keeps no records and has no joint limits does not use a memo: it
+    only calls check_reach on each pose, and solves nothing.
 
     Each target is a frozen CupTarget, equal to a checked one, built without
     running CupTarget's check again: run_scenario computes every input from

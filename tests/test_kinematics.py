@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from wallclimber.kinematics import (
     ElbowBranch,
     JointLimits,
     LegGeometry,
+    check_reach,
     fk_leg,
     fk_normal_z,
     fk_planar_xy,
@@ -274,6 +276,44 @@ def test_reachable_with_limits():
     assert (ok, reason) == (False, "joint_limit")
     # one branch inside limits is enough
     assert reachable(GEOM, CupTarget(150.0, 0.0, 100.0, math.pi / 2), limits) == (True, None)
+
+
+# --- NaN inputs ------------------------------------------------------------
+# CupTarget rejects NaN, but the plane solvers and reachable take bare numbers
+# or any object with x, y, z and k. A NaN fails the range check of its plane.
+
+@pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)])
+def test_ik_planar_rejects_nan(x, y):
+    for geom in (GEOM, LegGeometry(100.0, 80.0, 100.0, 100.0)):
+        with pytest.raises(OutOfReach) as info:
+            ik_planar_xy(geom, x, y)
+        assert info.value.plane == "xy"
+
+
+@pytest.mark.parametrize("z, k", [(math.nan, 0.5), (100.0, math.nan)])
+def test_ik_normal_rejects_nan(z, k):
+    with pytest.raises(ZUnreachable) as info:
+        ik_normal_zy(GEOM, z, k)
+    assert info.value.plane == "zy"
+
+
+def test_reachable_rejects_nan():
+    def target(**coords):
+        return SimpleNamespace(**{"x": 150.0, "y": 0.0, "z": 100.0, "k": math.pi / 2, **coords})
+
+    assert reachable(GEOM, target()) == (True, None)
+    assert reachable(GEOM, target(x=math.nan)) == (False, "out_of_reach")
+    assert reachable(GEOM, target(y=math.nan)) == (False, "out_of_reach")
+    assert reachable(GEOM, target(z=math.nan)) == (False, "z_unreachable")
+    assert reachable(GEOM, target(k=math.nan)) == (False, "z_unreachable")
+
+
+def test_check_reach_rejects_nan():
+    check_reach(GEOM, 150.0, 0.0, 100.0, math.pi / 2)
+    with pytest.raises(OutOfReach):
+        check_reach(GEOM, math.nan, 0.0, 100.0, math.pi / 2)
+    with pytest.raises(ZUnreachable):
+        check_reach(GEOM, 150.0, 0.0, math.nan, math.pi / 2)
 
 
 # --- value types ----------------------------------------------------------

@@ -15,12 +15,15 @@ their last tick. Three planning properties ride along: every generated
 cycle closes exactly in integer micrometres, forward kinematics of a solved
 leg returns its target on either elbow branch, and every swing waypoint is
 a finite point at a clearance of at least 0 (what lets a run's pose memo
-skip CupTarget's check). The examples are derandomised, so every run of
-the suite tries the same scenarios.
+skip CupTarget's check). A reach check fails exactly where a limit-free
+solve fails, with the same error, on both sides of every reach boundary.
+The examples are derandomised, so every run of the suite tries the same
+scenarios.
 """
 
 import math
 
+import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +36,15 @@ from wallclimber.gait import (
     swing_waypoint,
     validate,
 )
-from wallclimber.kinematics import CupTarget, ElbowBranch, LegGeometry, fk_leg, solve_leg
+from wallclimber.errors import KinematicsError
+from wallclimber.kinematics import (
+    CupTarget,
+    ElbowBranch,
+    LegGeometry,
+    check_reach,
+    fk_leg,
+    solve_leg,
+)
 from wallclimber.pneumatics import AdhesionModel, Valve
 from wallclimber.simulator import GaitParams, ScenarioConfig, run_scenario
 
@@ -148,3 +159,76 @@ def test_swing_waypoints_are_finite_and_clear_of_the_wall(old_mm, new_mm, progre
     x, y, z = swing_waypoint(old_mm, new_mm, progress, z_mm, lift_mm)
     assert math.isfinite(x) and math.isfinite(y)
     assert math.isfinite(z) and z >= 0.0
+
+
+# Equal links reach down to the shoulder axis; the second geometry leaves an
+# inner hole of radius 20 mm.
+GEOMETRIES = [LegGeometry(), LegGeometry(100.0, 80.0, 100.0, 100.0)]
+
+
+def outcome(call, *args):
+    """(class, plane, message) of the KinematicsError that call raises, else None."""
+    try:
+        call(*args)
+    except KinematicsError as exc:
+        return type(exc), exc.plane, str(exc)
+    return None
+
+
+def assert_same_outcome(geom, x, y, z, k):
+    target = CupTarget(x, y, z, k)
+    solved = outcome(solve_leg, geom, target, ElbowBranch.PLUS, None)
+    assert outcome(check_reach, geom, x, y, z, k) == solved
+    return solved
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(geom=st.sampled_from(GEOMETRIES), x=finite(-250.0, 250.0), y=finite(-250.0, 250.0),
+       z=finite(0.0, 300.0), k=finite(-math.pi, math.pi))
+@example(geom=GEOMETRIES[0], x=0.0, y=0.0, z=100.0, k=math.pi / 2)
+@example(geom=GEOMETRIES[1], x=0.0, y=0.0, z=100.0, k=math.pi / 2)
+@example(geom=GEOMETRIES[1], x=19.2, y=-5.066666666666667, z=100.0, k=math.pi / 2)
+def test_reach_check_fails_where_a_limit_free_solve_fails(geom, x, y, z, k):
+    solved = assert_same_outcome(geom, x, y, z, k)
+    event(solved[0].__name__ if solved else "in reach")
+
+
+def adjacent_across(fails, inside, outside):
+    """The two adjacent floats between `inside` and `outside` across which
+    fails(value) turns from False to True."""
+    assert not fails(inside) and fails(outside)
+    while math.nextafter(inside, outside) != outside:
+        mid = (inside + outside) / 2
+        if fails(mid):
+            outside = mid
+        else:
+            inside = mid
+    return [inside, outside]
+
+
+def boundary_targets():
+    """Targets one ulp either side of D = +(1 + tol), of D = -(1 + tol) where
+    the geometry has an inner hole, and of sin(theta3) = 1 + tol."""
+    k = math.pi / 2
+    targets = []
+    for index, geom in enumerate(GEOMETRIES):
+        def xy_fails(x):
+            return outcome(solve_leg, geom, CupTarget(x, 0.0, 100.0, k)) is not None
+
+        def z_fails(z):
+            return outcome(solve_leg, geom, CupTarget(150.0, 0.0, z, k)) is not None
+
+        inner, outer = geom.xy_reach
+        sides = [("outer", x, 0.0, 100.0) for x in adjacent_across(xy_fails, 150.0, outer + 1.0)]
+        if inner > 0.0:
+            sides += [("inner", x, 0.0, 100.0)
+                      for x in adjacent_across(xy_fails, 150.0, inner - 1.0)]
+        sides += [("z", 150.0, 0.0, z) for z in adjacent_across(z_fails, 150.0, 250.0)]
+        targets += [pytest.param(geom, x, y, z, k, id=f"geom{index}-{name}-{x}-{z}")
+                    for name, x, y, z in sides]
+    return targets
+
+
+@pytest.mark.parametrize("geom, x, y, z, k", boundary_targets())
+def test_reach_check_agrees_one_ulp_either_side_of_each_boundary(geom, x, y, z, k):
+    assert_same_outcome(geom, x, y, z, k)

@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 from wallclimber import simulator
-from wallclimber.errors import ClimberError, ZeroCapacity
+from wallclimber.errors import ClimberError, OutOfReach, ZeroCapacity
 from wallclimber.fileio import write_series_csv, write_summary_json
 from wallclimber.gait import ADVANCE_PER_CYCLE
 from wallclimber.kinematics import CupTarget, JointLimits, LegGeometry, solve_leg
@@ -236,11 +236,18 @@ SWEEP_CONFIGS = [
     ScenarioConfig(mass_kg=16.0),
     ScenarioConfig(limits=JointLimits(-math.pi, math.radians(177.0))),
     ScenarioConfig(cycles=30),
+    # An inner hole of 20 mm: the plan passes, but at 0 and 45 deg a swing
+    # waypoint, (19.2, -5.0667), falls into the hole mid-run; at 90 deg the
+    # cups overload before that pose.
+    ScenarioConfig(geometry=LegGeometry(100.0, 80.0, 100.0, 100.0), mass_kg=16.0,
+                   gait=GaitParams(stance_mm={1: (19.2, 40.7), 2: (-19.2, 40.7),
+                                              3: (19.2, -10.4), 4: (-19.2, -45.8)},
+                                   step_length_mm=80.0, advance_mode=ADVANCE_PER_CYCLE)),
 ]
 
 
 @pytest.mark.parametrize("config", SWEEP_CONFIGS,
-                         ids=["default", "noise", "heavy", "tight-limits", "30-cycles"])
+                         ids=["default", "noise", "heavy", "tight-limits", "30-cycles", "hole"])
 def test_sweep_rows_match_direct_runs(config):
     # A sweep builds no TickRecord; each of its rows must still be the summary
     # of a run that collects its records, replayed cycles and failed runs too.
@@ -272,6 +279,34 @@ def test_sweep_builds_no_tick_records(monkeypatch):
     assert len(built) == 0
     report = run_scenario(ScenarioConfig(cycles=2))
     assert len(built) == report.ticks == len(report.records)
+
+
+def test_sweep_without_limits_solves_no_pose(monkeypatch):
+    # Nothing reads a sweep's angles, so a limit-free sweep only checks each
+    # pose's reach; a JointLimit needs the angles, and so do kept records.
+    solves = []
+
+    def counting_solve(*args):
+        solves.append(1)
+        return solve_leg(*args)
+
+    monkeypatch.setattr(simulator, "solve_leg", counting_solve)
+    for config in SWEEP_CONFIGS:
+        solves.clear()
+        sweep_climb_angle(config, SWEEP_ANGLES)
+        assert (len(solves) > 0) == (config.limits is not None)
+    solves.clear()
+    run_scenario(ScenarioConfig(cycles=1))
+    assert len(solves) > 0
+
+
+def test_sweep_of_a_leg_with_an_inner_hole():
+    rows = sweep_climb_angle(SWEEP_CONFIGS[-1], [0.0, 45.0, 90.0])
+    assert all(math.isnan(row.avg_speed_mm_s) for row in rows[:2])
+    assert [(row.avg_speed_mm_s, row.avg_power_w, row.completed) for row in rows[2:]] == [
+        (0.0, 16.0, False)]
+    with pytest.raises(OutOfReach, match=r"planar target \(19\.2, -5\.0666"):
+        run_scenario(replace(SWEEP_CONFIGS[-1], climb_angle_deg=45.0))
 
 
 def test_sweep_rejects_bad_inputs():
@@ -364,7 +399,8 @@ def test_run_solves_each_distinct_pose_once(monkeypatch):
 def test_memo_targets_are_checked_equivalent_cup_targets(monkeypatch):
     # The pose memo builds its targets without running CupTarget's check; each
     # must still be a frozen CupTarget that equals, hashes and prints like a
-    # checked one, whether the run fails, replays cycles or is part of a sweep.
+    # checked one, whether the run fails or replays cycles. Of the sweeps, only
+    # the one under joint limits solves poses: the others check reach alone.
     targets = []
 
     def counting_solve(geom, target, branch, limits):
