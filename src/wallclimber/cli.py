@@ -112,6 +112,7 @@ def _cmd_sweep(args):
 def _cmd_validate_config(args):
     path = resolve_config_path(args.config)
     config = load_config(path)
+    generate_cycle(config.geometry, config.gait, config.limits)  # refuses a gait that cannot plan
     source = path if path is not None else "built-in defaults"
     print(f"config ok ({source})")
     geom = config.geometry

@@ -270,8 +270,14 @@ def validate(script, geom, limits=None):
 
     Checks: swing coverage (each leg exactly once), at least three legs
     attached at every instant, every commanded foothold inside the
-    reachable workspace (stance points, swing endpoints, and the lifted
-    mid-swing point), and exact cycle closure in integer micrometres.
+    reachable workspace (stance points, swing endpoints, the lifted
+    mid-swing point and, where a swing crosses y = 0, its start's x at
+    y = 0), and exact cycle closure in integer micrometres.
+
+    Every pose a run of a generate_cycle plan commands lies on a swing
+    segment (a leg keeps its x; slip only shortens advances) at a clearance
+    from z - lift to z. Its radius is largest at an end and smallest at
+    y = 0, so a plan that passes here cannot fail on reach mid-run.
     """
     report = GaitValidationReport()
 
@@ -316,6 +322,8 @@ def validate(script, geom, limits=None):
         mid_bf = ((old_bf[0] + new_bf[0]) // 2, (old_bf[1] + new_bf[1]) // 2)
         check_reach(mid_bf, z - script.lift_mm, index, leg, "lifted mid-swing point")
         check_reach(new_bf, z, index, leg, "swing end")
+        if min(old_bf[1], new_bf[1]) < 0 < max(old_bf[1], new_bf[1]):
+            check_reach((old_bf[0], 0), z, index, leg, "swing point nearest the shoulder")
         attached[leg] = True
 
         for other in LEG_IDS:

@@ -160,11 +160,12 @@ def _split_approach_angle(k, theta3):
     return theta3, k - theta3
 
 
-def _planar_d(geom, x, y):
-    """Return the planar pair's D for contact point (x, y), clamped to [-1, 1].
+def ik_planar_xy(geom, x, y, branch=ElbowBranch.PLUS, limits=None):
+    """Solve the xy pair for a contact point, returning (theta1, theta2).
 
-    Raises DegenerateTarget at the origin and OutOfReach outside the
-    annulus, or when x or y is NaN.
+    Raises DegenerateTarget at the origin, OutOfReach outside the
+    annulus (a NaN or infinite coordinate included), and JointLimit when
+    `limits` is given and violated.
     """
     r_sq = x * x + y * y
     if r_sq == 0.0:
@@ -178,32 +179,8 @@ def _planar_d(geom, x, y):
             f"annulus [{inner:.6f}, {outer:.6f}] mm (D={d:.6f})",
             plane="xy",
         )
-    return 1.0 if d > 1.0 else -1.0 if d < -1.0 else d
+    d = 1.0 if d > 1.0 else -1.0 if d < -1.0 else d
 
-
-def _normal_sin(geom, z, k):
-    """Return sin(theta3) of the normal pair for clearance z and approach
-    angle k, clamped to [-1, 1]. Raises ZUnreachable outside that range, or
-    when z or k is NaN.
-    """
-    arg = (z - geom.a4 * math.sin(k)) / geom.a3
-    if not abs(arg) <= 1.0 + D_CLAMP_TOL:
-        raise ZUnreachable(
-            f"clearance z={z} mm at approach k={k:.6f} rad needs sin(theta3)={arg:.6f} "
-            "outside [-1, 1]",
-            plane="zy",
-        )
-    return 1.0 if arg > 1.0 else -1.0 if arg < -1.0 else arg
-
-
-def ik_planar_xy(geom, x, y, branch=ElbowBranch.PLUS, limits=None):
-    """Solve the xy pair for a contact point, returning (theta1, theta2).
-
-    Raises DegenerateTarget at the origin, OutOfReach outside the
-    annulus (a NaN coordinate included), and JointLimit when `limits` is
-    given and violated.
-    """
-    d = _planar_d(geom, x, y)
     theta2 = math.atan2(branch.sign * math.sqrt(1.0 - d * d), d)
     theta1 = wrap_pi(
         math.atan2(y, x)
@@ -220,9 +197,22 @@ def ik_normal_zy(geom, z, k, limits=None):
     theta3 is the asin principal value (the mirror solution would fold
     the leg through the body); theta4 completes the approach angle k, to
     within one ulp where no float pair sums to k (_split_approach_angle).
-    Raises ZUnreachable when no theta3 exists (a NaN z or k included).
+    Raises ZUnreachable when no theta3 exists (a NaN or infinite z or k
+    included).
     """
-    theta3, theta4 = _split_approach_angle(k, math.asin(_normal_sin(geom, z, k)))
+    try:
+        arg = (z - geom.a4 * math.sin(k)) / geom.a3
+    except ValueError:  # math.sin of an infinite k
+        arg = math.nan
+    if not abs(arg) <= 1.0 + D_CLAMP_TOL:
+        raise ZUnreachable(
+            f"clearance z={z} mm at approach k={k:.6f} rad needs sin(theta3)={arg:.6f} "
+            "outside [-1, 1]",
+            plane="zy",
+        )
+    arg = 1.0 if arg > 1.0 else -1.0 if arg < -1.0 else arg
+
+    theta3, theta4 = _split_approach_angle(k, math.asin(arg))
     if limits is not None:
         limits.require((("theta3", theta3), ("theta4", theta4)), plane="zy")
     return theta3, theta4
@@ -235,14 +225,6 @@ def solve_leg(geom, target, branch=ElbowBranch.PLUS, limits=None):
     return JointAngles(theta1, theta2, theta3, theta4)
 
 
-def check_reach(geom, x, y, z, k):
-    """Raise what solve_leg(geom, CupTarget(x, y, z, k)) raises without
-    limits, in the same order, and solve nothing: for a caller that needs
-    only to know that the pose is in reach."""
-    _planar_d(geom, x, y)
-    _normal_sin(geom, z, k)
-
-
 def pose_memo(solve, geom, k, branch, limits):
     """Return pose(x, y, z): solve(geom, CupTarget(x, y, z, k), branch, limits)
     once per distinct target, so equal poses share one JointAngles. The key is
@@ -250,7 +232,8 @@ def pose_memo(solve, geom, k, branch, limits):
     atan2 tells apart. run_scenario passes its own module's solve_leg binding,
     so patching that binding (in a test or a tracer) reaches every solve. A
     run that keeps no records and has no joint limits does not use a memo: it
-    only calls check_reach on each pose, and solves nothing.
+    reads no angle, and generate_cycle's validate has already found every pose
+    it commands in reach, so it neither solves nor checks a pose.
 
     Each target is a frozen CupTarget, equal to a checked one, built without
     running CupTarget's check again: run_scenario computes every input from

@@ -33,7 +33,7 @@ from .gait import (
     swing_waypoint,
     um_to_mm,
 )
-from .kinematics import JointLimits, LegGeometry, check_reach, pose_memo, solve_leg
+from .kinematics import JointLimits, LegGeometry, pose_memo, solve_leg
 from .pneumatics import (
     ATTACH_DWELLS,
     DEFAULT_PUMP_LEGS,
@@ -218,12 +218,13 @@ def run_scenario(config, sink=None):
     collected in `records`. A run whose sink is `_drop` builds no
     TickRecord and draws no pressure jitter; its `ticks` and energy are
     counted as before, so its summary is the same. Such a run without
-    joint limits reads no joint angle, so it only checks each pose's reach
-    (kinematics.check_reach), which raises what solve_leg would; every
-    other run solves its poses through pose_memo. Deterministic for a
-    given config. Overload and attach timeouts mark the report
-    completed=False (with failing tick, code and reason) instead of
-    raising; planning errors (bad stance, unreachable footholds) raise.
+    joint limits reads no joint angle and cannot fail on reach (validate
+    checks every pose the plan commands), so it neither solves nor checks
+    a pose; every other run solves its poses through pose_memo.
+    Deterministic for a given config. Overload and attach timeouts mark
+    the report completed=False (with failing tick, code and reason)
+    instead of raising; planning errors (bad stance, unreachable
+    footholds) raise.
     """
     gait = config.gait
     model = config.adhesion
@@ -261,11 +262,9 @@ def run_scenario(config, sink=None):
         # The gait revisits the same few poses every cycle, so ticks share them.
         pose = pose_memo(solve_leg, config.geometry, script.k_rad, script.branch, config.limits)
     else:
-        # Nothing reads the angles, and without limits only reach can fail.
-        geom, k_rad = config.geometry, script.k_rad
-
+        # Nothing reads the angles, and the plan has checked every pose's reach.
         def pose(x, y, z):
-            check_reach(geom, x, y, z, k_rad)
+            return None
 
     def stance_pose():
         """Every leg on its foothold."""

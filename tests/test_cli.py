@@ -232,6 +232,16 @@ def test_validate_config_bad_file(tmp_path, capsys):
     assert "no_such_key" in capsys.readouterr().err
 
 
+def test_validate_config_plans_the_gait(tmp_path, capsys):
+    # The config loads, but leg 1's foothold lies 262.5 mm out, past the
+    # 200 mm reach: validate-config refuses it as simulate and gait do.
+    path = write_config(tmp_path, "[gait]\np1_mm = -250, 80\n")
+    assert main(["--config", path, "validate-config"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "UnreachableFoothold" in captured.err and "leg 1" in captured.err
+
+
 def test_usage_error_unknown_command():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

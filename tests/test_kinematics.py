@@ -10,7 +10,6 @@ from wallclimber.kinematics import (
     ElbowBranch,
     JointLimits,
     LegGeometry,
-    check_reach,
     fk_leg,
     fk_normal_z,
     fk_planar_xy,
@@ -278,11 +277,13 @@ def test_reachable_with_limits():
     assert reachable(GEOM, CupTarget(150.0, 0.0, 100.0, math.pi / 2), limits) == (True, None)
 
 
-# --- NaN inputs ------------------------------------------------------------
-# CupTarget rejects NaN, but the plane solvers and reachable take bare numbers
-# or any object with x, y, z and k. A NaN fails the range check of its plane.
+# --- NaN and infinite inputs -------------------------------------------------
+# CupTarget rejects NaN and infinities, but the plane solvers and reachable
+# take bare numbers or any object with x, y, z and k. A NaN or an infinity
+# fails the range check of its plane; math.sin of an infinite k counts as NaN.
 
-@pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)])
+@pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan),
+                                  (math.inf, 0.0), (0.0, -math.inf), (math.inf, -math.inf)])
 def test_ik_planar_rejects_nan(x, y):
     for geom in (GEOM, LegGeometry(100.0, 80.0, 100.0, 100.0)):
         with pytest.raises(OutOfReach) as info:
@@ -290,7 +291,8 @@ def test_ik_planar_rejects_nan(x, y):
         assert info.value.plane == "xy"
 
 
-@pytest.mark.parametrize("z, k", [(math.nan, 0.5), (100.0, math.nan)])
+@pytest.mark.parametrize("z, k", [(math.nan, 0.5), (100.0, math.nan), (math.inf, 0.5),
+                                  (100.0, math.inf), (100.0, -math.inf)])
 def test_ik_normal_rejects_nan(z, k):
     with pytest.raises(ZUnreachable) as info:
         ik_normal_zy(GEOM, z, k)
@@ -306,14 +308,11 @@ def test_reachable_rejects_nan():
     assert reachable(GEOM, target(y=math.nan)) == (False, "out_of_reach")
     assert reachable(GEOM, target(z=math.nan)) == (False, "z_unreachable")
     assert reachable(GEOM, target(k=math.nan)) == (False, "z_unreachable")
-
-
-def test_check_reach_rejects_nan():
-    check_reach(GEOM, 150.0, 0.0, 100.0, math.pi / 2)
-    with pytest.raises(OutOfReach):
-        check_reach(GEOM, math.nan, 0.0, 100.0, math.pi / 2)
-    with pytest.raises(ZUnreachable):
-        check_reach(GEOM, 150.0, 0.0, math.nan, math.pi / 2)
+    for inf in (math.inf, -math.inf):
+        assert reachable(GEOM, target(x=inf)) == (False, "out_of_reach")
+        assert reachable(GEOM, target(y=inf)) == (False, "out_of_reach")
+        assert reachable(GEOM, target(z=inf)) == (False, "z_unreachable")
+        assert reachable(GEOM, target(k=inf)) == (False, "z_unreachable")
 
 
 # --- value types ----------------------------------------------------------

@@ -15,10 +15,11 @@ their last tick. Three planning properties ride along: every generated
 cycle closes exactly in integer micrometres, forward kinematics of a solved
 leg returns its target on either elbow branch, and every swing waypoint is
 a finite point at a clearance of at least 0 (what lets a run's pose memo
-skip CupTarget's check). A reach check fails exactly where a limit-free
-solve fails, with the same error, on both sides of every reach boundary.
-The examples are derandomised, so every run of the suite tries the same
-scenarios.
+skip CupTarget's check). The reach check that planning uses, `reachable`,
+passes exactly where a limit-free solve succeeds, on both sides of every
+reach boundary, and a plan that passes on a leg with an inner hole runs
+without a reach error. The examples are derandomised, so every run of the
+suite tries the same scenarios.
 """
 
 import math
@@ -29,6 +30,7 @@ from hypothesis import strategies as st
 
 from wallclimber.gait import (
     ADVANCE_MODES,
+    ADVANCE_PER_CYCLE,
     LEG_IDS,
     FootholdMap,
     generate_cycle,
@@ -36,13 +38,13 @@ from wallclimber.gait import (
     swing_waypoint,
     validate,
 )
-from wallclimber.errors import KinematicsError
+from wallclimber.errors import KinematicsError, UnreachableFoothold
 from wallclimber.kinematics import (
     CupTarget,
     ElbowBranch,
     LegGeometry,
-    check_reach,
     fk_leg,
+    reachable,
     solve_leg,
 )
 from wallclimber.pneumatics import AdhesionModel, Valve
@@ -176,9 +178,11 @@ def outcome(call, *args):
 
 
 def assert_same_outcome(geom, x, y, z, k):
+    """validate's reach check passes a point exactly where the run's solve
+    of it succeeds."""
     target = CupTarget(x, y, z, k)
     solved = outcome(solve_leg, geom, target, ElbowBranch.PLUS, None)
-    assert outcome(check_reach, geom, x, y, z, k) == solved
+    assert reachable(geom, target)[0] == (solved is None)
     return solved
 
 
@@ -232,3 +236,51 @@ def boundary_targets():
 @pytest.mark.parametrize("geom, x, y, z, k", boundary_targets())
 def test_reach_check_agrees_one_ulp_either_side_of_each_boundary(geom, x, y, z, k):
     assert_same_outcome(geom, x, y, z, k)
+
+
+@st.composite
+def inner_hole_scenarios(draw):
+    """Scenarios on a leg with an inner hole of 0 to 45 mm, whose footholds
+    lie inside the hole's x range, within 1 mm beyond it, or up to 25 mm
+    beyond it, on either side."""
+    geom = LegGeometry(100.0, draw(finite(55.0, 100.0)), 100.0, 100.0)
+    hole = geom.xy_reach[0]
+
+    def foothold():
+        x = draw(st.one_of(finite(0.0, hole), finite(hole, hole + 1.0),
+                           finite(hole, hole + 25.0)))
+        y = draw(st.one_of(finite(-60.0, -hole), finite(hole, 60.0), finite(-60.0, 60.0)))
+        return x * draw(st.sampled_from((-1.0, 1.0))), y
+
+    gait = GaitParams(stance_mm={leg: foothold() for leg in LEG_IDS},
+                      step_length_mm=draw(finite(1.0, 60.0)),
+                      order=tuple(draw(st.permutations(LEG_IDS))),
+                      advance_mode=draw(st.sampled_from(ADVANCE_MODES)))
+    return ScenarioConfig(climb_angle_deg=draw(finite(0.0, 90.0)),
+                          mass_kg=draw(finite(0.5, 20.0)), cycles=draw(st.integers(1, 3)),
+                          geometry=geom, gait=gait)
+
+
+# Leg 1's swing from (2, -10) to (2, 30) crosses a 5 mm hole between its
+# checked points: its ticks from y = -4 to y = 4 fall inside it.
+CROSSES_THE_HOLE = ScenarioConfig(
+    geometry=LegGeometry(100.0, 95.0, 100.0, 100.0),
+    gait=GaitParams(stance_mm={1: (2.0, -10.0), 2: (30.0, 40.0), 3: (30.0, -40.0),
+                               4: (-30.0, 40.0)},
+                    step_length_mm=40.0, advance_mode=ADVANCE_PER_CYCLE))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(inner_hole_scenarios())
+@example(CROSSES_THE_HOLE)
+def test_a_plan_that_passes_cannot_fail_on_reach(config):
+    try:
+        generate_cycle(config.geometry, config.gait, config.limits)
+    except UnreachableFoothold:
+        event("refused")
+        return
+    event("planned")
+    # A run that keeps its records solves every pose it commands, and
+    # raises the KinematicsError of the first one out of reach.
+    report = run_scenario(config)
+    assert report.ticks == len(report.records)

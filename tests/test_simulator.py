@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 from wallclimber import simulator
-from wallclimber.errors import ClimberError, OutOfReach, ZeroCapacity
+from wallclimber.errors import ClimberError, UnreachableFoothold, ZeroCapacity
 from wallclimber.fileio import write_series_csv, write_summary_json
 from wallclimber.gait import ADVANCE_PER_CYCLE
 from wallclimber.kinematics import CupTarget, JointLimits, LegGeometry, solve_leg
@@ -236,9 +236,8 @@ SWEEP_CONFIGS = [
     ScenarioConfig(mass_kg=16.0),
     ScenarioConfig(limits=JointLimits(-math.pi, math.radians(177.0))),
     ScenarioConfig(cycles=30),
-    # An inner hole of 20 mm: the plan passes, but at 0 and 45 deg a swing
-    # waypoint, (19.2, -5.0667), falls into the hole mid-run; at 90 deg the
-    # cups overload before that pose.
+    # An inner hole of 20 mm: leg 3's swing from (19.2, -10.4) to (19.2, 69.6)
+    # crosses y = 0 inside the hole, so planning refuses the gait at every angle.
     ScenarioConfig(geometry=LegGeometry(100.0, 80.0, 100.0, 100.0), mass_kg=16.0,
                    gait=GaitParams(stance_mm={1: (19.2, 40.7), 2: (-19.2, 40.7),
                                               3: (19.2, -10.4), 4: (-19.2, -45.8)},
@@ -282,8 +281,9 @@ def test_sweep_builds_no_tick_records(monkeypatch):
 
 
 def test_sweep_without_limits_solves_no_pose(monkeypatch):
-    # Nothing reads a sweep's angles, so a limit-free sweep only checks each
-    # pose's reach; a JointLimit needs the angles, and so do kept records.
+    # Nothing reads a sweep's angles and the plan has checked each pose's
+    # reach, so a limit-free sweep solves nothing; a JointLimit needs the
+    # angles, and so do kept records.
     solves = []
 
     def counting_solve(*args):
@@ -301,12 +301,15 @@ def test_sweep_without_limits_solves_no_pose(monkeypatch):
 
 
 def test_sweep_of_a_leg_with_an_inner_hole():
+    # Planning refuses the swing that would cross the hole mid-run, so every
+    # angle reads a planning error instead of failing after some ticks.
     rows = sweep_climb_angle(SWEEP_CONFIGS[-1], [0.0, 45.0, 90.0])
-    assert all(math.isnan(row.avg_speed_mm_s) for row in rows[:2])
-    assert [(row.avg_speed_mm_s, row.avg_power_w, row.completed) for row in rows[2:]] == [
-        (0.0, 16.0, False)]
-    with pytest.raises(OutOfReach, match=r"planar target \(19\.2, -5\.0666"):
+    for row in rows:
+        assert math.isnan(row.avg_speed_mm_s) and math.isnan(row.avg_power_w)
+        assert row.completed is False
+    with pytest.raises(UnreachableFoothold, match=r"nearest the shoulder \(19\.2, 0\.0\)") as info:
         run_scenario(replace(SWEEP_CONFIGS[-1], climb_angle_deg=45.0))
+    assert (info.value.leg, info.value.step) == (3, 2)
 
 
 def test_sweep_rejects_bad_inputs():
