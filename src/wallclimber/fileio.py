@@ -11,13 +11,12 @@ once per file (_degrees_text). The series keys that cache by the object's
 id and empties it at _CACHE_CAP entries. The table keys it by leg, so it
 holds at most four entries: compile_joint_table shares a pose only between
 the rows of one leg in one step, and a swing pose is never used again.
-The series sink also keeps the text after body_mm of each tick, keyed by
-the tick's `attached` dict, which a replayed tick shares with the tick it
-repeats. That cache has no cap, so it serves a cycle of any length. A run
-makes a new `attached` dict only on a computed tick, so the cache holds
-one entry per computed tick, noisy pressures included: a run stops
-computing once a cycle repeats (from the third cycle in every config
-tried).
+The series sink also takes whole replayed cycles: on a noise-free run,
+run_scenario hands it each cycle it replays as that cycle's t_s and body_mm
+values, and the sink writes those rows from the text after body_mm that it
+kept for the ticks of the cycle being replayed. It keeps that text for one
+computed cycle at a time. A noisy run, or a run given a plain callable,
+passes every TickRecord, and nothing is kept.
 
 Every writer goes through _replacing: it writes `<path>.<pid>.tmp` and
 renames it onto `path` only on success, so a failed write leaves `path` as
@@ -41,6 +40,8 @@ SWEEP_HEADER = ["angle_deg", "avg_speed_mm_s", "avg_power_w", "completed"]
 
 # A 30-cycle run has 1,360 poses. The joint table keys by leg, so it holds 4.
 _CACHE_CAP = 4096
+# Rows of a replayed cycle joined into one write.
+_REPLAY_CHUNK = 256
 
 
 def _fmt(value):
@@ -160,33 +161,17 @@ def series_header():
 
 def series_row_formatter():
     """Return a function that formats one TickRecord as a series CSV line,
-    newline included. Use one per file: it formats each repeated text once.
-    The text after body_mm (each leg's angles, valve, pressure and attached
-    flag, then power_w and slip) is kept per `attached` dict, with the six
-    objects it was formatted from, kept alive so that no new dict takes the
-    id: a tick whose six fields are those objects, as a replayed tick's are,
-    reuses it, and any other tick overwrites it. Identity, not equality,
-    because 0.0 == -0.0 but they print apart. Angles are cached per
-    JointAngles object (_degrees_text); body_mm is reformatted on change.
-    """
-    degrees, tails = {}, {}
-    body = body_text = None
+    newline included. Use one per file: it formats each pose once
+    (_degrees_text) and every other field on each call."""
+    degrees = {}
 
     def format_row(rec):
-        nonlocal body, body_text
-        if rec.body_mm != body or not body:
-            body, body_text = rec.body_mm, _fmt(rec.body_mm)
         angles, valves, pressures, attached = rec.angles, rec.valve, rec.pressure_kpa, rec.attached
-        power, slip = rec.power_w, rec.slip
-        entry = tails.get(id(attached))
-        if (entry is None or entry[0] is not angles or entry[1] is not valves
-                or entry[2] is not pressures or entry[4] is not power or entry[5] is not slip):
-            tail = ",".join([f"{_degrees_text(degrees, id(angles[leg]), angles[leg])},"
-                             f"{valves[leg].value},{_fmt(pressures[leg])},"
-                             f"{'1' if attached[leg] else '0'}"
-                             for leg in LEG_IDS] + [_fmt(power), _fmt(slip)])
-            entry = tails[id(attached)] = (angles, valves, pressures, attached, power, slip, tail)
-        return f"{_fmt(rec.t_s)},{body_text},{entry[6]}\n"
+        return ",".join([_fmt(rec.t_s), _fmt(rec.body_mm)]
+                        + [f"{_degrees_text(degrees, id(angles[leg]), angles[leg])},"
+                           f"{valves[leg].value},{_fmt(pressures[leg])},"
+                           f"{'1' if attached[leg] else '0'}"
+                           for leg in LEG_IDS] + [_fmt(rec.power_w), _fmt(rec.slip)]) + "\n"
 
     return format_row
 
@@ -201,11 +186,44 @@ def write_series_csv(path, report):
 @contextmanager
 def series_csv_sink(path):
     """Stream a run's ticks into a series CSV: yields a sink for
-    run_scenario that writes each TickRecord as it arrives."""
+    run_scenario that writes each TickRecord as it arrives.
+
+    The sink also has a `cycle` hook, which run_scenario finds on a
+    noise-free run and calls at the start of each cycle. With no arguments,
+    a cycle is about to be computed: the sink drops the text it holds and
+    keeps the text after body_mm of each tick to come. With the t_s and
+    body_mm values of one replay of that cycle, it writes the replay from
+    the held text, in chunks of _REPLAY_CHUNK rows, formatting body_mm only
+    when it changes. So it holds at most one cycle of text, and none for a
+    run that never calls the hook: a noisy run, list mode
+    (write_series_csv), or a run given a plain callable that wraps it.
+    """
     with _replacing(path) as handle:
         handle.write(",".join(series_header()) + "\n")
         format_row = series_row_formatter()
-        yield lambda rec: handle.write(format_row(rec))
+        held = None
+
+        def sink(rec):
+            row = format_row(rec)
+            if held is not None:
+                held.append(row.split(",", 2)[2])
+            handle.write(row)
+
+        def cycle(times=(), bodies=()):
+            nonlocal held
+            if not times:
+                held = []
+            body = text = None
+            for i in range(0, len(times), _REPLAY_CHUNK):
+                j, chunk = i + _REPLAY_CHUNK, []
+                for t_s, body_mm, tail in zip(times[i:j], bodies[i:j], held[i:j]):
+                    if body_mm != body or not body_mm:  # 0.0 == -0.0 but they print apart
+                        body, text = body_mm, _fmt(body_mm)
+                    chunk.append(f"{_fmt(t_s)},{text},{tail}")
+                handle.write("".join(chunk))
+
+        sink.cycle = cycle
+        yield sink
 
 
 def read_series_csv(path):

@@ -166,9 +166,8 @@ class TickRecord:
     so a replay can start a cycle after the first step that repeats.
     Replayed ticks share the `angles`, `valve`, `pressure_kpa` and
     `attached` dicts of the ticks they repeat. Treat all four as read-only.
-    The series formatter relies on `attached` being a new dict on each
-    computed tick, shared only by that tick's replays: it keeps each tick's
-    text under that dict.
+    A sink with fileio.series_csv_sink's `cycle` hook gets no record for a
+    replayed tick of a noise-free run (see run_scenario).
     """
 
     t_s: float
@@ -215,12 +214,17 @@ def run_scenario(config, sink=None):
 
     Each tick's TickRecord is passed to `sink` when one is given, and the
     report's `records` stays empty; without a sink the records are
-    collected in `records`. A run whose sink is `_drop` builds no
-    TickRecord and draws no pressure jitter; its `ticks` and energy are
-    counted as before, so its summary is the same. Such a run without
-    joint limits reads no joint angle and cannot fail on reach (validate
-    checks every pose the plan commands), so it neither solves nor checks
-    a pose; every other run solves its poses through pose_memo.
+    collected in `records`. A noise-free run whose sink has a `cycle` hook
+    (fileio.series_csv_sink's sink) calls `sink.cycle()` before each cycle
+    it computes, and instead of the records of each cycle it replays calls
+    `sink.cycle(times, bodies)` with that cycle's t_s and body_mm values,
+    computed as for the records; every other sink, and every sink of a
+    noisy run, gets each tick's TickRecord. A run whose sink is `_drop`
+    builds no TickRecord and draws no pressure jitter; its `ticks` and
+    energy are counted as before, so its summary is the same. Such a run
+    without joint limits reads no joint angle and cannot fail on reach
+    (validate checks every pose the plan commands), so it neither solves
+    nor checks a pose; every other run solves its poses through pose_memo.
     Deterministic for a given config. Overload and attach timeouts mark
     the report completed=False (with failing tick, code and reason)
     instead of raising; planning errors (bad stance, unreachable
@@ -254,6 +258,9 @@ def run_scenario(config, sink=None):
     records = []
     emit = records.append if sink is None else sink
     keep = sink is not _drop  # whether anything reads the TickRecords
+    # A sink that writes replayed cycles whole (fileio.series_csv_sink's); a
+    # noisy run draws jitter for each replayed tick, so it emits them all.
+    cycle_hook = None if jitter > 0.0 else getattr(sink, "cycle", None)
     ticks = 0
     energy_j = 0.0
     slip_count = 0
@@ -298,7 +305,7 @@ def run_scenario(config, sink=None):
     def climb():
         """Run the ticks. Return (failure_tick, failure_code, reason) where the
         run fails, or (None, None, None) when every cycle completes."""
-        nonlocal body_um, slip_count
+        nonlocal body_um, slip_count, energy_j, ticks
         # Every cup starts at the suction equilibrium; if that does not pass
         # the attach threshold, no cup can ever grip.
         if not all(pstate.grip(model)[0].values()):
@@ -319,12 +326,24 @@ def run_scenario(config, sink=None):
                 if start == previous:
                     cycles_left = config.cycles - count // per_cycle
                     for _ in range(cycles_left):
-                        for frame in frames:
+                        if cycle_hook is None:
+                            for frame in frames:
+                                body_um += frame[0]
+                                record(frame)
+                            continue
+                        times, bodies = [], []
+                        for frame in frames:  # record()'s sums and fields, in its order
                             body_um += frame[0]
-                            record(frame)
+                            energy_j += frame[5] * tick
+                            ticks += 1
+                            times.append(ticks * tick)
+                            bodies.append(um_to_mm(body_um))
+                        cycle_hook(times, bodies)
                     slip_count += (slip_count - slips) * cycles_left
                     break
                 frames, slips = [], slip_count
+                if cycle_hook is not None:
+                    cycle_hook()
             leg = step.swing_leg
             old_bf = (um_to_mm(wall_um[leg][0]), um_to_mm(wall_um[leg][1] - body_um))
             new_bf = step.new_foothold_mm

@@ -1,8 +1,8 @@
 """The streamed series file against a plain formatter with no caches.
 
-`series_row_formatter` keeps the text after body_mm of each tick it formats
-and reuses it for the ticks that replay it, and formats each pose once.
-These tests format every field of every tick afresh, the way the file
+`series_csv_sink` keeps the text after body_mm of each tick of the cycle
+being computed and writes a replayed cycle from it, and formats each pose
+once. These tests format every field of every tick afresh, the way the file
 format is specified, and compare the CLI's series file byte for byte.
 """
 
@@ -30,7 +30,7 @@ RUNS = {
     # advance ticks slip -0.0 (min(..., s_max)), the others 0.0
     "negative-zero-slip": ("[scenario]\nclimb_angle_deg = 45\ncycles = 1\ns_max = -0.0\n",
                            EXIT_OK),
-    # every pressure is distinct, so a replayed tick overwrites the text of the tick it repeats
+    # a noisy run writes every tick from its TickRecord, replayed ticks included
     "noisy": ("[scenario]\nclimb_angle_deg = 45\ncycles = 3\nnoise_kpa = 0.5\nseed = 7\n",
               EXIT_OK),
     # a cycle of 6,800 ticks with more poses than the pose cache holds; the third one replays
@@ -87,22 +87,25 @@ def test_replayed_ticks_are_formatted_from_the_tick_they_repeat(tmp_path, monkey
     monkeypatch.setattr(fileio, "_degrees_text",
                         lambda cache, key, angles: calls.append(angles)
                         or degrees_text(cache, key, angles))
-    # A run makes a new attached dict on each computed tick, and a replayed
-    # tick shares the dict of the tick it repeats. `seen` keeps every dict
-    # alive, so no id is reused.
-    seen, computed, replayed = {}, [], []
+    # The file sink, passed directly, writes the third cycle from the text it
+    # held for the second, through its cycle hook, without formatting a pose.
+    replayed = []  # (ticks, _degrees_text calls) of each replayed cycle
+    with fileio.series_csv_sink(tmp_path / "run.csv") as sink:
+        cycle = sink.cycle
 
-    def sink(rec):
-        before = len(calls)
-        write(rec)
-        (replayed if id(rec.attached) in seen else computed).append(len(calls) - before)
-        seen[id(rec.attached)] = rec.attached
+        def counted_cycle(times=(), bodies=()):
+            before = len(calls)
+            cycle(times, bodies)
+            if times:
+                replayed.append((len(times), len(calls) - before))
 
-    with fileio.series_csv_sink(tmp_path / "run.csv") as write:
+        sink.cycle = counted_cycle
         report = run_scenario(ScenarioConfig(climb_angle_deg=45.0, cycles=3, tick_s=0.001),
                               sink=sink)
-    assert len(computed) == 2 * 6800 and len(replayed) == 6800 == report.ticks // 3
-    assert set(computed) == {4} and set(replayed) == {0}
+    assert replayed == [(6800, 0)] and report.ticks == 3 * 6800
+    assert len(calls) == 4 * 2 * 6800  # one per leg of each computed tick
+    with open(tmp_path / "run.csv", encoding="utf-8") as handle:
+        assert sum(1 for _ in handle) == 1 + report.ticks
 
 
 def test_records_replaced_from_a_replayed_tick_print_their_own_fields():
@@ -132,8 +135,7 @@ def test_records_replaced_from_a_replayed_tick_print_their_own_fields():
         assert format_row(rec) == reference_row(rec)
 
 
-def _peak_streamed_bytes(path, cycles):
-    config = ScenarioConfig(climb_angle_deg=45.0, cycles=cycles, noise_kpa=0.5, seed=3)
+def _peak_streamed_bytes(path, config):
     tracemalloc.start()
     try:
         with fileio.series_csv_sink(path) as sink:
@@ -144,5 +146,14 @@ def _peak_streamed_bytes(path, cycles):
 
 
 def test_streamed_series_memory_stays_flat_in_cycles(tmp_path):
-    long_peak = _peak_streamed_bytes(tmp_path / "long.csv", 20)
-    assert long_peak < 2 * _peak_streamed_bytes(tmp_path / "short.csv", 2)
+    config = ScenarioConfig(climb_angle_deg=45.0, noise_kpa=0.5, seed=3)
+    long_peak = _peak_streamed_bytes(tmp_path / "long.csv", replace(config, cycles=20))
+    assert long_peak < 2 * _peak_streamed_bytes(tmp_path / "short.csv", replace(config, cycles=2))
+
+
+def test_replaying_sink_holds_one_cycle_of_text(tmp_path):
+    # 6,800 ticks a cycle, and the third cycle replays the second: the sink
+    # holds the second cycle's text by then, not the first's as well
+    config = ScenarioConfig(climb_angle_deg=45.0, cycles=1, tick_s=0.001)
+    one = _peak_streamed_bytes(tmp_path / "one.csv", config)
+    assert _peak_streamed_bytes(tmp_path / "three.csv", replace(config, cycles=3)) <= 1.3 * one

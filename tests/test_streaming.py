@@ -5,17 +5,24 @@ import contextlib
 import dataclasses
 import math
 import os
+import tempfile
 import tracemalloc
+import unittest.mock
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from wallclimber import gait as gait_module
+from wallclimber import simulator
 from wallclimber.cli import EXIT_OK, EXIT_SIMFAIL, EXIT_VALIDATION, main
 from wallclimber.config import CONFIG_ENV_VAR, load_config
 from wallclimber.errors import GaitValidationError, JointLimit
 from wallclimber.fileio import (
     JOINT_TABLE_HEADER,
     joint_table_sink,
+    series_csv_sink,
     summary_dict,
     write_joint_table,
     write_series_csv,
@@ -23,7 +30,7 @@ from wallclimber.fileio import (
 from wallclimber.gait import JointTableRow, compile_joint_table, generate_cycle
 from wallclimber.kinematics import CupTarget, JointAngles, JointLimits, solve_leg
 from wallclimber.pneumatics import AdhesionModel
-from wallclimber.simulator import ScenarioConfig, _drop, run_scenario
+from wallclimber.simulator import GaitParams, ScenarioConfig, _drop, run_scenario
 
 RUNS = {
     "default": ("[scenario]\n", EXIT_OK),
@@ -148,6 +155,72 @@ def _peak_alloc_bytes(cycles):
 
 def test_streamed_run_memory_stays_flat_in_cycles():
     assert _peak_alloc_bytes(20) < 2 * _peak_alloc_bytes(2)
+
+
+def finite(low, high):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+multi_cycle_scenarios = st.builds(
+    ScenarioConfig,
+    climb_angle_deg=finite(0.0, 90.0),
+    mass_kg=finite(0.5, 20.0),
+    cycles=st.integers(3, 6),
+    tick_s=st.sampled_from([0.01, 0.005]),
+    adhesion=st.builds(AdhesionModel,
+                       leak_kpa_per_s=st.one_of(st.just(115.0), finite(0.0, 120.0))),
+    seed=st.integers(0, 2**16),
+    noise_kpa=st.one_of(st.just(0.0), finite(0.01, 1.0)),
+)
+
+
+def _series_and_summary(path, config, sink_of):
+    """Stream a run into a series file through the sink that `sink_of` makes
+    of series_csv_sink's sink; return the file's bytes and the summary."""
+    with series_csv_sink(path) as sink:
+        report = run_scenario(config, sink=sink_of(sink))
+    with open(path, "rb") as handle:
+        return handle.read(), summary_dict(report)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(multi_cycle_scenarios)
+# every attach needs its extension; cycles 3 to 5 replay the second
+@example(ScenarioConfig(cycles=5, adhesion=AdhesionModel(leak_kpa_per_s=115.0)))
+# the mid_cycle_repeat run path: the replay starts a cycle after the first
+# step that repeats, and a cycle start state without the footholds would
+# replay too early
+@example(ScenarioConfig(climb_angle_deg=25.0, mass_kg=15.0, cycles=6, tick_s=0.05,
+                        gait=GaitParams(swing_s=0.05, advance_s=0.01),
+                        adhesion=AdhesionModel(dwell_s=0.3, vent_s=0.05)))
+def test_replayed_cycles_write_what_every_tick_writes(config):
+    # The file sink writes a replayed cycle of a noise-free run from its held
+    # text; hidden behind a plain callable it gets every tick's TickRecord, and
+    # list mode writes the records afterwards. All three must agree byte for
+    # byte. A run whose every cycle start differs from the last (a fresh
+    # object in place of the pressure bits) computes every tick, and must
+    # give the records and summary of the replaying run; `_drop` the summary.
+    listed = run_scenario(config)
+    event("completed" if listed.completed else listed.failure_code)
+    computed = computed_run(config)
+    assert computed.records == listed.records
+    assert summary_dict(computed) == summary_dict(listed)
+    assert summary_dict(run_scenario(config, sink=_drop)) == summary_dict(listed)
+    with tempfile.TemporaryDirectory() as tmp:
+        written = [_series_and_summary(os.path.join(tmp, "hook.csv"), config, lambda sink: sink),
+                   _series_and_summary(os.path.join(tmp, "plain.csv"), config,
+                                       lambda sink: lambda rec: sink(rec))]
+        write_series_csv(os.path.join(tmp, "list.csv"), listed)
+        with open(os.path.join(tmp, "list.csv"), "rb") as handle:
+            written.append((handle.read(), summary_dict(listed)))
+    assert written[0] == written[1] == written[2]
+
+
+def computed_run(config):
+    """A list-mode run of `config` that replays no cycle."""
+    never_equal = SimpleNamespace(pack=lambda *args: object())
+    with unittest.mock.patch.object(simulator, "struct", never_equal):
+        return run_scenario(config)
 
 
 # --- the joint table -----------------------------------------------------------
