@@ -6,11 +6,16 @@ keys are sorted. Angles are degrees in files, radians in memory. No
 CSV field ever needs quoting, so the CSV writers join their fields in one
 row writer, _write_rows, or stream through one of the two sinks:
 series_csv_sink takes a run's ticks from run_scenario, joint_table_sink a
-gait's rows from compile_joint_table. Both format each JointAngles object
-once per file (_degrees_text). The series keys that cache by the object's
-id and empties it at _CACHE_CAP entries. The table keys it by leg, so it
-holds at most four entries: compile_joint_table shares a pose only between
-the rows of one leg in one step, and a swing pose is never used again.
+gait's rows from compile_joint_table. A row's angles are formatted once per
+JointAngles object (_degrees_text), in a cache that each sink keys its own
+way. The series sink keys it by the object's id and empties it at
+_CACHE_CAP entries. The table sink keys it by leg, so it holds at most four
+entries: compile_joint_table shares a pose only between the rows of one leg
+in one step, and a swing pose is never used again.
+The table sink also takes whole steps through its `step` hook, which
+compile_joint_table finds: it formats each stance leg's line once per step
+and writes each sample's four rows as one string, and no JointTableRow is
+built. List mode (write_joint_table) and a plain callable get every row.
 The series sink also takes whole replayed cycles: on a noise-free run,
 run_scenario hands it each cycle it replays as that cycle's t_s and body_mm
 values, and the sink writes those rows from the text after body_mm that it
@@ -62,6 +67,11 @@ def _replacing(path):
         raise
 
 
+def _angles_text(thetas):
+    """Joint angles in radians as CSV fields in degrees."""
+    return ",".join([_fmt(math.degrees(t)) for t in thetas])
+
+
 def _degrees_text(cache, key, angles):
     """The four joint angles as CSV fields in degrees, formatted once per
     JointAngles object: solvers share one object between every tick or row
@@ -74,8 +84,7 @@ def _degrees_text(cache, key, angles):
     if entry is None or entry[0] is not angles:
         if len(cache) >= _CACHE_CAP:
             cache.clear()
-        entry = cache[key] = (
-            angles, ",".join([_fmt(math.degrees(t)) for t in angles.as_tuple()]))
+        entry = cache[key] = (angles, _angles_text(angles.as_tuple()))
     return entry[1]
 
 
@@ -113,7 +122,17 @@ def joint_table_sink(path):
     object, as a stance leg's rows of one step do, and no swing pose
     outlives the next row of its leg. t_s is formatted once per sample: its
     text is reused while t_s equals the previous row's and is nonzero,
-    since 0.0 == -0.0 but they print apart."""
+    since 0.0 == -0.0 but they print apart.
+
+    The sink also has a `step` hook, which compile_joint_table finds and
+    calls once per step as step(swing_leg, angles_by_leg), each leg's
+    angles a (theta1, theta2, theta3, theta4) tuple in radians. It formats
+    the three stance-leg lines and returns sample(t_s, swing_angles), which
+    writes one sample's four rows, legs 1..4, as one string: one t_s text
+    and one swing line per sample. So it holds four line texts, and builds
+    no JointTableRow. List mode (write_joint_table) and a plain callable
+    that wraps the sink write each row as above.
+    """
     with _replacing(path) as handle:
         handle.write(",".join(JOINT_TABLE_HEADER) + "\n")
         degrees = {}
@@ -126,6 +145,19 @@ def joint_table_sink(path):
             handle.write(f"{t_text},{row.leg},{_degrees_text(degrees, row.leg, row.angles)},"
                          f"{'1' if row.attached else '0'}\n")
 
+        def step(swing_leg, angles_by_leg):
+            lines = [None if leg == swing_leg else f"{leg},{_angles_text(angles_by_leg[leg])},1\n"
+                     for leg in LEG_IDS]
+            slot = LEG_IDS.index(swing_leg)
+
+            def sample(t_s, swing_angles):
+                lines[slot] = f"{swing_leg},{_angles_text(swing_angles)},0\n"
+                t_text = _fmt(t_s) + ","
+                handle.write(t_text + t_text.join(lines))
+
+            return sample
+
+        write_row.step = step
         yield write_row
 
 

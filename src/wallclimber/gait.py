@@ -20,7 +20,8 @@ from types import MappingProxyType
 
 from .errors import (GaitValidationError, KinematicsError, UnreachableFoothold, is_finite_real,
                      require_finite, require_int)
-from .kinematics import CupTarget, ElbowBranch, JointAngles, reachable, solve_leg
+from .kinematics import (CupTarget, ElbowBranch, JointAngles, ik_normal_zy, ik_planar_xy,
+                         reachable, solve_leg)
 
 LEG_IDS = (1, 2, 3, 4)
 UM_PER_MM = 1000
@@ -410,7 +411,15 @@ def compile_joint_table(script, geom, samples_per_step, *, step_duration_s=1.0, 
     a non-finite one. k is k_rad, which GaitScript checks when built.
 
     With a `sink`, each row is handed to sink(row) as it is made and the
-    returned list stays empty.
+    returned list stays empty. A sink with a `step` hook, such as the one
+    fileio.joint_table_sink yields, gets no rows. Instead, once every leg
+    is solved at a step's first sample, in leg order, the compile calls
+    sample = sink.step(swing_leg, angles_by_leg), and then sample(t_s,
+    swing_angles) for each sample of the step, solving only the swing leg
+    after the first. Each angles value is a (theta1, theta2, theta3, theta4)
+    tuple from ik_planar_xy and ik_normal_zy, called as solve_leg calls
+    them, so the errors are the same; but no CupTarget, JointAngles or row
+    is built, and a patch of solve_leg sees none of these solves.
     """
     if type(samples_per_step) is not int or samples_per_step < 2:  # a bool is no count
         raise ValueError(f"samples_per_step must be an integer >= 2, got {samples_per_step!r}")
@@ -419,13 +428,21 @@ def compile_joint_table(script, geom, samples_per_step, *, step_duration_s=1.0, 
     report = validate(script, geom, limits=limits)
     if not report.ok:
         raise GaitValidationError(report)
-    z_mm, k_rad = script.z_mm, script.k_rad
+    z_mm, k_rad, branch = script.z_mm, script.k_rad, script.branch
+    step_hook = getattr(sink, "step", None)
 
-    def solved(index, j, leg, target):
+    def row_pose(target):
         cup = object.__new__(CupTarget)
         cup.__dict__.update(x=target[0], y=target[1], z=target[2], k=k_rad)
+        return solve_leg(geom, cup, branch, limits), target
+
+    def hook_pose(target):  # solve_leg's two plane solves, in its order
+        return (*ik_planar_xy(geom, target[0], target[1], branch, limits),
+                *ik_normal_zy(geom, target[2], k_rad, limits))
+
+    def solved(index, j, leg, target, pose=row_pose):
         try:
-            return solve_leg(geom, cup, script.branch, limits), target
+            return pose(target)
         except KinematicsError as exc:
             raise type(exc)(
                 f"step {index} sample {j} leg {leg}: {exc}", plane=exc.plane
@@ -439,11 +456,21 @@ def compile_joint_table(script, geom, samples_per_step, *, step_duration_s=1.0, 
         held = {}  # stance leg -> (angles, target), solved at the step's first sample
         for j in range(samples_per_step):
             t = (index + j / samples_per_step) * step_duration_s
-            progress = j / (samples_per_step - 1)
+            swing = swing_waypoint(stance_mm[swing_leg], new_bf, j / (samples_per_step - 1),
+                                   z_mm, script.lift_mm)
+            if step_hook is not None:
+                if j:
+                    sample(t, solved(index, j, swing_leg, swing, hook_pose))
+                else:  # every leg at the step's first sample, in leg order
+                    first = {leg: solved(index, j, leg, swing if leg == swing_leg
+                                         else (*stance_mm[leg], z_mm), hook_pose)
+                             for leg in LEG_IDS}
+                    sample = step_hook(swing_leg, first)
+                    sample(t, first[swing_leg])
+                continue
             for leg in LEG_IDS:
                 if leg == swing_leg:
-                    angles, target = solved(index, j, leg, swing_waypoint(
-                        stance_mm[leg], new_bf, progress, z_mm, script.lift_mm))
+                    angles, target = solved(index, j, leg, swing)
                 elif j:
                     angles, target = held[leg]
                 else:

@@ -64,9 +64,10 @@ CASES = {
         dict(climb_angle_deg=45.0, cycles=30), 20400, None,
         "b8d7b521e0049a7752b30da7b5f2658782d069cff84b42930c0b1cd98e5737d5",
         "ec95948f2f5e9949ec7db6a4ba1a2e0cab175c770b19ea930964a226fe1ebc98"),
-    # a 2-tick dwell with 0.05 s ticks: the cup pressures repeat from the
-    # second step on, but slip moves the footholds in the body frame, so
-    # cycle 2 starts in a new state and cycle 3 replays it
+    # a 2-tick dwell with 0.05 s ticks under slip: cycle 2 starts with leg
+    # 4's cup at -49.99998470488397 kPa against -50.0 at cycle 1, so the
+    # pressure bits alone make it a new start state; cycle 3 starts in
+    # cycle 2's state to the bit and replays it
     "settled_slip": (
         dict(climb_angle_deg=45.0, tick_s=0.05, adhesion=AdhesionModel(dwell_s=0.1)), 312, None,
         "84b11b1a2871d9cc151fcb181706a2c0da3114cae4a39dede0e8d1dae1284749",

@@ -27,8 +27,10 @@ from wallclimber.fileio import (
     write_joint_table,
     write_series_csv,
 )
-from wallclimber.gait import JointTableRow, compile_joint_table, generate_cycle
-from wallclimber.kinematics import CupTarget, JointAngles, JointLimits, solve_leg
+from wallclimber.gait import (ADVANCE_MODES, LEG_IDS, JointTableRow, compile_joint_table,
+                              generate_cycle)
+from wallclimber.kinematics import (CupTarget, ElbowBranch, JointAngles, JointLimits, ik_normal_zy,
+                                    ik_planar_xy, solve_leg)
 from wallclimber.pneumatics import AdhesionModel
 from wallclimber.simulator import GaitParams, ScenarioConfig, _drop, run_scenario
 
@@ -433,3 +435,103 @@ def test_stance_rows_of_a_step_share_one_pose():
             assert len(leg_rows) == samples
             assert len({id(row.angles) for row in leg_rows}) == 1
             assert len({id(row.target_mm) for row in leg_rows}) == 1
+
+
+# --- the joint-table writer's step hook -----------------------------------------
+
+# Poses whose every swing stays in reach of the default stance: z - lift >= 20
+# and sin(k) >= 0.5 keep the zy solve inside [-1, 1], and a step of at most
+# 60 mm keeps every foothold inside the 200 mm planar reach.
+hook_gaits = st.builds(
+    GaitParams,
+    step_length_mm=finite(1.0, 60.0),
+    order=st.permutations(LEG_IDS).map(tuple),
+    advance_mode=st.sampled_from(ADVANCE_MODES),
+    z_mm=finite(60.0, 140.0),
+    k_rad=finite(30.0, 90.0).map(math.radians),
+    lift_mm=finite(0.0, 40.0),
+    branch=st.sampled_from(ElbowBranch),
+    samples_per_step=st.integers(2, 60),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(hook_gaits)
+@example(GaitParams(order=(3, 1, 4, 2), samples_per_step=2))
+def test_step_hook_writes_what_every_row_writes(gait):
+    # The file sink's step hook gets each step's four poses once and then one
+    # swing pose per sample; list mode builds a JointTableRow per row and
+    # write_joint_table writes them one at a time. Both files must match the
+    # reference writer byte for byte.
+    config = ScenarioConfig(gait=gait)
+    event(f"order {gait.order}")
+    rows = compile_config(config)
+    with tempfile.TemporaryDirectory() as tmp:
+        hook, listed = os.path.join(tmp, "hook.csv"), os.path.join(tmp, "list.csv")
+        with joint_table_sink(hook) as sink:
+            assert compile_config(config, sink=sink) == []
+        write_joint_table(listed, rows)
+        with open(hook, "rb") as handle, open(listed, "rb") as other:
+            assert handle.read() == other.read() == reference_table(rows)
+
+
+def test_step_hook_solves_the_targets_each_row_solves(monkeypatch):
+    # the hook path calls the two plane solves, not solve_leg, on the same
+    # targets in the same order: every leg in leg order at a step's first
+    # sample, then the swing leg alone
+    config = ScenarioConfig(gait=GaitParams(order=(3, 1, 4, 2), samples_per_step=5))
+    row_targets, hook_targets = [], []
+
+    def recording_solve(geom, target, branch, limits):
+        row_targets.append((target.x, target.y, target.z))
+        return solve_leg(geom, target, branch, limits)
+
+    def recording_xy(geom, x, y, branch, limits):
+        hook_targets.append((x, y))
+        return ik_planar_xy(geom, x, y, branch, limits)
+
+    def recording_zy(geom, z, k, limits):
+        hook_targets[-1] += (z,)
+        return ik_normal_zy(geom, z, k, limits)
+
+    monkeypatch.setattr(gait_module, "solve_leg", recording_solve)
+    monkeypatch.setattr(gait_module, "ik_planar_xy", recording_xy)
+    monkeypatch.setattr(gait_module, "ik_normal_zy", recording_zy)
+    compile_config(config, sink=lambda row: None)
+    assert hook_targets == []
+    with joint_table_sink(os.devnull) as sink:
+        compile_config(config, sink=sink)
+    assert len(row_targets) == 4 * (4 + 5 - 1)
+    assert hook_targets == row_targets
+
+
+# Each fails at a solve that generate_cycle's validate cannot refuse, since
+# the other elbow branch is inside the limits.
+FAILING_TABLES = {
+    # the swing leg 4 at sample 3 of step 3, after 135 rows
+    "swing": (TIGHT_LIMITS_INI, r"^step 3 sample 3 leg 4: theta1="),
+    # the stance leg 1 at sample 0 of step 2, before the swing leg 3 is solved
+    "stance": ("[gait]\nbranch = minus\n[joints]\nlimit_min_deg = -180\nlimit_max_deg = 178\n",
+               r"^step 2 sample 0 leg 1: theta1="),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_TABLES))
+def test_step_hook_raises_what_each_row_raises(case, tmp_path, capsys):
+    text, message = FAILING_TABLES[case]
+    ini = tmp_path / "gait.ini"
+    ini.write_text(text, encoding="utf-8")
+    config = load_config(str(ini))
+    with pytest.raises(JointLimit, match=message) as per_row:
+        compile_config(config, sink=[].append)
+    with pytest.raises(JointLimit) as hooked:
+        with joint_table_sink(tmp_path / "table.csv") as sink:
+            compile_config(config, sink=sink)
+    assert type(hooked.value) is type(per_row.value)
+    assert str(hooked.value) == str(per_row.value)
+    assert hooked.value.plane == per_row.value.plane == "xy"
+    assert os.listdir(tmp_path) == ["gait.ini"]
+    assert main(["--config", str(ini), "gait", "-o", str(tmp_path / "table.csv")]) == (
+        EXIT_VALIDATION)
+    assert str(per_row.value) in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["gait.ini"]
