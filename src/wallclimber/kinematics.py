@@ -233,7 +233,7 @@ def pose_memo(solve, geom, k, branch, limits):
     so patching that binding (in a test or a tracer) reaches every solve. A
     run that keeps no records and has no joint limits does not use a memo: it
     reads no angle, and generate_cycle's validate has already found every pose
-    it commands in reach, so it neither solves nor checks a pose.
+    it commands in reach, so it neither solves, checks nor builds a pose.
 
     Each target is a frozen CupTarget, equal to a checked one, built without
     running CupTarget's check again: run_scenario computes every input from

@@ -6,6 +6,10 @@ atmosphere (VENT). Gauge pressures are kPa and non-positive; a cup
 counts as attached only while its valve is on SUCTION, its pump is
 running, and its pressure has passed the attach threshold -- so an
 attached reading can never coexist with a vented valve or a dead pump.
+`grip` states that rule once, split where a run's tick loop splits it:
+the caller names the legs under suction (valve and pump), which change
+only between phases, and `grip` reads the pressures, which change every
+tick. PneumaticState.grip passes its own legs under suction.
 
 Pressure dynamics are first order: under suction the cup pressure
 relaxes exponentially toward the pump's steady vacuum level (time
@@ -113,6 +117,31 @@ def assign_pumps(pump_legs):
     return pump_of_leg
 
 
+def grip(pressure_kpa, suction_legs, model):
+    """One pass over the legs in ascending order: (attached, normal_N,
+    tangential_N), where attached maps each leg of `pressure_kpa` to whether
+    its cup holds, and the forces are the grip of the attached cups.
+
+    The one statement of the attach rule. A cup holds if its leg is in
+    `suction_legs` (its valve is on suction and its pump runs) and its
+    pressure is at or below the attach threshold. Normal force sums
+    |pressure| * area per attached cup (kPa * mm^2 is millinewtons); the
+    friction cone scales it into tangential capacity.
+    """
+    threshold, area = model.attach_threshold_kpa, model.cup_area_mm2
+    attached = {}
+    total_mn = 0.0
+    for leg in sorted(pressure_kpa):
+        p = pressure_kpa[leg]
+        if leg in suction_legs and p <= threshold:
+            attached[leg] = True
+            total_mn += -p * area
+        else:
+            attached[leg] = False
+    normal_n = total_mn / 1000.0
+    return attached, normal_n, model.friction * normal_n
+
+
 @dataclass
 class PneumaticState:
     """Snapshot of pumps, valves, and cup pressures.
@@ -154,25 +183,10 @@ class PneumaticState:
         return self.grip(model)[0][leg]
 
     def grip(self, model):
-        """One pass over the legs in ascending order: (attached, normal_N,
-        tangential_N), where attached maps each leg to whether its cup
-        holds, and the forces are the grip of the attached cups.
-
-        The one statement of the attach rule. Normal force sums |pressure| *
-        area per attached cup (kPa * mm^2 is millinewtons); the friction
-        cone scales it into tangential capacity.
-        """
-        pump_on, pump_of_leg, pressure = self.pump_on, self.pump_of_leg, self.pressure_kpa
-        threshold, area, suction = model.attach_threshold_kpa, model.cup_area_mm2, Valve.SUCTION
-        attached = {}
-        total_mn = 0.0
-        for leg, valve in sorted(self.valve.items()):
-            held = attached[leg] = (valve is suction and pump_on[pump_of_leg[leg]]
-                                    and pressure[leg] <= threshold)
-            if held:
-                total_mn += -pressure[leg] * area
-        normal_n = total_mn / 1000.0
-        return attached, normal_n, model.friction * normal_n
+        """(attached, normal_N, tangential_N) of this state: the module's
+        `grip` of its pressures, with the legs under suction."""
+        return grip(self.pressure_kpa, [leg for leg in self.valve if self.under_suction(leg)],
+                    model)
 
     def attached_legs(self, model):
         return [leg for leg, held in self.grip(model)[0].items() if held]

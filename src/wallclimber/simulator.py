@@ -41,6 +41,7 @@ from .pneumatics import (
     PneumaticState,
     Valve,
     assign_pumps,
+    grip,
     relax,
     suction_decay,
     vent,
@@ -223,8 +224,11 @@ def run_scenario(config, sink=None):
     builds no TickRecord and draws no pressure jitter; its `ticks` and
     energy are counted as before, so its summary is the same. Such a run
     without joint limits reads no joint angle and cannot fail on reach
-    (validate checks every pose the plan commands), so it neither solves
-    nor checks a pose; every other run solves its poses through pose_memo.
+    (validate checks every pose the plan commands), so it neither solves,
+    checks nor builds a pose: no stance dict, swing waypoint or angles
+    dict; every other run solves its poses through pose_memo. Each computed
+    tick grips once, through pneumatics.grip, from the legs that the
+    phase keeps under suction and that tick's pressures.
     Deterministic for a given config. Overload and attach timeouts mark
     the report completed=False (with failing tick, code and reason)
     instead of raising; planning errors (bad stance, unreachable
@@ -265,18 +269,16 @@ def run_scenario(config, sink=None):
     energy_j = 0.0
     slip_count = 0
 
-    if keep or config.limits is not None:
-        # The gait revisits the same few poses every cycle, so ticks share them.
+    # Without records or joint limits nothing reads the angles, and the plan has
+    # checked every pose's reach, so such a run builds no pose: its angles are None.
+    posed = keep or config.limits is not None
+    if posed:  # the gait revisits the same few poses every cycle, so ticks share them
         pose = pose_memo(solve_leg, config.geometry, script.k_rad, script.branch, config.limits)
-    else:
-        # Nothing reads the angles, and the plan has checked every pose's reach.
-        def pose(x, y, z):
-            return None
 
     def stance_pose():
-        """Every leg on its foothold."""
+        """Every leg on its foothold; None in a run that builds no pose."""
         return {leg: pose(um_to_mm(wall_um[leg][0]), um_to_mm(wall_um[leg][1] - body_um), z_mm)
-                for leg in LEG_IDS}
+                for leg in LEG_IDS} if posed else None
 
     # What a cycle reads that can differ from one cycle to the next: the exact
     # bits of the cup pressures (0.0 and -0.0 stay apart) and the footholds in
@@ -306,9 +308,9 @@ def run_scenario(config, sink=None):
         """Run the ticks. Return (failure_tick, failure_code, reason) where the
         run fails, or (None, None, None) when every cycle completes."""
         nonlocal body_um, slip_count, energy_j, ticks
-        # Every cup starts at the suction equilibrium; if that does not pass
-        # the attach threshold, no cup can ever grip.
-        if not all(pstate.grip(model)[0].values()):
+        # Every cup starts under suction at the suction equilibrium; if that
+        # does not pass the attach threshold, no cup can ever grip.
+        if not all(grip(pressure, LEG_IDS, model)[0].values()):
             return 0, "attach_timeout", (
                 f"attach timeout before the first step: the suction equilibrium "
                 f"{p_eq:.3f} kPa is above the attach threshold "
@@ -362,7 +364,7 @@ def run_scenario(config, sink=None):
                 else:
                     pstate.valve[leg] = Valve.SUCTION if phase == "attach" else Valve.VENT
                     foothold = new_bf if phase == "attach" else old_bf
-                    angles = {**stance, leg: pose(*foothold, z_mm)}
+                    angles = {**stance, leg: pose(*foothold, z_mm)} if posed else None
                     if phase == "vent":
                         vent_p0 = pressure[leg]
                     elif phase == "swing":
@@ -376,18 +378,18 @@ def run_scenario(config, sink=None):
                         pressure[other] = relax(pressure[other], p_eq, decay)
                     if phase == "vent":
                         pressure[leg] = vent(vent_p0, (j + 1) / n)
-                    elif phase == "swing":
+                    elif phase == "swing" and posed:
                         waypoint = swing_waypoint(old_bf, new_bf, (j + 1) / n, z_mm, script.lift_mm)
                         angles = {**stance, leg: pose(*waypoint)}
                     elif phase == "advance":
                         share = shares[j]
                         body_um += share
-                        if share:
+                        if share and posed:
                             stance = stance_pose()
                         angles = stance
                         speed = um_to_mm(share) / tick
 
-                    attached, _, cap = pstate.grip(model)
+                    attached, _, cap = grip(pressure, relaxing, model)
                     power = power_model(config, speed, active_pumps) if speed else idle_power
                     pressures = {other: pressure[other] for other in LEG_IDS} if keep else None
                     frames.append((share, angles, valves, pressures, attached, power, slip))

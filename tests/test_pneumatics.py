@@ -10,6 +10,7 @@ from wallclimber.pneumatics import (
     Valve,
     attach_sequence,
     detach_sequence,
+    grip,
     holding_capacity,
     pressure_under_suction,
     pressure_while_venting,
@@ -255,15 +256,19 @@ def test_grip_agrees_with_attach_rule_and_capacity(seed):
     assert holding_capacity(state, MODEL) == (normal, tangential)
 
 
-@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("seed", range(8))
 def test_grip_matches_the_attach_rule_written_out(seed):
+    # The run's per-tick grip, given the legs under suction, and the state's
+    # grip must both be the rule written out: the same legs in the same order,
+    # the same force bits. Pressures include the threshold itself and -0.0;
+    # pump B is off in some seeds, and the pumps list their legs out of order.
     rng = random.Random(seed)
     threshold = MODEL.attach_threshold_kpa
-    state = PneumaticState.initial({"A": (4, 2), "B": (3, 1)})  # legs out of order
-    state.pump_on["B"] = rng.random() < 0.7
+    state = PneumaticState.initial({"A": (4, 2), "B": (3, 1)})
+    state.pump_on["B"] = seed % 4 != 0 and rng.random() < 0.7
     for leg in (4, 3, 2, 1):
         state.valve[leg] = rng.choice([Valve.SUCTION, Valve.VENT])
-        state.pressure_kpa[leg] = rng.choice([threshold, rng.uniform(-50.0, 0.0)])
+        state.pressure_kpa[leg] = rng.choice([threshold, -0.0, rng.uniform(-50.0, 0.0)])
     expected = {}
     normal_mn = 0.0
     for leg in (1, 2, 3, 4):
@@ -272,9 +277,12 @@ def test_grip_matches_the_attach_rule_written_out(seed):
                                 and state.pressure_kpa[leg] <= threshold)
         if held:
             normal_mn += -state.pressure_kpa[leg] * MODEL.cup_area_mm2
-    attached, normal, tangential = state.grip(MODEL)
-    assert list(attached.items()) == list(expected.items())
-    assert (normal, tangential) == (normal_mn / 1000.0, MODEL.friction * normal_mn / 1000.0)
+    expected_forces = [(normal_mn / 1000.0).hex(), (MODEL.friction * normal_mn / 1000.0).hex()]
+    suction_legs = [leg for leg in (1, 2, 3, 4) if state.under_suction(leg)]
+    for attached, normal, tangential in (state.grip(MODEL),
+                                         grip(state.pressure_kpa, suction_legs, MODEL)):
+        assert list(attached.items()) == list(expected.items())
+        assert [normal.hex(), tangential.hex()] == expected_forces
 
 
 def test_cup_at_exactly_the_threshold_holds():

@@ -8,7 +8,7 @@ from wallclimber.errors import ClimberError, UnreachableFoothold, ZeroCapacity
 from wallclimber.fileio import write_series_csv, write_summary_json
 from wallclimber.gait import ADVANCE_PER_CYCLE
 from wallclimber.kinematics import CupTarget, JointLimits, LegGeometry, solve_leg
-from wallclimber.pneumatics import AdhesionModel, PneumaticState, Valve
+from wallclimber.pneumatics import AdhesionModel, Valve
 from wallclimber.simulator import (
     GaitParams,
     ScenarioConfig,
@@ -236,6 +236,10 @@ SWEEP_CONFIGS = [
     ScenarioConfig(mass_kg=16.0),
     ScenarioConfig(limits=JointLimits(-math.pi, math.radians(177.0))),
     ScenarioConfig(cycles=30),
+    # The per-tick grip reads the suction legs of the phase: legs listed out of
+    # order, and all four legs on one pump.
+    ScenarioConfig(climb_angle_deg=45.0, pump_legs={"A": (4, 2), "B": (3, 1)}),
+    ScenarioConfig(pump_legs={"A": (1, 2, 3, 4)}),
     # An inner hole of 20 mm: leg 3's swing from (19.2, -10.4) to (19.2, 69.6)
     # crosses y = 0 inside the hole, so planning refuses the gait at every angle.
     ScenarioConfig(geometry=LegGeometry(100.0, 80.0, 100.0, 100.0), mass_kg=16.0,
@@ -246,7 +250,8 @@ SWEEP_CONFIGS = [
 
 
 @pytest.mark.parametrize("config", SWEEP_CONFIGS,
-                         ids=["default", "noise", "heavy", "tight-limits", "30-cycles", "hole"])
+                         ids=["default", "noise", "heavy", "tight-limits", "30-cycles",
+                              "pumps-out-of-order", "one-pump", "hole"])
 def test_sweep_rows_match_direct_runs(config):
     # A sweep builds no TickRecord; each of its rows must still be the summary
     # of a run that collects its records, replayed cycles and failed runs too.
@@ -282,22 +287,28 @@ def test_sweep_builds_no_tick_records(monkeypatch):
 
 def test_sweep_without_limits_solves_no_pose(monkeypatch):
     # Nothing reads a sweep's angles and the plan has checked each pose's
-    # reach, so a limit-free sweep solves nothing; a JointLimit needs the
-    # angles, and so do kept records.
-    solves = []
+    # reach, so a limit-free sweep solves nothing and computes no swing
+    # waypoint; a JointLimit needs the angles, and so do kept records.
+    solves, waypoints = [], []
 
-    def counting_solve(*args):
-        solves.append(1)
-        return solve_leg(*args)
+    def counting(calls, function):
+        def count(*args):
+            calls.append(1)
+            return function(*args)
+        return count
 
-    monkeypatch.setattr(simulator, "solve_leg", counting_solve)
+    monkeypatch.setattr(simulator, "solve_leg", counting(solves, solve_leg))
+    monkeypatch.setattr(simulator, "swing_waypoint", counting(waypoints, simulator.swing_waypoint))
     for config in SWEEP_CONFIGS:
         solves.clear()
+        waypoints.clear()
         sweep_climb_angle(config, SWEEP_ANGLES)
-        assert (len(solves) > 0) == (config.limits is not None)
+        posed = config.limits is not None
+        assert (len(solves) > 0) == (len(waypoints) > 0) == posed
     solves.clear()
+    waypoints.clear()
     run_scenario(ScenarioConfig(cycles=1))
-    assert len(solves) > 0
+    assert len(solves) > 0 and len(waypoints) > 0
 
 
 def test_sweep_of_a_leg_with_an_inner_hole():
@@ -428,14 +439,16 @@ def test_memo_targets_are_checked_equivalent_cup_targets(monkeypatch):
 def test_repeated_steps_are_replayed_not_recomputed(monkeypatch):
     # At 45 deg the cup pressures settle within two cycles; cycle 3 starts in
     # the state cycle 2 started in, so 28 more cycles replay it and grip no more.
+    # The run grips once before the first step and once per computed tick, all
+    # through its module's `grip` binding.
     grips = []
-    grip = PneumaticState.grip
+    grip = simulator.grip
 
-    def counting_grip(self, model):
+    def counting_grip(pressure_kpa, suction_legs, model):
         grips.append(None)
-        return grip(self, model)
+        return grip(pressure_kpa, suction_legs, model)
 
-    monkeypatch.setattr(PneumaticState, "grip", counting_grip)
+    monkeypatch.setattr(simulator, "grip", counting_grip)
     counts = {}
     for cycles in (2, 30):
         grips.clear()

@@ -225,6 +225,43 @@ def computed_run(config):
         return run_scenario(config)
 
 
+def checked_pose_memo(solve, geom, k, branch, limits):
+    """simulator.pose_memo without the memo: every call solves a checked CupTarget."""
+    def pose(x, y, z):
+        return solve(geom, CupTarget(x, y, z, k), branch, limits)
+    return pose
+
+
+def run_or_error(config):
+    try:
+        return run_scenario(config)
+    except JointLimit as error:
+        return str(error)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(multi_cycle_scenarios)
+# a swing sample breaks the upper limit partway through the run
+@example(ScenarioConfig(cycles=3, limits=TIGHT_LIMITS))
+def test_unmemoised_poses_give_what_the_memo_gives(config):
+    # The memo hands a run one JointAngles per distinct target, built without
+    # CupTarget's check. Solving every call through a checked CupTarget must
+    # give the same records, angle bits included, and the same summary, or the
+    # same JointLimit.
+    memoised = run_or_error(config)
+    with unittest.mock.patch.object(simulator, "pose_memo", checked_pose_memo):
+        unmemoised = run_or_error(config)
+    if isinstance(memoised, str):
+        assert unmemoised == memoised
+        return
+    event("completed" if memoised.completed else memoised.failure_code)
+    assert len(unmemoised.records) == len(memoised.records)
+    for got, want in zip(unmemoised.records, memoised.records):
+        assert repr(got) == repr(want)  # one record at a time: a short diff
+    assert summary_dict(unmemoised) == summary_dict(memoised)
+    assert unmemoised.failure_code == memoised.failure_code
+
+
 # --- the joint table -----------------------------------------------------------
 
 GAIT_TABLES = {
