@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Narrate the pneumatic side: gripping a cup, the pressure curve,
-holding forces, releasing, a leaky cup that needs its extension dwell,
-and a surface too porous to grip.
+"""Narrate the pneumatic side of a run: gripping a cup, the pressure
+curve, holding forces with four cups and with three, a leaky cup that
+needs its extension dwell, and a surface too porous to grip.
 
 Usage: python demos/suction_cycle.py
 """
@@ -9,13 +9,23 @@ Usage: python demos/suction_cycle.py
 from wallclimber import (
     AdhesionModel,
     PneumaticState,
-    attach_sequence,
-    detach_sequence,
+    ScenarioConfig,
     holding_capacity,
+    run_scenario,
 )
-from wallclimber.errors import AttachTimeout
-from wallclimber.fileio import write_events_csv
-from wallclimber.pneumatics import pressure_under_suction
+from wallclimber.fileio import write_series_csv
+
+# A one-cycle run swings leg 1 first: 20 vent ticks, then 60 swing ticks,
+# then its attach dwell of 50 ticks (records 80-129), then leg 2 vents.
+DWELL_START, DWELL_END, LEG2_VENTS = 80, 129, 170
+
+
+def capacity(record, model):
+    """Holding capacity of the cups as a tick record left them."""
+    state = PneumaticState.initial()
+    state.valve.update(record.valve)
+    state.pressure_kpa.update(record.pressure_kpa)
+    return holding_capacity(state, model)
 
 
 def main():
@@ -23,51 +33,45 @@ def main():
     print("=" * 60)
     print(f"Cup model: {model.cup_area_mm2} mm^2, vacuum {model.vacuum_kpa} kPa, "
           f"grip below {model.attach_threshold_kpa} kPa, mu={model.friction}")
+    print("Pumps A (legs 1,2) and B (legs 3,4) run; each step vents, swings "
+          "and re-grips one cup.")
 
-    state = PneumaticState.initial()
-    print("\nAll cups vented; pumps A (legs 1,2) and B (legs 3,4) running.")
+    report = run_scenario(ScenarioConfig(cycles=1, adhesion=model))
+    records = report.records
 
-    print("\n--- pressure during one attach dwell (leg 1) ---")
-    for i in range(7):
-        t = model.dwell_s * i / 6
-        p = pressure_under_suction(model, 0.0, t)
-        bar = "#" * round(-p)
-        print(f"  t={t:4.2f}s  {p:8.3f} kPa {bar}")
+    print("\n--- pressure during leg 1's first attach dwell ---")
+    for i in range(DWELL_START - 1, DWELL_END + 1, 10):
+        rec = records[i]
+        p = rec.pressure_kpa[1]
+        print(f"  t={rec.t_s:4.2f}s  {p:8.3f} kPa {'#' * round(-p):50s} "
+              f"{'attached' if rec.attached[1] else 'not attached'}")
 
-    trace = []
-    for leg in (1, 2, 3, 4):
-        events, state = attach_sequence(state, leg, model)
-        trace += events
-    print(f"\nAll four cups attached: {state.attached_legs(model)}")
-    normal, tangential = holding_capacity(state, model)
-    print(f"Holding capacity: {normal:.2f} N normal, {tangential:.2f} N tangential")
-
-    events, state = detach_sequence(state, 3, model)
-    trace += events
-    normal, tangential = holding_capacity(state, model)
-    print(f"After releasing leg 3: {normal:.2f} N normal, "
+    normal, tangential = capacity(records[DWELL_END], model)
+    print(f"\nAll four cups attached: {normal:.2f} N normal, {tangential:.2f} N tangential")
+    normal, tangential = capacity(records[LEG2_VENTS], model)
+    print(f"Leg 2 venting for its step: {normal:.2f} N normal, "
           f"{tangential:.2f} N tangential (3 cups hold while one swings)")
 
-    out = "pneumatic_events_demo.csv"
-    write_events_csv(out, trace)
-    print(f"wrote {out} ({len(trace)} events)")
+    out = "suction_series_demo.csv"
+    write_series_csv(out, report)
+    print(f"wrote {out} ({report.ticks} ticks)")
 
     print("\n--- a leaky surface: the cup grips on its extension dwell ---")
     slow = AdhesionModel(leak_kpa_per_s=115.0)
     print(f"  equilibrium {slow.equilibrium_kpa:.2f} kPa: one dwell ends short of the threshold")
-    events, _ = attach_sequence(PneumaticState.initial(), 1, slow)
-    for event in events:
-        print(f"  t={event.t_s:4.2f}s  {event.pressure_kpa:8.3f} kPa  "
-              f"{'attached' if event.attached else 'not attached'}")
+    leaky_run = run_scenario(ScenarioConfig(cycles=1, adhesion=slow))
+    for i, label in ((DWELL_END, "after the dwell"), (DWELL_END + 50, "after the extension")):
+        rec = leaky_run.records[i]
+        print(f"  t={rec.t_s:4.2f}s  {rec.pressure_kpa[1]:8.3f} kPa  "
+              f"{'attached' if rec.attached[1] else 'not attached'} {label}")
+    print(f"  the cycle takes {leaky_run.ticks} ticks instead of {report.ticks}")
 
     print("\n--- a surface too porous to grip ---")
-    leaky = AdhesionModel(leak_kpa_per_s=200.0)
+    porous = AdhesionModel(leak_kpa_per_s=200.0)
     print(f"  leak shifts the reachable equilibrium to "
-          f"{leaky.equilibrium_kpa:.2f} kPa (threshold {leaky.attach_threshold_kpa})")
-    try:
-        attach_sequence(PneumaticState.initial(), 1, leaky)
-    except AttachTimeout as exc:
-        print("  AttachTimeout:", exc)
+          f"{porous.equilibrium_kpa:.2f} kPa (threshold {porous.attach_threshold_kpa})")
+    failed = run_scenario(ScenarioConfig(cycles=1, adhesion=porous))
+    print(f"  {failed.failure_code}: {failed.failure_reason}")
     print("=" * 60)
 
 

@@ -1,7 +1,7 @@
 """Deterministic simulation toolkit for a four-legged suction-adhesion
 wall-climbing robot: closed-form leg kinematics, a 3-of-4 attachment
-climbing gait, a pneumatic attach/detach state machine, and an
-inclined-platform scenario runner."""
+climbing gait, a first-order suction-cup pressure and grip model, and
+an inclined-platform scenario runner."""
 
 from .config import load_config
 from .gait import (
@@ -31,8 +31,6 @@ from .pneumatics import (
     AdhesionModel,
     PneumaticState,
     Valve,
-    attach_sequence,
-    detach_sequence,
     holding_capacity,
 )
 from .simulator import (
@@ -61,9 +59,7 @@ __all__ = [
     "ScenarioConfig",
     "SimReport",
     "Valve",
-    "attach_sequence",
     "compile_joint_table",
-    "detach_sequence",
     "fk_leg",
     "fk_normal_z",
     "fk_planar_xy",

@@ -93,21 +93,6 @@ class GaitValidationError(ClimberError):
         self.report = report
 
 
-# --- pneumatics ---------------------------------------------------------
-
-class PumpOff(ClimberError):
-    """Attach requested while the leg's assigned pump is off."""
-
-
-class AttachTimeout(ClimberError):
-    """Cup pressure has not passed the attach threshold after the last dwell
-    that pneumatics.ATTACH_DWELLS allows; a run reports `attach_timeout`."""
-
-
-class NotAttached(ClimberError):
-    """Detach requested on a leg that is not currently attached."""
-
-
 # --- simulation ---------------------------------------------------------
 
 class ZeroCapacity(ClimberError):

@@ -3,8 +3,8 @@
 Files are bit-reproducible: floats are written with repr (shortest
 round-trip form), lines end with LF, headers are mandatory, and JSON
 keys are sorted. Angles are degrees in files, radians in memory. No
-CSV field ever needs quoting, so the CSV writers join their fields in one
-row writer, _write_rows, or stream through one of the two sinks:
+CSV field ever needs quoting, so the CSV writers join their fields,
+write_sweep_csv in its own loop and the others in one of two sinks:
 series_csv_sink takes a run's ticks from run_scenario, joint_table_sink a
 gait's rows from compile_joint_table. A row's angles are formatted once per
 JointAngles object (_degrees_text), in a cache that each sink keys its own
@@ -96,14 +96,6 @@ def _read_records(path, header, kind):
         if found != header:
             raise ValueError(f"{path}: expected the {kind} header, found {found}")
         return list(reader)
-
-
-def _write_rows(path, header, rows):
-    """Write a CSV file: the header, then each row's text fields, joined."""
-    with _replacing(path) as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(row) + "\n")
 
 
 def write_joint_table(path, rows):
@@ -305,27 +297,12 @@ def read_summary_json(path):
         return json.load(handle)
 
 
-EVENTS_HEADER = ["t_s", "leg", "valve", "pressure_kpa", "attached"]
-
-
-def write_events_csv(path, events):
-    """Write attach/detach event lists in the trace-log layout."""
-    _write_rows(path, EVENTS_HEADER, (
-        [_fmt(event.t_s), str(event.leg), event.valve.value, _fmt(event.pressure_kpa),
-         "1" if event.attached else "0"]
-        for event in events))
-
-
-def read_events_csv(path):
-    return [(float(rec[0]), int(rec[1]), rec[2], float(rec[3]), rec[4] == "1")
-            for rec in _read_records(path, EVENTS_HEADER, "events")]
-
-
 def write_sweep_csv(path, rows):
-    _write_rows(path, SWEEP_HEADER, (
-        [_fmt(row.angle_deg), _fmt(row.avg_speed_mm_s), _fmt(row.avg_power_w),
-         "true" if row.completed else "false"]
-        for row in rows))
+    with _replacing(path) as handle:
+        handle.write(",".join(SWEEP_HEADER) + "\n")
+        for row in rows:
+            handle.write(f"{_fmt(row.angle_deg)},{_fmt(row.avg_speed_mm_s)},"
+                         f"{_fmt(row.avg_power_w)},{'true' if row.completed else 'false'}\n")
 
 
 def read_sweep_csv(path):

@@ -22,11 +22,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import AttachTimeout, NotAttached, PumpOff, require_finite
+from .errors import require_finite
 
 DEFAULT_PUMP_LEGS = {"A": (1, 2), "B": (3, 4)}
 
-# The attach policy: one dwell, one extension if the cup has not gripped, then a timeout.
+# run_scenario's attach policy: one dwell, one extension, then attach_timeout.
 ATTACH_DWELLS = 2
 
 
@@ -101,13 +101,6 @@ def pressure_under_suction(model, p0_kpa, dt_s):
     return relax(p0_kpa, model.equilibrium_kpa, suction_decay(model, dt_s))
 
 
-def pressure_while_venting(p0_kpa, dt_s, vent_s):
-    """Linear ramp from p0 to exactly 0 over the vent time."""
-    if dt_s >= vent_s:
-        return 0.0
-    return vent(p0_kpa, dt_s / vent_s)
-
-
 def assign_pumps(pump_legs):
     """Map each leg to its pump from a pump -> legs assignment. Raises
     ValueError unless every leg 1..4 is listed exactly once."""
@@ -144,10 +137,8 @@ def grip(pressure_kpa, suction_legs, model):
 
 @dataclass
 class PneumaticState:
-    """Snapshot of pumps, valves, and cup pressures.
-
-    Transition helpers return updated copies and leave their input as it
-    was. run_scenario mutates its own state in place, tick by tick.
+    """Snapshot of pumps, valves, and cup pressures. run_scenario mutates
+    its own state in place, tick by tick.
     """
 
     pump_on: dict
@@ -167,10 +158,6 @@ class PneumaticState:
             pump_of_leg=pump_of_leg,
         )
 
-    def copy(self):
-        return PneumaticState(dict(self.pump_on), dict(self.valve),
-                              dict(self.pressure_kpa), dict(self.pump_of_leg))
-
     def pump_running(self, leg):
         return self.pump_on[self.pump_of_leg[leg]]
 
@@ -179,82 +166,11 @@ class PneumaticState:
         pressure relaxes toward the suction equilibrium."""
         return self.valve[leg] is Valve.SUCTION and self.pump_running(leg)
 
-    def is_attached(self, leg, model):
-        return self.grip(model)[0][leg]
-
     def grip(self, model):
         """(attached, normal_N, tangential_N) of this state: the module's
         `grip` of its pressures, with the legs under suction."""
         return grip(self.pressure_kpa, [leg for leg in self.valve if self.under_suction(leg)],
                     model)
-
-    def attached_legs(self, model):
-        return [leg for leg, held in self.grip(model)[0].items() if held]
-
-    def with_pump(self, pump, on):
-        new = self.copy()
-        new.pump_on[pump] = on
-        return new
-
-    def with_valve(self, leg, valve):
-        new = self.copy()
-        new.valve[leg] = valve
-        return new
-
-
-@dataclass(frozen=True)
-class PneumaticEvent:
-    """One trace record: time within the sequence, leg, valve, pressure,
-    and whether the leg counts as attached at that instant."""
-
-    t_s: float
-    leg: int
-    valve: Valve
-    pressure_kpa: float
-    attached: bool
-
-
-def attach_sequence(state, leg, model):
-    """Switch a vented leg to SUCTION and dwell until it grips: at most
-    ATTACH_DWELLS dwells, the policy that run_scenario follows too.
-
-    Returns (events, new_state), an event at the switch and one per dwell.
-    Raises PumpOff if the assigned pump is not running, AttachTimeout if
-    the pressure has not passed the attach threshold after the last dwell.
-    """
-    if state.valve[leg] is not Valve.VENT:
-        raise ValueError(f"leg {leg} valve must be VENT before attaching")
-    if not state.pump_running(leg):
-        raise PumpOff(f"pump {state.pump_of_leg[leg]} for leg {leg} is off")
-
-    new = state.with_valve(leg, Valve.SUCTION)
-    p = state.pressure_kpa[leg]
-    events = [PneumaticEvent(0.0, leg, Valve.SUCTION, p, False)]
-    for dwell in range(1, ATTACH_DWELLS + 1):
-        p = new.pressure_kpa[leg] = pressure_under_suction(model, p, model.dwell_s)
-        attached = new.is_attached(leg, model)
-        events.append(PneumaticEvent(dwell * model.dwell_s, leg, Valve.SUCTION, p, attached))
-        if attached:
-            return events, new
-    raise AttachTimeout(
-        f"leg {leg} reached {p:.3f} kPa after {ATTACH_DWELLS} dwells of {model.dwell_s} s, "
-        f"threshold {model.attach_threshold_kpa} kPa "
-        f"(equilibrium {model.equilibrium_kpa:.3f} kPa)"
-    )
-
-
-def detach_sequence(state, leg, model):
-    """Vent an attached leg back to atmosphere. Raises NotAttached if the
-    leg is not currently holding."""
-    if not state.is_attached(leg, model):
-        raise NotAttached(f"leg {leg} is not attached (valve={state.valve[leg].value}, "
-                          f"pressure={state.pressure_kpa[leg]:.3f} kPa)")
-    p0 = state.pressure_kpa[leg]
-    p_end = pressure_while_venting(p0, model.vent_s, model.vent_s)
-    new = state.with_valve(leg, Valve.VENT)
-    new.pressure_kpa[leg] = p_end
-    return [PneumaticEvent(0.0, leg, Valve.VENT, p0, False),
-            PneumaticEvent(model.vent_s, leg, Valve.VENT, p_end, False)], new
 
 
 def holding_capacity(state, model):

@@ -3,8 +3,8 @@
 A run executes the climbing cycle tick by tick. Every step goes
 through four phases -- vent the swing cup, swing it to the next
 foothold, pull vacuum until it grips (at most pneumatics.ATTACH_DWELLS
-dwells, as in attach_sequence), then advance the body -- with phase
-durations taken from the config and rounded to whole ticks.
+dwells, or the run ends with attach_timeout), then advance the body --
+with phase durations taken from the config and rounded to whole ticks.
 
 Gravity along the wall loads the attached cups tangentially. When the
 load approaches the friction-limited holding capacity part of each

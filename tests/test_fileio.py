@@ -7,13 +7,7 @@ import pytest
 from wallclimber import fileio
 from wallclimber.gait import GaitParams, JointTableRow, compile_joint_table, generate_cycle
 from wallclimber.kinematics import JointAngles, LegGeometry
-from wallclimber.pneumatics import (
-    AdhesionModel,
-    PneumaticState,
-    attach_sequence,
-    detach_sequence,
-    vent,
-)
+from wallclimber.pneumatics import vent
 from wallclimber.simulator import ScenarioConfig, SweepRow, run_scenario, sweep_climb_angle
 
 GEOM = LegGeometry()
@@ -78,27 +72,6 @@ def test_summary_round_trip(tmp_path):
     assert data["slip_count"] == report.slip_count
 
 
-def test_events_round_trip(tmp_path):
-    # leak 115 kPa/s grips only after the extension dwell: one more attach event
-    for leak, grips in ((0.0, [False, True]), (115.0, [False, False, True])):
-        model = AdhesionModel(leak_kpa_per_s=leak)
-        events, state = attach_sequence(PneumaticState.initial(), 2, model)
-        assert [e.t_s for e in events] == [i * model.dwell_s for i in range(len(grips))]
-        assert [e.attached for e in events] == grips
-        more, _ = detach_sequence(state, 2, model)
-        events += more
-        path = tmp_path / f"events_{leak:g}.csv"
-        fileio.write_events_csv(path, events)
-        back = fileio.read_events_csv(path)
-        assert len(back) == len(events)
-        for original, (t, leg, valve, pressure, attached) in zip(events, back):
-            assert t == original.t_s
-            assert leg == original.leg
-            assert valve == original.valve.value
-            assert pressure == original.pressure_kpa
-            assert attached == original.attached
-
-
 def test_sweep_round_trip(tmp_path):
     rows = sweep_climb_angle(ScenarioConfig(cycles=1), [0.0, 45.0, 90.0])
     path = tmp_path / "sweep.csv"
@@ -145,7 +118,7 @@ def test_joint_table_keeps_the_sign_of_zero_angles(tmp_path):
 
 
 @pytest.mark.parametrize("read", [fileio.read_joint_table, fileio.read_series_csv,
-                                  fileio.read_events_csv, fileio.read_sweep_csv],
+                                  fileio.read_sweep_csv],
                          ids=lambda read: read.__name__)
 def test_reading_an_empty_file_names_the_file(read, tmp_path):
     path = tmp_path / "empty.csv"
@@ -154,15 +127,9 @@ def test_reading_an_empty_file_names_the_file(read, tmp_path):
         read(path)
 
 
-def test_a_full_vent_ends_at_signed_zero_but_detach_writes_zero(tmp_path):
-    # the simulator's ramp ends at -0.0, which its series file prints;
-    # detach_sequence ends at a literal 0.0, which the events file prints
+def test_a_full_vent_ends_at_signed_zero():
+    # the simulator's ramp ends at -0.0, which its series file prints
     assert math.copysign(1.0, vent(-40.0, 1.0)) == -1.0
-    _, state = attach_sequence(PneumaticState.initial(), 1, AdhesionModel())
-    events, _ = detach_sequence(state, 1, AdhesionModel())
-    path = tmp_path / "events.csv"
-    fileio.write_events_csv(path, events)
-    assert path.read_text(encoding="utf-8").splitlines()[-1] == "0.2,1,vent,0.0,0"
 
 
 # --- every output replaces its path only on success ---------------------------
@@ -185,11 +152,8 @@ def failing_summary():
 @pytest.mark.parametrize("write, argument, error", [
     (fileio.write_joint_table, lambda: stops_after_one(compiled_rows()), Stop),
     (fileio.write_sweep_csv, lambda: stops_after_one([SweepRow(0.0, 1.0, 2.0, True)]), Stop),
-    (fileio.write_events_csv,
-     lambda: stops_after_one(attach_sequence(PneumaticState.initial(), 1, AdhesionModel())[0]),
-     Stop),
     (fileio.write_summary_json, failing_summary, TypeError),
-], ids=["joint_table", "sweep", "events", "summary"])
+], ids=["joint_table", "sweep", "summary"])
 def test_a_write_that_fails_part_way_leaves_the_old_file(write, argument, error, tmp_path):
     path = tmp_path / "out"
     path.write_bytes(b"an earlier output\n")

@@ -3,19 +3,17 @@ import random
 
 import pytest
 
-from wallclimber.errors import AttachTimeout, NotAttached, PumpOff
 from wallclimber.pneumatics import (
+    ATTACH_DWELLS,
     AdhesionModel,
     PneumaticState,
     Valve,
-    attach_sequence,
-    detach_sequence,
     grip,
     holding_capacity,
     pressure_under_suction,
-    pressure_while_venting,
     relax,
     suction_decay,
+    vent,
 )
 from wallclimber.simulator import ScenarioConfig, run_scenario
 
@@ -31,90 +29,75 @@ def attached_state(model=MODEL, legs=(1, 2, 3, 4), pressure=None):
     return state
 
 
+def held_legs(state, model=MODEL):
+    return [leg for leg, held in state.grip(model)[0].items() if held]
+
+
 # --- attach ---------------------------------------------------------------
 
+# A default one-cycle run swings leg 1 first: 20 vent ticks, 60 swing ticks,
+# then a 50-tick attach dwell that starts from 0.0 kPa and ends at record 129.
+FIRST_DWELL_END = 129
+
+
 def test_attach_reaches_near_vacuum_after_one_dwell():
-    state = PneumaticState.initial()
-    events, new = attach_sequence(state, 1, MODEL)
+    records = run_scenario(ScenarioConfig(cycles=1)).records
+    swung, first, end = (records[FIRST_DWELL_END - 50], records[FIRST_DWELL_END - 49],
+                         records[FIRST_DWELL_END])
+    assert swung.valve[1] is Valve.VENT and swung.pressure_kpa[1] == 0.0
     # closed-form oracle: exponential decay from 0 toward the vacuum level
     # over one dwell = three time constants
     expected = MODEL.vacuum_kpa * (1.0 - math.exp(-3.0))
-    assert new.pressure_kpa[1] == pytest.approx(expected, rel=1e-12)
-    assert abs(new.pressure_kpa[1] - MODEL.vacuum_kpa) <= 0.05 * abs(MODEL.vacuum_kpa)
-    assert new.is_attached(1, MODEL)
-    assert events[0].valve is Valve.SUCTION and not events[0].attached
-    assert events[-1].attached and events[-1].t_s == MODEL.dwell_s
-    # input state untouched
-    assert state.valve[1] is Valve.VENT
+    assert end.pressure_kpa[1] == pytest.approx(expected, rel=1e-12)
+    assert abs(end.pressure_kpa[1] - MODEL.vacuum_kpa) <= 0.05 * abs(MODEL.vacuum_kpa)
+    assert end.valve[1] is Valve.SUCTION and end.attached[1]
+    assert first.valve[1] is Valve.SUCTION and not first.attached[1]
 
 
 def test_attach_requires_pump():
-    state = PneumaticState.initial().with_pump("A", False)
-    with pytest.raises(PumpOff):
-        attach_sequence(state, 1, MODEL)
-    # leg 3 rides pump B, still fine
-    events, new = attach_sequence(state, 3, MODEL)
-    assert new.is_attached(3, MODEL)
-
-
-def test_attach_requires_vented_valve():
-    state = attached_state(legs=(1,))
-    with pytest.raises(ValueError):
-        attach_sequence(state, 1, MODEL)
+    state = attached_state()
+    state.pump_on["A"] = False
+    assert [state.under_suction(leg) for leg in (1, 2, 3, 4)] == [False, False, True, True]
+    # legs 3 and 4 ride pump B, still fine
+    assert held_legs(state) == [3, 4]
 
 
 def test_attach_timeout_with_leak():
     # leak equilibrium sits above the threshold, computed analytically:
-    # p_eq = vacuum + leak * tau = -50 + 200 * (0.5/3) = -16.67 kPa > -30
+    # p_eq = vacuum + leak * tau = -50 + 200 * (0.5/3) = -16.67 kPa > -30,
+    # so no dwell, the extension included, or any longer wait grips
     leaky = AdhesionModel(leak_kpa_per_s=200.0)
     assert leaky.equilibrium_kpa > leaky.attach_threshold_kpa
-    state = PneumaticState.initial()
-    with pytest.raises(AttachTimeout):
-        attach_sequence(state, 2, leaky)
-
-
-@pytest.mark.parametrize("leak", [100.0, 110.0, 112.0, 115.0, 118.0, 119.9, 125.0])
-def test_attach_sequence_times_out_exactly_when_a_run_does(leak):
-    # one attach policy: 112-118 kPa/s grip only after the extension dwell,
-    # 119.9 misses after it, and 125 puts the equilibrium above the threshold
-    model = AdhesionModel(leak_kpa_per_s=leak)
-    report = run_scenario(ScenarioConfig(cycles=1, adhesion=model))
-    try:
-        attach_sequence(PneumaticState.initial(), 1, model)
-        timed_out = False
-    except AttachTimeout:
-        timed_out = True
-    assert timed_out == (report.failure_code == "attach_timeout")
+    for dwells in (1, ATTACH_DWELLS, 100):
+        p = pressure_under_suction(leaky, 0.0, dwells * leaky.dwell_s)
+        assert p > leaky.attach_threshold_kpa
+        assert held_legs(attached_state(leaky, pressure=p), leaky) == []
 
 
 def test_attach_with_tolerable_leak():
     # equilibrium -50 + 60 * (0.5/3) = -40 kPa, still below -30
     leaky = AdhesionModel(leak_kpa_per_s=60.0)
-    _, new = attach_sequence(PneumaticState.initial(), 2, leaky)
-    assert new.is_attached(2, leaky)
+    p = pressure_under_suction(leaky, 0.0, leaky.dwell_s)
+    assert held_legs(attached_state(leaky, legs=(2,), pressure=p), leaky) == [2]
 
 
 # --- detach ---------------------------------------------------------------
 
 def test_detach_vents_to_zero():
     state = attached_state()
-    events, new = detach_sequence(state, 4, MODEL)
-    assert new.pressure_kpa[4] == 0.0
-    assert new.valve[4] is Valve.VENT
-    assert not new.is_attached(4, MODEL)
-    assert events[-1].t_s == MODEL.vent_s and events[-1].pressure_kpa == 0.0
-
-
-def test_detach_requires_attached():
-    with pytest.raises(NotAttached):
-        detach_sequence(PneumaticState.initial(), 1, MODEL)
+    state.valve[4] = Valve.VENT
+    state.pressure_kpa[4] = vent(state.pressure_kpa[4], 1.0)
+    assert state.pressure_kpa[4] == 0.0
+    assert held_legs(state) == [1, 2, 3]
 
 
 def test_detach_attach_round_trip():
-    state = attached_state()
-    _, vented = detach_sequence(state, 2, MODEL)
-    _, regripped = attach_sequence(vented, 2, MODEL)
-    assert regripped.is_attached(2, MODEL)
+    # leg 2 steps once a cycle: it lets go on its first vent tick and grips
+    # again 15 ticks into its attach dwell, after 20 vent and 60 swing ticks
+    records = run_scenario(ScenarioConfig(cycles=2)).records
+    held = [rec.attached[2] for rec in records]
+    assert held[0] and held[-1]
+    assert [i for i in range(1, len(held)) if held[i] != held[i - 1]] == [170, 265, 850, 945]
 
 
 # --- pressure dynamics ----------------------------------------------------
@@ -132,10 +115,10 @@ def test_vent_pressure_monotone_rising_to_zero():
     p0 = MODEL.vacuum_kpa
     previous = p0
     for i in range(1, 9):
-        p = pressure_while_venting(p0, i * 0.025, MODEL.vent_s)
+        p = vent(p0, i / 8)
         assert p >= previous
         previous = p
-    assert pressure_while_venting(p0, MODEL.vent_s, MODEL.vent_s) == 0.0
+    assert vent(p0, 1.0) == 0.0
 
 
 def test_equilibrium_is_fixed_point():
@@ -174,36 +157,40 @@ def test_holding_capacity_linearity():
 
 def test_never_attached_with_vent_or_pump_off():
     state = attached_state()
-    assert state.attached_legs(MODEL) == [1, 2, 3, 4]
+    assert held_legs(state) == [1, 2, 3, 4]
     # venting the valve clears attachment immediately, pressure regardless
-    vented = state.with_valve(1, Valve.VENT)
-    assert not vented.is_attached(1, MODEL)
+    vented = attached_state()
+    vented.valve[1] = Valve.VENT
+    assert not vented.grip(MODEL)[0][1]
     # pump off drops both of its legs
-    dead = state.with_pump("B", False)
-    assert dead.attached_legs(MODEL) == [1, 2]
+    dead = attached_state()
+    dead.pump_on["B"] = False
+    assert held_legs(dead) == [1, 2]
 
 
 def test_random_interleavings_preserve_invariant():
+    # random valve switches, each followed by one dwell of suction or a full
+    # vent, and random pump switches
     rng = random.Random(42)
     state = PneumaticState.initial()
     for _ in range(500):
         op = rng.randrange(4)
         leg = rng.choice((1, 2, 3, 4))
         pump = rng.choice(("A", "B"))
-        try:
-            if op == 0:
-                _, state = attach_sequence(state, leg, MODEL)
-            elif op == 1:
-                _, state = detach_sequence(state, leg, MODEL)
-            elif op == 2:
-                state = state.with_pump(pump, True)
-            else:
-                state = state.with_pump(pump, False)
-        except (PumpOff, NotAttached, ValueError):
-            pass
+        if op == 0:
+            state.valve[leg] = Valve.SUCTION
+            if state.under_suction(leg):
+                state.pressure_kpa[leg] = pressure_under_suction(MODEL, state.pressure_kpa[leg],
+                                                                 MODEL.dwell_s)
+        elif op == 1:
+            state.valve[leg] = Valve.VENT
+            state.pressure_kpa[leg] = vent(state.pressure_kpa[leg], 1.0)
+        else:
+            state.pump_on[pump] = op == 2
+        attached = state.grip(MODEL)[0]
         for check in (1, 2, 3, 4):
             if state.valve[check] is Valve.VENT or not state.pump_running(check):
-                assert not state.is_attached(check, MODEL)
+                assert not attached[check]
             assert state.pressure_kpa[check] <= 0.0
 
 
@@ -251,8 +238,9 @@ def test_grip_agrees_with_attach_rule_and_capacity(seed):
         state.pressure_kpa[leg] = rng.uniform(-50.0, 0.0)
     attached, normal, tangential = state.grip(MODEL)
     assert list(attached) == [1, 2, 3, 4]
-    assert attached == {leg: state.is_attached(leg, MODEL) for leg in (1, 2, 3, 4)}
-    assert state.attached_legs(MODEL) == [leg for leg, held in attached.items() if held]
+    assert attached == {leg: state.under_suction(leg)
+                        and state.pressure_kpa[leg] <= MODEL.attach_threshold_kpa
+                        for leg in (1, 2, 3, 4)}
     assert holding_capacity(state, MODEL) == (normal, tangential)
 
 
@@ -287,8 +275,8 @@ def test_grip_matches_the_attach_rule_written_out(seed):
 
 def test_cup_at_exactly_the_threshold_holds():
     state = attached_state(pressure=MODEL.attach_threshold_kpa)
-    assert state.attached_legs(MODEL) == [1, 2, 3, 4]
-    assert state.is_attached(1, MODEL)
+    assert held_legs(state) == [1, 2, 3, 4]
+    assert state.grip(MODEL)[0][1]
 
 
 def test_per_tick_relaxation_matches_closed_form_bit_for_bit():

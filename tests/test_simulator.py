@@ -196,6 +196,17 @@ def test_attach_timeout_marks_run_failed():
     assert (report.ticks, report.failure_tick) == (180, 179)
     assert report.failure_code == "attach_timeout"
     assert report.failure_reason.startswith("attach timeout on leg 1: ")
+    # one attach policy, pneumatics.ATTACH_DWELLS: up to 110 kPa/s every cup
+    # grips in its first dwell (4 steps of 170 ticks); 112-118 kPa/s grip only
+    # on the extension, which adds a dwell of 50 ticks to each step; at 125
+    # the equilibrium sits above the threshold, so the run fails before it starts
+    for leak, ticks, failure_tick in ((100.0, 680, None), (110.0, 680, None),
+                                      (112.0, 880, None), (115.0, 880, None),
+                                      (118.0, 880, None), (125.0, 0, 0)):
+        report = run_scenario(ScenarioConfig(cycles=1,
+                                             adhesion=AdhesionModel(leak_kpa_per_s=leak)))
+        assert (report.ticks, report.failure_tick) == (ticks, failure_tick), leak
+        assert report.failure_code == (None if failure_tick is None else "attach_timeout")
 
 
 def test_leak_above_threshold_fails_before_the_first_tick():
