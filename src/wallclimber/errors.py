@@ -22,7 +22,7 @@ def require_finite(obj, *names):
     for which is_finite_real fails. Range checks alone let NaN through,
     since every comparison with it is false. The test is is_finite_real's,
     inlined: every config object and every CupTarget built from outside
-    input runs it (pose_memo and compile_joint_table build theirs unchecked)."""
+    input runs it (only pose_memo builds its CupTargets unchecked)."""
     for name in names:
         value = getattr(obj, name)
         try:

@@ -6,16 +6,14 @@ keys are sorted. Angles are degrees in files, radians in memory. No
 CSV field ever needs quoting, so the CSV writers join their fields,
 write_sweep_csv in its own loop and the others in one of two sinks:
 series_csv_sink takes a run's ticks from run_scenario, joint_table_sink a
-gait's rows from compile_joint_table. A row's angles are formatted once per
-JointAngles object (_degrees_text), in a cache that each sink keys its own
-way. The series sink keys it by the object's id and empties it at
-_CACHE_CAP entries. The table sink keys it by leg, so it holds at most four
-entries: compile_joint_table shares a pose only between the rows of one leg
-in one step, and a swing pose is never used again.
-The table sink also takes whole steps through its `step` hook, which
+gait's steps from compile_joint_table. The series sink formats a tick's
+angles once per JointAngles object (_degrees_text), in a cache keyed by the
+object's id that it empties at _CACHE_CAP entries.
+The table sink takes whole steps through its `step` hook, which
 compile_joint_table finds: it formats each stance leg's line once per step
 and writes each sample's four rows as one string, and no JointTableRow is
-built. List mode (write_joint_table) and a plain callable get every row.
+built. Called with a JointTableRow, as write_joint_table calls it, it
+formats and writes that one row.
 The series sink also takes whole replayed cycles: on a noise-free run,
 run_scenario hands it each cycle it replays as that cycle's t_s and body_mm
 values, and the sink writes those rows from the text after body_mm that it
@@ -43,7 +41,7 @@ JOINT_TABLE_HEADER = ["t_s", "leg", "theta1_deg", "theta2_deg", "theta3_deg",
 
 SWEEP_HEADER = ["angle_deg", "avg_speed_mm_s", "avg_power_w", "completed"]
 
-# A 30-cycle run has 1,360 poses. The joint table keys by leg, so it holds 4.
+# A 30-cycle run has 1,360 poses.
 _CACHE_CAP = 4096
 # Rows of a replayed cycle joined into one write.
 _REPLAY_CHUNK = 256
@@ -72,19 +70,18 @@ def _angles_text(thetas):
     return ",".join([_fmt(math.degrees(t)) for t in thetas])
 
 
-def _degrees_text(cache, key, angles):
+def _degrees_text(cache, angles):
     """The four joint angles as CSV fields in degrees, formatted once per
-    JointAngles object: solvers share one object between every tick or row
-    with the same pose. The caller picks the key; an entry serves only the
-    object it was formatted from (identity, not value, because JointAngles
-    equality conflates 0.0 and -0.0) and keeps that object alive, so an id
-    used as the key cannot be reused while the entry exists. A miss
-    overwrites the key's entry; a full cache is emptied first."""
-    entry = cache.get(key)
-    if entry is None or entry[0] is not angles:
+    JointAngles object: a run shares one object between every tick with the
+    same pose. The cache is keyed by id; an entry serves only the object it
+    was formatted from (identity, not value, because JointAngles equality
+    conflates 0.0 and -0.0) and keeps that object alive, so its id cannot be
+    reused while the entry exists. A full cache is emptied first."""
+    entry = cache.get(id(angles))
+    if entry is None:
         if len(cache) >= _CACHE_CAP:
             cache.clear()
-        entry = cache[key] = (angles, _angles_text(angles.as_tuple()))
+        entry = cache[id(angles)] = (angles, _angles_text(angles.as_tuple()))
     return entry[1]
 
 
@@ -107,34 +104,23 @@ def write_joint_table(path, rows):
 
 @contextmanager
 def joint_table_sink(path):
-    """Stream compiled gait rows into a joint-table CSV: yields a sink for
-    compile_joint_table that writes each JointTableRow as it arrives. The
-    angles are formatted by _degrees_text keyed by leg: each leg's last
-    pose text serves that leg's next rows while they share its JointAngles
-    object, as a stance leg's rows of one step do, and no swing pose
-    outlives the next row of its leg. t_s is formatted once per sample: its
-    text is reused while t_s equals the previous row's and is nonzero,
-    since 0.0 == -0.0 but they print apart.
+    """Stream a compiled gait into a joint-table CSV: yields a sink for
+    compile_joint_table.
 
-    The sink also has a `step` hook, which compile_joint_table finds and
-    calls once per step as step(swing_leg, angles_by_leg), each leg's
-    angles a (theta1, theta2, theta3, theta4) tuple in radians. It formats
-    the three stance-leg lines and returns sample(t_s, swing_angles), which
-    writes one sample's four rows, legs 1..4, as one string: one t_s text
-    and one swing line per sample. So it holds four line texts, and builds
-    no JointTableRow. List mode (write_joint_table) and a plain callable
-    that wraps the sink write each row as above.
+    The sink has a `step` hook, which compile_joint_table finds and calls
+    once per step as step(swing_leg, angles_by_leg), each leg's angles a
+    (theta1, theta2, theta3, theta4) tuple in radians. It formats the three
+    stance-leg lines and returns sample(t_s, swing_angles), which writes one
+    sample's four rows, legs 1..4, as one string: one t_s text and one swing
+    line per sample. So it holds four line texts, and builds no
+    JointTableRow. Called with a JointTableRow, as write_joint_table calls
+    it, the sink formats and writes that one row.
     """
     with _replacing(path) as handle:
         handle.write(",".join(JOINT_TABLE_HEADER) + "\n")
-        degrees = {}
-        t_s = t_text = None
 
         def write_row(row):
-            nonlocal t_s, t_text
-            if row.t_s != t_s or not t_s:
-                t_s, t_text = row.t_s, _fmt(row.t_s)
-            handle.write(f"{t_text},{row.leg},{_degrees_text(degrees, row.leg, row.angles)},"
+            handle.write(f"{_fmt(row.t_s)},{row.leg},{_angles_text(row.angles.as_tuple())},"
                          f"{'1' if row.attached else '0'}\n")
 
         def step(swing_leg, angles_by_leg):
@@ -192,7 +178,7 @@ def series_row_formatter():
     def format_row(rec):
         angles, valves, pressures, attached = rec.angles, rec.valve, rec.pressure_kpa, rec.attached
         return ",".join([_fmt(rec.t_s), _fmt(rec.body_mm)]
-                        + [f"{_degrees_text(degrees, id(angles[leg]), angles[leg])},"
+                        + [f"{_degrees_text(degrees, angles[leg])},"
                            f"{valves[leg].value},{_fmt(pressures[leg])},"
                            f"{'1' if attached[leg] else '0'}"
                            for leg in LEG_IDS] + [_fmt(rec.power_w), _fmt(rec.slip)]) + "\n"

@@ -21,7 +21,7 @@ from types import MappingProxyType
 from .errors import (GaitValidationError, KinematicsError, UnreachableFoothold, is_finite_real,
                      require_finite, require_int)
 from .kinematics import (CupTarget, ElbowBranch, JointAngles, ik_normal_zy, ik_planar_xy,
-                         reachable, solve_leg)
+                         reachable)
 
 LEG_IDS = (1, 2, 3, 4)
 UM_PER_MM = 1000
@@ -394,32 +394,23 @@ def compile_joint_table(script, geom, samples_per_step, *, step_duration_s=1.0, 
     between the last sample of a step and the first of the next. Rows
     come out in time order, legs 1..4 within each sample.
 
-    Every leg is solved at a step's first sample, in leg order; a stance
-    leg's later rows in the step share that sample's JointAngles and target
-    tuple, and only the swing leg is solved again at each sample. No memo
-    spans steps: it would hold one entry per swing sample.
+    Every leg is solved at a step's first sample, in leg order, and only the
+    swing leg is solved again at each later sample. Each solve calls the two
+    plane solvers, ik_planar_xy and ik_normal_zy, as solve_leg calls them, so
+    the errors are the same, each named `step {i} sample {j} leg {L}: ...`.
+    No memo spans steps: it would hold one entry per swing sample.
 
-    Each target is a frozen CupTarget, equal to a checked one, built as
-    kinematics.pose_memo builds them, without running CupTarget's check
-    again: the validate call refuses every script whose targets could fail
-    it. x and y are um_to_mm of the replayed stance or of a step's foothold,
-    each a point validate found in reach (a non-finite one raises there), or
-    a swing_waypoint between two of them. z is z_mm, or z_mm - lift_mm * f
-    with 0 <= f <= 1, so it lies between z_mm and z_mm - lift_mm: validate
-    checks the first at the swing's ends and the second at the lifted
-    mid-swing point, reporting a negative one as unreachable and raising on
-    a non-finite one. k is k_rad, which GaitScript checks when built.
-
-    With a `sink`, each row is handed to sink(row) as it is made and the
-    returned list stays empty. A sink with a `step` hook, such as the one
-    fileio.joint_table_sink yields, gets no rows. Instead, once every leg
-    is solved at a step's first sample, in leg order, the compile calls
-    sample = sink.step(swing_leg, angles_by_leg), and then sample(t_s,
-    swing_angles) for each sample of the step, solving only the swing leg
-    after the first. Each angles value is a (theta1, theta2, theta3, theta4)
-    tuple from ik_planar_xy and ik_normal_zy, called as solve_leg calls
-    them, so the errors are the same; but no CupTarget, JointAngles or row
-    is built, and a patch of solve_leg sees none of these solves.
+    The compile drives one protocol. Once every leg is solved at a step's
+    first sample, it calls sample = sink.step(swing_leg, angles_by_leg), and
+    then sample(t_s, swing_angles) for each sample of the step, each angles
+    value a (theta1, theta2, theta3, theta4) tuple. A sink with a `step`
+    hook, such as the one fileio.joint_table_sink yields, gets just that,
+    and no JointTableRow, JointAngles or CupTarget is built. Otherwise a
+    local hook builds the JointTableRows and hands each to sink(row) as it
+    is made, or, with no sink, returns them all in a list (with a sink the
+    returned list stays empty). A stance leg's rows in one step share one
+    JointAngles and one target_mm tuple; the swing leg gets a new pair per
+    sample. A sample's rows are made only once its solves have succeeded.
     """
     if type(samples_per_step) is not int or samples_per_step < 2:  # a bool is no count
         raise ValueError(f"samples_per_step must be an integer >= 2, got {samples_per_step!r}")
@@ -429,51 +420,45 @@ def compile_joint_table(script, geom, samples_per_step, *, step_duration_s=1.0, 
     if not report.ok:
         raise GaitValidationError(report)
     z_mm, k_rad, branch = script.z_mm, script.k_rad, script.branch
+    rows = []
     step_hook = getattr(sink, "step", None)
+    if step_hook is None:
+        emit = rows.append if sink is None else sink
 
-    def row_pose(target):
-        cup = object.__new__(CupTarget)
-        cup.__dict__.update(x=target[0], y=target[1], z=target[2], k=k_rad)
-        return solve_leg(geom, cup, branch, limits), target
+        def step_hook(swing_leg, angles_by_leg):  # reads the loop's stance_mm and swing
+            poses = {leg: (JointAngles(*angles_by_leg[leg]), (*stance_mm[leg], z_mm))
+                     for leg in LEG_IDS if leg != swing_leg}
 
-    def hook_pose(target):  # solve_leg's two plane solves, in its order
-        return (*ik_planar_xy(geom, target[0], target[1], branch, limits),
-                *ik_normal_zy(geom, target[2], k_rad, limits))
+            def sample(t_s, swing_angles):
+                poses[swing_leg] = JointAngles(*swing_angles), swing
+                for leg in LEG_IDS:
+                    angles, target = poses[leg]
+                    emit(JointTableRow(t_s, leg, angles, leg != swing_leg, target))
 
-    def solved(index, j, leg, target, pose=row_pose):
+            return sample
+
+    def solved(index, j, leg, target):  # solve_leg's two plane solves, in its order
         try:
-            return pose(target)
+            return (*ik_planar_xy(geom, target[0], target[1], branch, limits),
+                    *ik_normal_zy(geom, target[2], k_rad, limits))
         except KinematicsError as exc:
             raise type(exc)(
                 f"step {index} sample {j} leg {leg}: {exc}", plane=exc.plane
             ) from exc
 
-    rows = []
-    emit = rows.append if sink is None else sink
     for index, (step, stance) in enumerate(zip(script.steps, replay(script))):
         swing_leg, new_bf = step.swing_leg, step.new_foothold_mm
         stance_mm = {leg: (um_to_mm(x), um_to_mm(y)) for leg, (x, y) in stance.items()}
-        held = {}  # stance leg -> (angles, target), solved at the step's first sample
         for j in range(samples_per_step):
             t = (index + j / samples_per_step) * step_duration_s
             swing = swing_waypoint(stance_mm[swing_leg], new_bf, j / (samples_per_step - 1),
                                    z_mm, script.lift_mm)
-            if step_hook is not None:
-                if j:
-                    sample(t, solved(index, j, swing_leg, swing, hook_pose))
-                else:  # every leg at the step's first sample, in leg order
-                    first = {leg: solved(index, j, leg, swing if leg == swing_leg
-                                         else (*stance_mm[leg], z_mm), hook_pose)
-                             for leg in LEG_IDS}
-                    sample = step_hook(swing_leg, first)
-                    sample(t, first[swing_leg])
-                continue
-            for leg in LEG_IDS:
-                if leg == swing_leg:
-                    angles, target = solved(index, j, leg, swing)
-                elif j:
-                    angles, target = held[leg]
-                else:
-                    angles, target = held[leg] = solved(index, j, leg, (*stance_mm[leg], z_mm))
-                emit(JointTableRow(t, leg, angles, leg != swing_leg, target))
+            if j:
+                sample(t, solved(index, j, swing_leg, swing))
+            else:  # every leg at the step's first sample, in leg order
+                first = {leg: solved(index, j, leg, swing if leg == swing_leg
+                                     else (*stance_mm[leg], z_mm))
+                         for leg in LEG_IDS}
+                sample = step_hook(swing_leg, first)
+                sample(t, first[swing_leg])
     return rows

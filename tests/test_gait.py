@@ -22,7 +22,8 @@ from wallclimber.gait import (
     validate,
 )
 from wallclimber.config import load_config
-from wallclimber.kinematics import CupTarget, JointLimits, LegGeometry, fk_leg, solve_leg
+from wallclimber.kinematics import (CupTarget, JointLimits, LegGeometry, fk_leg, ik_normal_zy,
+                                    ik_planar_xy, solve_leg)
 from wallclimber.simulator import ScenarioConfig, run_scenario
 
 GEOM = LegGeometry()
@@ -354,12 +355,18 @@ def test_compile_names_unreachable_swing_sample_under_tight_limits():
 def test_compile_solves_each_distinct_target_once(monkeypatch):
     targets = []
 
-    def counting_solve(geom, target, branch, limits):
-        targets.append((target.x, target.y, target.z))
-        return solve_leg(geom, target, branch, limits)
+    def counting_xy(geom, x, y, branch, limits):
+        targets.append((x, y))
+        return ik_planar_xy(geom, x, y, branch, limits)
 
-    monkeypatch.setattr("wallclimber.gait.solve_leg", counting_solve)
+    def counting_zy(geom, z, k, limits):
+        targets[-1] += (z,)
+        return ik_normal_zy(geom, z, k, limits)
+
+    monkeypatch.setattr("wallclimber.gait.ik_planar_xy", counting_xy)
+    monkeypatch.setattr("wallclimber.gait.ik_normal_zy", counting_zy)
     rows = compile_joint_table(default_cycle(), GEOM, 10)
+    assert all(len(target) == 3 for target in targets)  # one zy solve per xy solve
     assert len(rows) == 160
     assert len(targets) == len(set(targets)) == len({row.target_mm for row in rows})
     assert len({id(row.angles) for row in rows}) == len(targets)

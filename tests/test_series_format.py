@@ -85,8 +85,8 @@ def test_signed_zeros_print_as_given():
 def test_replayed_ticks_are_formatted_from_the_tick_they_repeat(tmp_path, monkeypatch):
     degrees_text, calls = fileio._degrees_text, []
     monkeypatch.setattr(fileio, "_degrees_text",
-                        lambda cache, key, angles: calls.append(angles)
-                        or degrees_text(cache, key, angles))
+                        lambda cache, angles: calls.append(angles)
+                        or degrees_text(cache, angles))
     # The file sink, passed directly, writes the third cycle from the text it
     # held for the second, through its cycle hook, without formatting a pose.
     replayed = []  # (ticks, _degrees_text calls) of each replayed cycle

@@ -28,7 +28,7 @@ from wallclimber.fileio import (
     write_series_csv,
 )
 from wallclimber.gait import (ADVANCE_MODES, LEG_IDS, JointTableRow, compile_joint_table,
-                              generate_cycle)
+                              generate_cycle, replay, swing_waypoint)
 from wallclimber.kinematics import (CupTarget, ElbowBranch, JointAngles, JointLimits, ik_normal_zy,
                                     ik_planar_xy, solve_leg)
 from wallclimber.pneumatics import AdhesionModel
@@ -311,7 +311,8 @@ def test_streamed_joint_table_matches_list_mode_writer(case, tmp_path, capsys):
 
 
 def test_joint_table_sink_formats_each_zero_time_with_its_sign(tmp_path):
-    # 0.0 == -0.0, so a time text reused while t_s is unchanged would merge them
+    # 0.0 == -0.0, so a row writer that reused a time text while t_s is
+    # unchanged would merge them
     angles = JointAngles(0.5, -0.25, 1.0, 0.5)
     times = [0.0, 0.0, -0.0, -0.0, 0.0, 0.25, 0.25, 0.5]
     rows = [JointTableRow(t, 1 + i % 4, angles, True, (0.0, 0.0, 0.0))
@@ -350,12 +351,15 @@ def test_every_row_is_its_own_object_and_what_rows_share_stays_frozen():
 
 
 def test_tight_limits_raise_after_rows_were_streamed():
-    # 3 steps x 10 samples x 4 legs, then 3 samples of step 3 and legs 1-3 of
-    # the 4th: every row before the first failing one reaches the sink
+    # 3 steps x 10 samples x 4 legs, then 3 samples of step 3: a sample's rows
+    # reach the sink once its solves succeed, so every sample before the one
+    # that fails does. Limits only check angles, so the rows are the unlimited
+    # table's.
     seen = []
     with pytest.raises(JointLimit, match=r"^step 3 sample 3 leg 4: "):
         compile_config(ScenarioConfig(limits=TIGHT_LIMITS), sink=seen.append)
-    assert len(seen) == 3 * 10 * 4 + 3 * 4 + 3
+    assert len(seen) == 3 * 10 * 4 + 3 * 4
+    assert repr(seen) == repr(compile_config(ScenarioConfig())[:132])
 
 
 @pytest.mark.parametrize("existing", [None, b"an earlier table\n"], ids=["fresh", "existing"])
@@ -395,7 +399,7 @@ def test_streamed_joint_table_memory_stays_flat_in_samples():
 
 
 def test_joint_table_file_memory_stays_flat_in_samples(tmp_path):
-    # the writer keeps one pose text per leg, not one per swing sample
+    # the writer's step hook holds four line texts, not one per swing sample
     path = tmp_path / "table.csv"
     assert (_compile_peak_alloc_bytes(2000, joint_table_sink(path))
             < 2 * _compile_peak_alloc_bytes(200, joint_table_sink(path)))
@@ -409,30 +413,42 @@ TRUSTED_TARGET_TABLES = {
 }
 
 
+def record_plane_solves(monkeypatch):
+    """Patch gait's two plane solvers to record each (x, y, z, k) they are
+    called with, in order; return the list they append to."""
+    solves = []
+
+    def recording_xy(geom, x, y, branch, limits):
+        solves.append((x, y))
+        return ik_planar_xy(geom, x, y, branch, limits)
+
+    def recording_zy(geom, z, k, limits):
+        solves[-1] += (z, k)
+        return ik_normal_zy(geom, z, k, limits)
+
+    monkeypatch.setattr(gait_module, "ik_planar_xy", recording_xy)
+    monkeypatch.setattr(gait_module, "ik_normal_zy", recording_zy)
+    return solves
+
+
 @pytest.mark.parametrize("case", sorted(TRUSTED_TARGET_TABLES))
 def test_compile_targets_equal_checked_targets(case, tmp_path, monkeypatch):
-    # compile_joint_table builds its CupTargets without the check; each must
-    # be the frozen CupTarget that the checked constructor gives
+    # compile_joint_table passes bare numbers to the plane solvers, with no
+    # CupTarget check; each solve must be a target that passes the check, and
+    # the solves must be the rows' targets at the plan's k
     ini = tmp_path / "gait.ini"
     ini.write_text(TRUSTED_TARGET_TABLES[case], encoding="utf-8")
     config = load_config(str(ini))
-    targets = []
-
-    def recording_solve(geom, target, branch, limits):
-        targets.append(target)
-        return solve_leg(geom, target, branch, limits)
-
-    monkeypatch.setattr(gait_module, "solve_leg", recording_solve)
-    compile_config(config, sink=lambda row: None)
+    solves = record_plane_solves(monkeypatch)
+    rows = compile_config(config)
     # each step solves every leg at its first sample, then the swing leg alone
-    assert len(targets) == 4 * (4 + config.gait.samples_per_step - 1)
-    for target in targets:
-        checked = CupTarget(target.x, target.y, target.z, target.k)
-        assert type(target) is CupTarget and target.k == config.gait.k_rad
-        assert target == checked and hash(target) == hash(checked)
-        assert repr(target) == repr(checked)  # signed zeros too
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            target.z = -1.0
+    assert len(solves) == 4 * (4 + config.gait.samples_per_step - 1)
+    for x, y, z, k in solves:
+        CupTarget(x, y, z, k)  # a ValueError if the target fails the check
+        assert k == config.gait.k_rad
+    # by repr, so signed zeros count
+    assert {repr(solve) for solve in solves} == {repr((*row.target_mm, config.gait.k_rad))
+                                                 for row in rows}
 
 
 def _with_nan_foothold(script):
@@ -452,8 +468,7 @@ def test_compile_refuses_scripts_whose_targets_would_fail_the_check(change, erro
     # targets safe: these scripts are refused before any solve or row
     config = ScenarioConfig()
     script = change(generate_cycle(config.geometry, config.gait))
-    solves, seen = [], []
-    monkeypatch.setattr(gait_module, "solve_leg", lambda *args: solves.append(args))
+    solves, seen = record_plane_solves(monkeypatch), []
     with pytest.raises(error) as raised:
         compile_joint_table(script, config.geometry, 10, sink=seen.append)
     assert type(raised.value) is error
@@ -512,40 +527,41 @@ def test_step_hook_writes_what_every_row_writes(gait):
             assert handle.read() == other.read() == reference_table(rows)
 
 
+def planned_targets(script, samples):
+    """The (x, y, z, k) targets a compile of `script` into `samples` samples
+    per step solves, in order: every leg in leg order at a step's first
+    sample, then the swing leg alone at each later one."""
+    targets = []
+    for step, stance in zip(script.steps, replay(script)):
+        stance_mm = {leg: (x / 1000, y / 1000) for leg, (x, y) in stance.items()}
+        for j in range(samples):
+            swing = swing_waypoint(stance_mm[step.swing_leg], step.new_foothold_mm,
+                                   j / (samples - 1), script.z_mm, script.lift_mm)
+            legs = LEG_IDS if j == 0 else (step.swing_leg,)
+            targets += [(*swing, script.k_rad) if leg == step.swing_leg
+                        else (*stance_mm[leg], script.z_mm, script.k_rad) for leg in legs]
+    return targets
+
+
 def test_step_hook_solves_the_targets_each_row_solves(monkeypatch):
-    # the hook path calls the two plane solves, not solve_leg, on the same
-    # targets in the same order: every leg in leg order at a step's first
-    # sample, then the swing leg alone
+    # list mode and the file sink's step hook both solve the plan's targets,
+    # in the plan's order
     config = ScenarioConfig(gait=GaitParams(order=(3, 1, 4, 2), samples_per_step=5))
-    row_targets, hook_targets = [], []
-
-    def recording_solve(geom, target, branch, limits):
-        row_targets.append((target.x, target.y, target.z))
-        return solve_leg(geom, target, branch, limits)
-
-    def recording_xy(geom, x, y, branch, limits):
-        hook_targets.append((x, y))
-        return ik_planar_xy(geom, x, y, branch, limits)
-
-    def recording_zy(geom, z, k, limits):
-        hook_targets[-1] += (z,)
-        return ik_normal_zy(geom, z, k, limits)
-
-    monkeypatch.setattr(gait_module, "solve_leg", recording_solve)
-    monkeypatch.setattr(gait_module, "ik_planar_xy", recording_xy)
-    monkeypatch.setattr(gait_module, "ik_normal_zy", recording_zy)
-    compile_config(config, sink=lambda row: None)
-    assert hook_targets == []
+    expected = planned_targets(generate_cycle(config.geometry, config.gait), 5)
+    assert len(expected) == 4 * (4 + 5 - 1)
+    solves = record_plane_solves(monkeypatch)
+    compile_config(config)
+    assert repr(solves) == repr(expected)
+    solves.clear()
     with joint_table_sink(os.devnull) as sink:
         compile_config(config, sink=sink)
-    assert len(row_targets) == 4 * (4 + 5 - 1)
-    assert hook_targets == row_targets
+    assert repr(solves) == repr(expected)
 
 
 # Each fails at a solve that generate_cycle's validate cannot refuse, since
 # the other elbow branch is inside the limits.
 FAILING_TABLES = {
-    # the swing leg 4 at sample 3 of step 3, after 135 rows
+    # the swing leg 4 at sample 3 of step 3, after 132 rows
     "swing": (TIGHT_LIMITS_INI, r"^step 3 sample 3 leg 4: theta1="),
     # the stance leg 1 at sample 0 of step 2, before the swing leg 3 is solved
     "stance": ("[gait]\nbranch = minus\n[joints]\nlimit_min_deg = -180\nlimit_max_deg = 178\n",
