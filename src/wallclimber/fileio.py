@@ -27,8 +27,6 @@ it was and no temporary file behind. An OSError while writing names the
 temporary file, and a symlink at `path` is replaced, not written through.
 """
 
-import csv
-import json
 import math
 import os
 from contextlib import contextmanager
@@ -87,6 +85,8 @@ def _degrees_text(cache, angles):
 
 def _read_records(path, header, kind):
     """The records of a CSV file whose first row must be `header`."""
+    import csv  # here, not at the top: `import wallclimber` then loads no csv
+
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         found = next(reader, "an empty file")
@@ -273,12 +273,16 @@ def summary_dict(report):
 
 
 def write_summary_json(path, report):
+    import json  # here and in read_summary_json only: `import wallclimber` loads no json
+
     with _replacing(path) as handle:
         json.dump(summary_dict(report), handle, sort_keys=True, indent=2)
         handle.write("\n")
 
 
 def read_summary_json(path):
+    import json
+
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
 

@@ -166,7 +166,10 @@ class TickRecord:
     the previous cycle, at most one cycle of ticks, to the end of the run,
     so a replay can start a cycle after the first step that repeats.
     Replayed ticks share the `angles`, `valve`, `pressure_kpa` and
-    `attached` dicts of the ticks they repeat. Treat all four as read-only.
+    `attached` dicts of the ticks they repeat. The pneumatic pass replays on
+    its own once the pressure bits repeat, so the ticks of a cycle computed
+    after that share the `valve`, `pressure_kpa` and `attached` dicts of the
+    cycle before it. Treat all four as read-only.
     A sink with fileio.series_csv_sink's `cycle` hook gets no record for a
     replayed tick of a noise-free run (see run_scenario).
     """
@@ -208,10 +211,104 @@ class SimReport:
     ticks: int = 0
 
 
+def _pneumatics(config, script, keep):
+    """Yield the cup pneumatics of a run phase by phase, then how the pass ends.
+
+    Nothing here reads the climb angle, the mass, the body position or the
+    jitter, so the angles of a sweep share one pass. Each phase comes as
+    (start, step, phase, valves, grips): `start` holds the exact bits of the
+    cup pressures (0.0 and -0.0 apart) when the phase's cycle started, and
+    `grips` each tick's (attached, tangential capacity, pressures), the
+    pressures dict only when `keep`. Every valve is on suction between
+    steps, so a cycle that starts in the bits the previous cycle started in
+    repeats it: the pass yields that cycle's phases again, the same tuples,
+    once for every cycle left. It holds one cycle of phases. The last item is
+    (failure_tick, "attach_timeout", reason) for a cup that never grips, else
+    (None, None, None).
+    """
+    gait = config.gait
+    model = config.adhesion
+    n_ticks = {phase: max(1, round(duration_s / config.tick_s)) for phase, duration_s in (
+        ("vent", model.vent_s), ("swing", gait.swing_s), ("attach", model.dwell_s),
+        ("advance", gait.advance_s))}
+
+    p_eq = model.equilibrium_kpa
+    decay = suction_decay(model, config.tick_s)
+    pstate = PneumaticState.initial(config.pump_legs)
+    pressure = pstate.pressure_kpa
+    for leg in LEG_IDS:
+        pstate.valve[leg] = Valve.SUCTION
+        pressure[leg] = p_eq
+    # Every cup starts under suction at the suction equilibrium; if that
+    # does not pass the attach threshold, no cup can ever grip.
+    if not all(grip(pressure, LEG_IDS, model)[0].values()):
+        yield 0, "attach_timeout", (
+            f"attach timeout before the first step: the suction equilibrium "
+            f"{p_eq:.3f} kPa is above the attach threshold "
+            f"{model.attach_threshold_kpa} kPa, so no cup grips")
+        return
+
+    ticks = 0
+    start = None
+    for count in range(config.cycles):
+        previous, start = start, struct.pack("<4d", *(pressure[leg] for leg in LEG_IDS))
+        if start == previous:
+            for _ in range(config.cycles - count):
+                yield from held
+            break
+        held = []
+        for step in script.steps:
+            leg = step.swing_leg
+            plan = ["vent", "swing", *["attach"] * ATTACH_DWELLS, "advance"]
+            while plan:
+                phase = plan.pop(0)
+                n = n_ticks[phase]
+                if phase != "advance":
+                    pstate.valve[leg] = Valve.SUCTION if phase == "attach" else Valve.VENT
+                    if phase == "vent":
+                        vent_p0 = pressure[leg]
+                    elif phase == "swing":
+                        pressure[leg] = 0.0
+                valves = dict(pstate.valve)
+                relaxing = [other for other in LEG_IDS if pstate.under_suction(other)]
+                grips = []
+                for j in range(n):
+                    for other in relaxing:
+                        pressure[other] = relax(pressure[other], p_eq, decay)
+                    if phase == "vent":
+                        pressure[leg] = vent(vent_p0, (j + 1) / n)
+                    attached, _, cap = grip(pressure, relaxing, model)
+                    pressures = {other: pressure[other] for other in LEG_IDS} if keep else None
+                    grips.append((attached, cap, pressures))
+                held.append((start, step, phase, valves, grips))
+                yield held[-1]
+                ticks += n
+
+                if phase == "attach":
+                    if attached[leg]:  # the grip of the attach's last tick
+                        del plan[:plan.count("attach")]  # the dwells left
+                    elif plan[0] != "attach":
+                        yield ticks - 1, "attach_timeout", (
+                            f"attach timeout on leg {leg}: "
+                            f"{pressure[leg]:.3f} kPa above threshold "
+                            f"{model.attach_threshold_kpa} kPa")
+                        return
+    yield None, None, None
+
+
 def run_scenario(config, sink=None):
     """Run one scenario and return its SimReport. The run follows the
     GaitScript that generate_cycle plans from the config's gait, geometry
     and joint limits, and reads z, k, lift and elbow branch from it.
+
+    A run makes two passes, phase by phase. The pneumatic pass
+    (_pneumatics) switches the valves, moves the cup pressures and grips
+    once per tick, through pneumatics.grip, from the legs that the phase
+    keeps under suction; it reads no angle, mass or body position. The
+    motion pass reads each tick's holding capacity and computes the rest:
+    the slip of each advance, the body position, power and energy, the
+    overload check, the poses and the records. A sweep runs the pneumatic
+    pass once for all its angles (see sweep_climb_angle).
 
     Each tick's TickRecord is passed to `sink` when one is given, and the
     report's `records` stays empty; without a sink the records are
@@ -220,38 +317,29 @@ def run_scenario(config, sink=None):
     it computes, and instead of the records of each cycle it replays calls
     `sink.cycle(times, bodies)` with that cycle's t_s and body_mm values,
     computed as for the records; every other sink, and every sink of a
-    noisy run, gets each tick's TickRecord. A run whose sink is `_drop`
-    builds no TickRecord and draws no pressure jitter; its `ticks` and
-    energy are counted as before, so its summary is the same. Such a run
+    noisy run, gets each tick's TickRecord. A run whose sink is a `_Drop`
+    (`_drop`, or a sweep's) builds no TickRecord and draws no pressure
+    jitter; its `ticks` and energy are counted as before, so its summary
+    is the same. Such a run
     without joint limits reads no joint angle and cannot fail on reach
     (validate checks every pose the plan commands), so it neither solves,
     checks nor builds a pose: no stance dict, swing waypoint or angles
-    dict; every other run solves its poses through pose_memo. Each computed
-    tick grips once, through pneumatics.grip, from the legs that the
-    phase keeps under suction and that tick's pressures.
+    dict; every other run solves its poses through pose_memo.
     Deterministic for a given config. Overload and attach timeouts mark
     the report completed=False (with failing tick, code and reason)
     instead of raising; planning errors (bad stance, unreachable
     footholds) raise.
     """
-    gait = config.gait
-    model = config.adhesion
     tick = config.tick_s
     load_n = config.tangential_load_n
-    script = generate_cycle(config.geometry, gait, config.limits)
+    keep = not isinstance(sink, _Drop)  # whether anything reads the TickRecords
+    if keep or sink.shared is None:
+        script = generate_cycle(config.geometry, config.gait, config.limits)
+        pneumatics = _pneumatics(config, script, keep)
+    else:
+        script, pneumatics = sink.shared
     z_mm = script.z_mm
-    n_ticks = {phase: max(1, round(duration_s / tick)) for phase, duration_s in (
-        ("vent", model.vent_s), ("swing", gait.swing_s), ("attach", model.dwell_s),
-        ("advance", gait.advance_s))}
-
-    p_eq = model.equilibrium_kpa
-    decay = suction_decay(model, tick)
-    pstate = PneumaticState.initial(config.pump_legs)
-    pressure = pstate.pressure_kpa
-    for leg in LEG_IDS:
-        pstate.valve[leg] = Valve.SUCTION
-        pressure[leg] = p_eq
-    active_pumps = sum(1 for on in pstate.pump_on.values() if on)
+    active_pumps = len(config.pump_legs)  # every pump runs the whole run
     idle_power = power_model(config, 0.0, active_pumps)
 
     rng = random.Random(config.seed)
@@ -261,7 +349,6 @@ def run_scenario(config, sink=None):
     body_um = 0
     records = []
     emit = records.append if sink is None else sink
-    keep = sink is not _drop  # whether anything reads the TickRecords
     # A sink that writes replayed cycles whole (fileio.series_csv_sink's); a
     # noisy run draws jitter for each replayed tick, so it emits them all.
     cycle_hook = None if jitter > 0.0 else getattr(sink, "cycle", None)
@@ -280,25 +367,11 @@ def run_scenario(config, sink=None):
         return {leg: pose(um_to_mm(wall_um[leg][0]), um_to_mm(wall_um[leg][1] - body_um), z_mm)
                 for leg in LEG_IDS} if posed else None
 
-    # What a cycle reads that can differ from one cycle to the next: the exact
-    # bits of the cup pressures (0.0 and -0.0 stay apart) and the footholds in
-    # the body frame. Every valve is on suction between steps, the rest is
-    # fixed for the run (n_ticks, p_eq, decay, idle_power, load_n, the pumps),
-    # and `cap` does not carry over: each phase grips before it reads it.
-    def cycle_state():
-        return (struct.pack("<4d", *(pressure[leg] for leg in LEG_IDS)),
-                tuple((wall_um[leg][0], wall_um[leg][1] - body_um) for leg in LEG_IDS))
-
     def record(frame):
-        """Emit a computed or replayed tick from its frame: the body share in um (already
-        applied), then the TickRecord fields after body_mm, with noiseless pressures
-        (None when nothing reads the records)."""
-        nonlocal energy_j, ticks
+        """Emit the TickRecord of a computed or replayed tick from its frame: the
+        body share in um (already applied and counted), then the TickRecord
+        fields after body_mm, with noiseless pressures."""
         _, angles, valves, pressures, attached, power, slip = frame
-        energy_j += power * tick
-        ticks += 1
-        if not keep:
-            return
         if jitter > 0.0:
             pressures = {leg: p + rng.uniform(-jitter, jitter) for leg, p in pressures.items()}
         emit(TickRecord(ticks * tick, um_to_mm(body_um), angles, valves, pressures, attached,
@@ -308,108 +381,86 @@ def run_scenario(config, sink=None):
         """Run the ticks. Return (failure_tick, failure_code, reason) where the
         run fails, or (None, None, None) when every cycle completes."""
         nonlocal body_um, slip_count, energy_j, ticks
-        # Every cup starts under suction at the suction equilibrium; if that
-        # does not pass the attach threshold, no cup can ever grip.
-        if not all(grip(pressure, LEG_IDS, model)[0].values()):
-            return 0, "attach_timeout", (
-                f"attach timeout before the first step: the suction equilibrium "
-                f"{p_eq:.3f} kPa is above the attach threshold "
-                f"{model.attach_threshold_kpa} kPa, so no cup grips")
-
         cap = 0.0  # tangential capacity at the end of the last tick
-        # Once the cup pressures settle, each cycle repeats the one before it tick
-        # for tick. A cycle that starts in the state the previous cycle started in
-        # ends in it too, so the remaining cycles replay the previous one's frames.
-        start = None
-        per_cycle = len(script.steps)
-        for count, step in enumerate(script.steps * config.cycles):
-            if count % per_cycle == 0:
-                previous, start = start, cycle_state()
-                if start == previous:
-                    cycles_left = config.cycles - count // per_cycle
+        # What a cycle reads that can differ from one cycle to the next: the
+        # pressure bits at its start and the footholds in the body frame. The
+        # rest is fixed for the run (the phases' valves, idle_power, load_n), and
+        # `cap` does not carry over: each phase grips before it reads it. A cycle
+        # that starts in the state the previous cycle started in ends in it too,
+        # so the remaining cycles replay the previous one's frames.
+        state = None
+        cycles_left = config.cycles
+        for item in pneumatics:
+            if len(item) == 3:  # the end of the pneumatic pass
+                return item
+            start, step, phase, valves, grips = item
+            leg = step.swing_leg
+            if phase == "vent" and step is script.steps[0]:  # a cycle starts
+                previous, state = state, (start, tuple(
+                    (wall_um[other][0], wall_um[other][1] - body_um) for other in LEG_IDS))
+                if state == previous:
                     for _ in range(cycles_left):
-                        if cycle_hook is None:
-                            for frame in frames:
-                                body_um += frame[0]
-                                record(frame)
-                            continue
                         times, bodies = [], []
-                        for frame in frames:  # record()'s sums and fields, in its order
+                        for frame in frames:  # a computed tick's sums and fields, in its order
                             body_um += frame[0]
                             energy_j += frame[5] * tick
                             ticks += 1
-                            times.append(ticks * tick)
-                            bodies.append(um_to_mm(body_um))
-                        cycle_hook(times, bodies)
+                            if cycle_hook is not None:
+                                times.append(ticks * tick)
+                                bodies.append(um_to_mm(body_um))
+                            elif keep:
+                                record(frame)
+                        if cycle_hook is not None:
+                            cycle_hook(times, bodies)
                     slip_count += (slip_count - slips) * cycles_left
-                    break
+                    return None, None, None
+                cycles_left -= 1
                 frames, slips = [], slip_count
                 if cycle_hook is not None:
                     cycle_hook()
-            leg = step.swing_leg
-            old_bf = (um_to_mm(wall_um[leg][0]), um_to_mm(wall_um[leg][1] - body_um))
-            new_bf = step.new_foothold_mm
 
-            plan = ["vent", "swing", *["attach"] * ATTACH_DWELLS, "advance"]
-            while plan:
-                phase = plan.pop(0)
-                n = n_ticks[phase]
-                speed = slip = 0.0
-                stance = stance_pose()
-                if phase == "advance":  # the pneumatics have not changed since the last tick
-                    slip = slip_model(load_n, cap, config.c_slip, config.s_max)
-                    shares = split_um(round(step.body_advance_um * (1.0 - slip)), n)
-                    if slip > 0.0 and step.body_advance_um > 0:
-                        slip_count += 1
-                else:
-                    pstate.valve[leg] = Valve.SUCTION if phase == "attach" else Valve.VENT
-                    foothold = new_bf if phase == "attach" else old_bf
-                    angles = {**stance, leg: pose(*foothold, z_mm)} if posed else None
-                    if phase == "vent":
-                        vent_p0 = pressure[leg]
-                    elif phase == "swing":
-                        pressure[leg] = 0.0
-                valves = dict(pstate.valve)
-                relaxing = [other for other in LEG_IDS if pstate.under_suction(other)]
+            n = len(grips)
+            speed = slip = 0.0
+            stance = stance_pose()
+            if phase == "vent":
+                old_bf = (um_to_mm(wall_um[leg][0]), um_to_mm(wall_um[leg][1] - body_um))
+            if phase == "advance":  # the pneumatics have not changed since the last tick
+                slip = slip_model(load_n, cap, config.c_slip, config.s_max)
+                shares = split_um(round(step.body_advance_um * (1.0 - slip)), n)
+                if slip > 0.0 and step.body_advance_um > 0:
+                    slip_count += 1
+            else:
+                foothold = step.new_foothold_mm if phase == "attach" else old_bf
+                angles = {**stance, leg: pose(*foothold, z_mm)} if posed else None
 
-                for j in range(n):
-                    share = 0
-                    for other in relaxing:
-                        pressure[other] = relax(pressure[other], p_eq, decay)
-                    if phase == "vent":
-                        pressure[leg] = vent(vent_p0, (j + 1) / n)
-                    elif phase == "swing" and posed:
-                        waypoint = swing_waypoint(old_bf, new_bf, (j + 1) / n, z_mm, script.lift_mm)
-                        angles = {**stance, leg: pose(*waypoint)}
-                    elif phase == "advance":
-                        share = shares[j]
-                        body_um += share
-                        if share and posed:
-                            stance = stance_pose()
-                        angles = stance
-                        speed = um_to_mm(share) / tick
+            for j, (attached, cap, pressures) in enumerate(grips):
+                share = 0
+                if phase == "swing" and posed:
+                    waypoint = swing_waypoint(old_bf, step.new_foothold_mm, (j + 1) / n, z_mm,
+                                              script.lift_mm)
+                    angles = {**stance, leg: pose(*waypoint)}
+                elif phase == "advance":
+                    share = shares[j]
+                    body_um += share
+                    if share and posed:
+                        stance = stance_pose()
+                    angles = stance
+                    speed = um_to_mm(share) / tick
 
-                    attached, _, cap = grip(pressure, relaxing, model)
-                    power = power_model(config, speed, active_pumps) if speed else idle_power
-                    pressures = {other: pressure[other] for other in LEG_IDS} if keep else None
-                    frames.append((share, angles, valves, pressures, attached, power, slip))
+                power = power_model(config, speed, active_pumps) if speed else idle_power
+                frames.append((share, angles, valves, pressures, attached, power, slip))
+                energy_j += power * tick
+                ticks += 1
+                if keep:
                     record(frames[-1])
 
-                    if load_n > cap:
-                        return ticks - 1, "adhesion_overload", (
-                            f"adhesion overload: tangential load "
-                            f"{load_n:.3f} N > holding capacity {cap:.3f} N")
+                if load_n > cap:
+                    return ticks - 1, "adhesion_overload", (
+                        f"adhesion overload: tangential load "
+                        f"{load_n:.3f} N > holding capacity {cap:.3f} N")
 
-                if phase == "attach":
-                    if attached[leg]:  # the grip of the attach's last tick
-                        wall_um[leg] = (step.new_foothold_um[0], step.new_foothold_um[1] + body_um)
-                        del plan[:plan.count("attach")]  # the dwells left
-                    elif plan[0] != "attach":
-                        return ticks - 1, "attach_timeout", (
-                            f"attach timeout on leg {leg}: "
-                            f"{pressure[leg]:.3f} kPa above threshold "
-                            f"{model.attach_threshold_kpa} kPa")
-        return None, None, None
+            if phase == "attach" and attached[leg]:  # the grip of the attach's last tick
+                wall_um[leg] = (step.new_foothold_um[0], step.new_foothold_um[1] + body_um)
 
     failure_tick, failure_code, failure_reason = climb()
     duration_s = ticks * tick
@@ -443,17 +494,28 @@ class SweepRow:
     completed: bool
 
 
-def _drop(_record):
+@dataclass(frozen=True)
+class _Drop:
     """Sink for runs whose ticks nobody reads. run_scenario never calls it: a
-    run given this sink builds no TickRecord, and still counts its ticks and
-    energy."""
+    run given a _Drop builds no TickRecord, and still counts its ticks and
+    energy. A sweep's _Drop also holds what its runs share: the plan and the
+    items of its pneumatic pass (_pneumatics) as a list."""
+
+    shared: tuple = None
+
+
+_drop = _Drop()
 
 
 def sweep_climb_angle(base, angles_deg):
-    """Run the base scenario once per climb angle.
+    """Run the base scenario once per climb angle, each through run_scenario.
 
-    Returns rows sorted by angle. A failed angle (incomplete run or a
-    planning error) is flagged in its row instead of aborting the sweep.
+    Neither the plan nor the cup pneumatics read the angle, so the sweep
+    plans and runs the pneumatic pass once and hands it to every angle's run
+    in its sink; each run computes only its own slip, body motion, power and
+    energy, and its rows equal those of runs made one by one. Returns rows
+    sorted by angle. A failed angle (incomplete run or a planning error) is
+    flagged in its row instead of aborting the sweep.
     """
     if not angles_deg:
         raise ValueError("at least one climb angle is required")
@@ -461,14 +523,20 @@ def sweep_climb_angle(base, angles_deg):
         if not 0.0 <= angle <= 90.0:
             raise ValueError(f"climb angle {angle} outside [0, 90] deg")
 
+    try:
+        script = generate_cycle(base.geometry, base.gait, base.limits)
+    except ClimberError:  # a planning error, the same at every angle
+        sink = None
+    else:
+        sink = _Drop((script, list(_pneumatics(base, script, keep=False))))
     rows = []
     for angle in angles_deg:
-        config = replace(base, climb_angle_deg=angle)
         try:
-            report = run_scenario(config, sink=_drop)
-            rows.append(SweepRow(angle, report.average_speed_mm_s,
-                                 report.average_power_w, report.completed))
+            report = sink and run_scenario(replace(base, climb_angle_deg=angle), sink=sink)
         except ClimberError:
-            rows.append(SweepRow(angle, float("nan"), float("nan"), False))
+            report = None
+        rows.append(SweepRow(angle, report.average_speed_mm_s, report.average_power_w,
+                             report.completed) if report else
+                    SweepRow(angle, float("nan"), float("nan"), False))
     rows.sort(key=lambda row: row.angle_deg)
     return rows

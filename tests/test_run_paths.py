@@ -16,16 +16,23 @@ A run replays a cycle once the cycle starts in the state the previous cycle
 started in: the exact bits of the cup pressures and the footholds in the
 body frame. That check runs once per cycle, and the replay holds one cycle
 of ticks and runs to the end of the run.
+
+A sweep runs the cup pneumatics once for all its angles; over the same
+cases, each of its rows must equal that of a run made at that angle alone.
 """
 
 import hashlib
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
 from wallclimber import fileio
+from wallclimber.errors import ClimberError
 from wallclimber.pneumatics import AdhesionModel
-from wallclimber.simulator import GaitParams, ScenarioConfig, run_scenario
+from wallclimber.simulator import (GaitParams, ScenarioConfig, SweepRow, run_scenario,
+                                   sweep_climb_angle)
 
 # name -> (config overrides, ticks, failure_tick, series sha256, summary sha256)
 CASES = {
@@ -107,3 +114,24 @@ def test_run_path_matches_golden_hashes(case, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == series_sha
     summary = json.dumps(fileio.summary_dict(report), sort_keys=True).encode()
     assert hashlib.sha256(summary).hexdigest() == summary_sha
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_sweep_rows_equal_direct_runs_on_every_path(case):
+    # A sweep runs the cup pneumatics once and each angle's motion on its own;
+    # its rows must equal, float for float, those of runs made one by one
+    # through every path above: the attach extension and timeout, an overload
+    # on the first tick or after an unsettled advance, and cycle replays.
+    config = ScenarioConfig(**CASES[case][0])
+    angles = [0.0, 15.0, 25.0, 45.0, 90.0]
+    rows = sweep_climb_angle(config, angles)
+    assert [row.angle_deg for row in rows] == angles
+    for row in rows:
+        try:
+            direct = run_scenario(replace(config, climb_angle_deg=row.angle_deg))
+        except ClimberError:  # the sweep flags the angle
+            expected = SweepRow(row.angle_deg, math.nan, math.nan, False)
+        else:
+            expected = SweepRow(row.angle_deg, direct.average_speed_mm_s,
+                                direct.average_power_w, direct.completed)
+        assert repr(row) == repr(expected)

@@ -447,26 +447,46 @@ def test_memo_targets_are_checked_equivalent_cup_targets(monkeypatch):
             target.x = 0.0
 
 
-def test_repeated_steps_are_replayed_not_recomputed(monkeypatch):
+@pytest.fixture
+def grip_calls(monkeypatch):
+    """One entry per call a run makes to pneumatics.grip through its module's binding."""
+    calls = []
+    grip = simulator.grip
+
+    def counting_grip(pressure_kpa, suction_legs, model):
+        calls.append(None)
+        return grip(pressure_kpa, suction_legs, model)
+
+    monkeypatch.setattr(simulator, "grip", counting_grip)
+    return calls
+
+
+def test_repeated_steps_are_replayed_not_recomputed(grip_calls):
     # At 45 deg the cup pressures settle within two cycles; cycle 3 starts in
     # the state cycle 2 started in, so 28 more cycles replay it and grip no more.
     # The run grips once before the first step and once per computed tick, all
     # through its module's `grip` binding.
-    grips = []
-    grip = simulator.grip
-
-    def counting_grip(pressure_kpa, suction_legs, model):
-        grips.append(None)
-        return grip(pressure_kpa, suction_legs, model)
-
-    monkeypatch.setattr(simulator, "grip", counting_grip)
     counts = {}
     for cycles in (2, 30):
-        grips.clear()
+        grip_calls.clear()
         report = run_scenario(ScenarioConfig(climb_angle_deg=45.0, cycles=cycles),
                               sink=lambda record: None)
-        counts[cycles] = (report.ticks, len(grips))
+        counts[cycles] = (report.ticks, len(grip_calls))
     assert counts == {2: (1360, 1361), 30: (20400, 1361)}
+
+
+@pytest.mark.parametrize("limits", [None, JointLimits(-math.pi, math.pi)], ids=["free", "limits"])
+def test_sweep_grips_as_often_as_one_run(grip_calls, limits):
+    # The cup pneumatics read no angle, so a sweep runs them once for all its
+    # angles: seven angles grip as often as one run of the base config, not
+    # seven times as often (9,527 grips).
+    config = ScenarioConfig(limits=limits)
+    rows = sweep_climb_angle(config, SWEEP_ANGLES)
+    assert all(row.completed for row in rows)
+    swept = len(grip_calls)
+    grip_calls.clear()
+    run_scenario(config, sink=simulator._drop)
+    assert swept == len(grip_calls) == 1361
 
 
 # --- non-finite inputs and pump coverage --------------------------------------
