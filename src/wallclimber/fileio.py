@@ -1,19 +1,23 @@
-"""CSV/JSON writers and the matching parsers.
+"""CSV/JSON writers. The package reads none of these files back; the tests
+parse them with tests/file_readers.py.
 
-Files are bit-reproducible: floats are written with repr (shortest
-round-trip form), lines end with LF, headers are mandatory, and JSON
-keys are sorted. Angles are degrees in files, radians in memory. No
-CSV field ever needs quoting, so the CSV writers join their fields,
-write_sweep_csv in its own loop and the others in one of two sinks:
-series_csv_sink takes a run's ticks from run_scenario, joint_table_sink a
-gait's steps from compile_joint_table. The series sink formats a tick's
-angles once per JointAngles object (_degrees_text), in a cache keyed by the
-object's id that it empties at _CACHE_CAP entries.
+Files are bit-reproducible: floats are written as f"{float(v)!r}", which
+is repr of the float (shortest round-trip form), degrees as
+f"{float(v) * _DEG!r}", which is repr(math.degrees(v)) bit for bit, lines
+end with LF, headers are mandatory, and JSON keys are sorted. Angles are
+degrees in files, radians in memory. No CSV field ever needs quoting, so
+the CSV writers join their fields, write_sweep_csv in its own loop and the
+others in one of two sinks: series_csv_sink takes a run's ticks from
+run_scenario, joint_table_sink a gait's steps from compile_joint_table. The
+series sink formats a tick's angles once per JointAngles object
+(_degrees_text), in a cache keyed by the object's id that it empties at
+_CACHE_CAP entries.
 The table sink takes whole steps through its `step` hook, which
 compile_joint_table finds: it formats each stance leg's line once per step
-and writes each sample's four rows as one string, and no JointTableRow is
-built. Called with a JointTableRow, as write_joint_table calls it, it
-formats and writes that one row.
+and each sample's four rows as one string, and no JointTableRow is built.
+Called with a JointTableRow, as write_joint_table calls it, it formats
+that one row. Either way the strings are buffered and written _CHUNK at a
+time.
 The series sink also takes whole replayed cycles: on a noise-free run,
 run_scenario hands it each cycle it replays as that cycle's t_s and body_mm
 values, and the sink writes those rows from the text after body_mm that it
@@ -30,7 +34,6 @@ temporary file, and a symlink at `path` is replaced, not written through.
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .gait import LEG_IDS
 
@@ -41,12 +44,10 @@ SWEEP_HEADER = ["angle_deg", "avg_speed_mm_s", "avg_power_w", "completed"]
 
 # A 30-cycle run has 1,360 poses.
 _CACHE_CAP = 4096
-# Rows of a replayed cycle joined into one write.
-_REPLAY_CHUNK = 256
-
-
-def _fmt(value):
-    return repr(float(value))
+# Rows of a replayed cycle, or joint-table samples, joined into one write.
+_CHUNK = 256
+# Degrees per radian: x * _DEG is math.degrees(x), bit for bit, without its call.
+_DEG = 180.0 / math.pi
 
 
 @contextmanager
@@ -65,7 +66,7 @@ def _replacing(path):
 
 def _angles_text(thetas):
     """Joint angles in radians as CSV fields in degrees."""
-    return ",".join([_fmt(math.degrees(t)) for t in thetas])
+    return ",".join([f"{float(t) * _DEG!r}" for t in thetas])
 
 
 def _degrees_text(cache, angles):
@@ -83,18 +84,6 @@ def _degrees_text(cache, angles):
     return entry[1]
 
 
-def _read_records(path, header, kind):
-    """The records of a CSV file whose first row must be `header`."""
-    import csv  # here, not at the top: `import wallclimber` then loads no csv
-
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        found = next(reader, "an empty file")
-        if found != header:
-            raise ValueError(f"{path}: expected the {kind} header, found {found}")
-        return list(reader)
-
-
 def write_joint_table(path, rows):
     """Write compiled gait rows through joint_table_sink; angles converted to degrees."""
     with joint_table_sink(path) as sink:
@@ -110,18 +99,29 @@ def joint_table_sink(path):
     The sink has a `step` hook, which compile_joint_table finds and calls
     once per step as step(swing_leg, angles_by_leg), each leg's angles a
     (theta1, theta2, theta3, theta4) tuple in radians. It formats the three
-    stance-leg lines and returns sample(t_s, swing_angles), which writes one
+    stance-leg lines and returns sample(t_s, swing_angles), which formats one
     sample's four rows, legs 1..4, as one string: one t_s text and one swing
-    line per sample. So it holds four line texts, and builds no
-    JointTableRow. Called with a JointTableRow, as write_joint_table calls
-    it, the sink formats and writes that one row.
+    line, in one f-string, per sample, and builds no JointTableRow. Called
+    with a JointTableRow, as write_joint_table calls it, the sink formats
+    that one row as a string of its own.
+
+    Each string goes into one buffer, written every _CHUNK strings and once
+    more when the block succeeds. So the sink holds the stance lines and at
+    most _CHUNK samples of text, and rows keep their order on both paths.
     """
     with _replacing(path) as handle:
         handle.write(",".join(JOINT_TABLE_HEADER) + "\n")
+        buffer = []
+
+        def flush():
+            handle.write("".join(buffer))
+            buffer.clear()
 
         def write_row(row):
-            handle.write(f"{_fmt(row.t_s)},{row.leg},{_angles_text(row.angles.as_tuple())},"
-                         f"{'1' if row.attached else '0'}\n")
+            buffer.append(f"{float(row.t_s)!r},{row.leg},{_angles_text(row.angles.as_tuple())},"
+                          f"{'1' if row.attached else '0'}\n")
+            if len(buffer) == _CHUNK:
+                flush()
 
         def step(swing_leg, angles_by_leg):
             lines = [None if leg == swing_leg else f"{leg},{_angles_text(angles_by_leg[leg])},1\n"
@@ -129,34 +129,19 @@ def joint_table_sink(path):
             slot = LEG_IDS.index(swing_leg)
 
             def sample(t_s, swing_angles):
-                lines[slot] = f"{swing_leg},{_angles_text(swing_angles)},0\n"
-                t_text = _fmt(t_s) + ","
-                handle.write(t_text + t_text.join(lines))
+                a, b, c, d = swing_angles
+                lines[slot] = (f"{swing_leg},{float(a) * _DEG!r},{float(b) * _DEG!r},"
+                               f"{float(c) * _DEG!r},{float(d) * _DEG!r},0\n")
+                t_text = f"{float(t_s)!r},"
+                buffer.append(t_text + t_text.join(lines))
+                if len(buffer) == _CHUNK:
+                    flush()
 
             return sample
 
         write_row.step = step
         yield write_row
-
-
-@dataclass(frozen=True)
-class JointTableFileRow:
-    t_s: float
-    leg: int
-    theta_deg: tuple
-    attached: bool
-
-
-def read_joint_table(path):
-    return [
-        JointTableFileRow(
-            t_s=float(rec[0]),
-            leg=int(rec[1]),
-            theta_deg=(float(rec[2]), float(rec[3]), float(rec[4]), float(rec[5])),
-            attached=rec[6] == "1",
-        )
-        for rec in _read_records(path, JOINT_TABLE_HEADER, "joint table")
-    ]
+        flush()
 
 
 def series_header():
@@ -177,11 +162,13 @@ def series_row_formatter():
 
     def format_row(rec):
         angles, valves, pressures, attached = rec.angles, rec.valve, rec.pressure_kpa, rec.attached
-        return ",".join([_fmt(rec.t_s), _fmt(rec.body_mm)]
+        # a valve's _value_, not .value: that goes through the Enum descriptor
+        return ",".join([f"{float(rec.t_s)!r}", f"{float(rec.body_mm)!r}"]
                         + [f"{_degrees_text(degrees, angles[leg])},"
-                           f"{valves[leg].value},{_fmt(pressures[leg])},"
+                           f"{valves[leg]._value_},{float(pressures[leg])!r},"
                            f"{'1' if attached[leg] else '0'}"
-                           for leg in LEG_IDS] + [_fmt(rec.power_w), _fmt(rec.slip)]) + "\n"
+                           for leg in LEG_IDS]
+                        + [f"{float(rec.power_w)!r}", f"{float(rec.slip)!r}"]) + "\n"
 
     return format_row
 
@@ -203,7 +190,7 @@ def series_csv_sink(path):
     a cycle is about to be computed: the sink drops the text it holds and
     keeps the text after body_mm of each tick to come. With the t_s and
     body_mm values of one replay of that cycle, it writes the replay from
-    the held text, in chunks of _REPLAY_CHUNK rows, formatting body_mm only
+    the held text, in chunks of _CHUNK rows, formatting body_mm only
     when it changes. So it holds at most one cycle of text, and none for a
     run that never calls the hook: a noisy run, list mode
     (write_series_csv), or a run given a plain callable that wraps it.
@@ -224,34 +211,16 @@ def series_csv_sink(path):
             if not times:
                 held = []
             body = text = None
-            for i in range(0, len(times), _REPLAY_CHUNK):
-                j, chunk = i + _REPLAY_CHUNK, []
+            for i in range(0, len(times), _CHUNK):
+                j, chunk = i + _CHUNK, []
                 for t_s, body_mm, tail in zip(times[i:j], bodies[i:j], held[i:j]):
                     if body_mm != body or not body_mm:  # 0.0 == -0.0 but they print apart
-                        body, text = body_mm, _fmt(body_mm)
-                    chunk.append(f"{_fmt(t_s)},{text},{tail}")
+                        body, text = body_mm, f"{float(body_mm)!r}"
+                    chunk.append(f"{float(t_s)!r},{text},{tail}")
                 handle.write("".join(chunk))
 
         sink.cycle = cycle
         yield sink
-
-
-def read_series_csv(path):
-    """Parse a series file back into a list of per-tick dicts (file units:
-    degrees, mm, kPa). Valve columns stay strings, attached become bools."""
-    header = series_header()
-    rows = []
-    for rec in _read_records(path, header, "series"):
-        parsed = {}
-        for name, value in zip(header, rec):
-            if name.endswith("_valve"):
-                parsed[name] = value
-            elif name.endswith("_attached"):
-                parsed[name] = value == "1"
-            else:
-                parsed[name] = float(value)
-        rows.append(parsed)
-    return rows
 
 
 def summary_dict(report):
@@ -273,29 +242,17 @@ def summary_dict(report):
 
 
 def write_summary_json(path, report):
-    import json  # here and in read_summary_json only: `import wallclimber` loads no json
+    import json  # here, not at the top: `import wallclimber` loads no json
 
     with _replacing(path) as handle:
         json.dump(summary_dict(report), handle, sort_keys=True, indent=2)
         handle.write("\n")
 
 
-def read_summary_json(path):
-    import json
-
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 def write_sweep_csv(path, rows):
     with _replacing(path) as handle:
         handle.write(",".join(SWEEP_HEADER) + "\n")
         for row in rows:
-            handle.write(f"{_fmt(row.angle_deg)},{_fmt(row.avg_speed_mm_s)},"
-                         f"{_fmt(row.avg_power_w)},{'true' if row.completed else 'false'}\n")
+            handle.write(f"{float(row.angle_deg)!r},{float(row.avg_speed_mm_s)!r},"
+                         f"{float(row.avg_power_w)!r},{'true' if row.completed else 'false'}\n")
 
-
-def read_sweep_csv(path):
-    """Parse a sweep table back into (angle, speed, power, completed) tuples."""
-    return [(float(rec[0]), float(rec[1]), float(rec[2]), rec[3] == "true")
-            for rec in _read_records(path, SWEEP_HEADER, "sweep")]

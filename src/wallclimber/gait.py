@@ -398,7 +398,10 @@ def compile_joint_table(script, geom, samples_per_step, *, step_duration_s=1.0, 
     swing leg is solved again at each later sample. Each solve calls the two
     plane solvers, ik_planar_xy and ik_normal_zy, as solve_leg calls them, so
     the errors are the same, each named `step {i} sample {j} leg {L}: ...`.
-    No memo spans steps: it would hold one entry per swing sample.
+    The solves are written out in the loop, with no frame of their own, and
+    go through the module's names at call time, as swing_waypoint (once per
+    sample) does, so a patch of either is seen. No memo spans steps: it
+    would hold one entry per swing sample.
 
     The compile drives one protocol. Once every leg is solved at a step's
     first sample, it calls sample = sink.step(swing_leg, angles_by_leg), and
@@ -437,28 +440,31 @@ def compile_joint_table(script, geom, samples_per_step, *, step_duration_s=1.0, 
 
             return sample
 
-    def solved(index, j, leg, target):  # solve_leg's two plane solves, in its order
-        try:
-            return (*ik_planar_xy(geom, target[0], target[1], branch, limits),
-                    *ik_normal_zy(geom, target[2], k_rad, limits))
-        except KinematicsError as exc:
-            raise type(exc)(
-                f"step {index} sample {j} leg {leg}: {exc}", plane=exc.plane
-            ) from exc
+    def named(exc, index, j, leg):  # a plane solver's error, named by where it was raised
+        return type(exc)(f"step {index} sample {j} leg {leg}: {exc}", plane=exc.plane)
 
+    last, lift_mm = samples_per_step - 1, script.lift_mm
     for index, (step, stance) in enumerate(zip(script.steps, replay(script))):
         swing_leg, new_bf = step.swing_leg, step.new_foothold_mm
         stance_mm = {leg: (um_to_mm(x), um_to_mm(y)) for leg, (x, y) in stance.items()}
-        for j in range(samples_per_step):
-            t = (index + j / samples_per_step) * step_duration_s
-            swing = swing_waypoint(stance_mm[swing_leg], new_bf, j / (samples_per_step - 1),
-                                   z_mm, script.lift_mm)
-            if j:
-                sample(t, solved(index, j, swing_leg, swing))
-            else:  # every leg at the step's first sample, in leg order
-                first = {leg: solved(index, j, leg, swing if leg == swing_leg
-                                     else (*stance_mm[leg], z_mm))
-                         for leg in LEG_IDS}
-                sample = step_hook(swing_leg, first)
-                sample(t, first[swing_leg])
+        start = stance_mm[swing_leg]
+        swing = swing_waypoint(start, new_bf, 0.0, z_mm, lift_mm)
+        first = {}
+        for leg in LEG_IDS:  # every leg at the step's first sample, in leg order
+            x, y, z = swing if leg == swing_leg else (*stance_mm[leg], z_mm)
+            try:  # solve_leg's two plane solves, in its order
+                first[leg] = (*ik_planar_xy(geom, x, y, branch, limits),
+                              *ik_normal_zy(geom, z, k_rad, limits))
+            except KinematicsError as exc:
+                raise named(exc, index, 0, leg) from exc
+        sample = step_hook(swing_leg, first)
+        sample((index + 0 / samples_per_step) * step_duration_s, first[swing_leg])
+        for j in range(1, samples_per_step):  # the swing leg alone
+            x, y, z = swing = swing_waypoint(start, new_bf, j / last, z_mm, lift_mm)
+            try:
+                angles = (*ik_planar_xy(geom, x, y, branch, limits),
+                          *ik_normal_zy(geom, z, k_rad, limits))
+            except KinematicsError as exc:
+                raise named(exc, index, j, swing_leg) from exc
+            sample((index + j / samples_per_step) * step_duration_s, angles)
     return rows

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from file_readers import read_joint_table, read_series_csv, read_sweep_csv
 
-from wallclimber import cli, fileio
+from wallclimber import cli
 from wallclimber.cli import EXIT_OK, EXIT_SIMFAIL, EXIT_USAGE, EXIT_VALIDATION, main
 from wallclimber.config import CONFIG_ENV_VAR
 
@@ -99,7 +100,7 @@ def test_fk_rejects_non_finite_angle(argv, field, capsys):
 def test_gait_writes_table(tmp_path, capsys):
     out = str(tmp_path / "table.csv")
     assert main(["gait", "-o", out]) == EXIT_OK
-    rows = fileio.read_joint_table(out)
+    rows = read_joint_table(out)
     # 4 steps x default 10 samples x 4 legs
     assert len(rows) == 4 * 10 * 4
     assert "160 rows" in capsys.readouterr().out
@@ -109,7 +110,7 @@ def test_gait_row_count_follows_samples(tmp_path):
     path = write_config(tmp_path, "[gait]\nsamples_per_step = 3\n")
     out = str(tmp_path / "table.csv")
     assert main(["--config", path, "gait", "-o", out]) == EXIT_OK
-    assert len(fileio.read_joint_table(out)) == 4 * 3 * 4
+    assert len(read_joint_table(out)) == 4 * 3 * 4
 
 
 def test_gait_bad_step_length_names_key(tmp_path, capsys):
@@ -145,7 +146,7 @@ def test_simulate_defaults(tmp_path, capsys):
     assert "angle=0 " in out and "completed=true" in out
     summary = json.loads((tmp_path / "run.summary.json").read_text())
     assert summary["completed"] is True
-    series = fileio.read_series_csv(f"{prefix}.series.csv")
+    series = read_series_csv(f"{prefix}.series.csv")
     assert len(series) == summary["ticks"]
 
 
@@ -175,7 +176,7 @@ def test_sweep_default_angles(tmp_path):
     out = str(tmp_path / "sweep.csv")
     path = write_config(tmp_path, "[scenario]\ncycles = 1\n")
     assert main(["--config", path, "sweep", "-o", out]) == EXIT_OK
-    rows = fileio.read_sweep_csv(out)
+    rows = read_sweep_csv(out)
     assert [row[0] for row in rows] == [0.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0]
     speeds = [row[1] for row in rows]
     powers = [row[2] for row in rows]
@@ -190,7 +191,7 @@ def test_sweep_single_angle_matches_simulate(tmp_path, capsys):
     summary = json.loads((tmp_path / "one.summary.json").read_text())
     out = str(tmp_path / "sweep.csv")
     assert main(["--config", path, "sweep", "0", "-o", out]) == EXIT_OK
-    rows = fileio.read_sweep_csv(out)
+    rows = read_sweep_csv(out)
     assert rows[0][1] == summary["avg_speed_mm_s"]
     assert rows[0][2] == summary["avg_power_w"]
 

@@ -399,7 +399,8 @@ def test_streamed_joint_table_memory_stays_flat_in_samples():
 
 
 def test_joint_table_file_memory_stays_flat_in_samples(tmp_path):
-    # the writer's step hook holds four line texts, not one per swing sample
+    # the writer's step hook holds the stance lines and at most fileio._CHUNK
+    # samples of text, not one per swing sample
     path = tmp_path / "table.csv"
     assert (_compile_peak_alloc_bytes(2000, joint_table_sink(path))
             < 2 * _compile_peak_alloc_bytes(200, joint_table_sink(path)))
@@ -510,11 +511,14 @@ hook_gaits = st.builds(
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(hook_gaits)
 @example(GaitParams(order=(3, 1, 4, 2), samples_per_step=2))
+@example(GaitParams(samples_per_step=300))
 def test_step_hook_writes_what_every_row_writes(gait):
     # The file sink's step hook gets each step's four poses once and then one
     # swing pose per sample; list mode builds a JointTableRow per row and
     # write_joint_table writes them one at a time. Both files must match the
-    # reference writer byte for byte.
+    # reference writer byte for byte. At 300 samples per step the sink's
+    # buffer of fileio._CHUNK samples (rows, for write_joint_table) is written
+    # inside a step, and a part-filled buffer at the end.
     config = ScenarioConfig(gait=gait)
     event(f"order {gait.order}")
     rows = compile_config(config)
