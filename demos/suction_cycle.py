@@ -6,14 +6,9 @@ needs its extension dwell, and a surface too porous to grip.
 Usage: python demos/suction_cycle.py
 """
 
-from wallclimber import (
-    AdhesionModel,
-    PneumaticState,
-    ScenarioConfig,
-    holding_capacity,
-    run_scenario,
-)
+from wallclimber import AdhesionModel, ScenarioConfig, Valve, run_scenario
 from wallclimber.fileio import write_series_csv
+from wallclimber.pneumatics import grip
 
 # A one-cycle run swings leg 1 first: 20 vent ticks, then 60 swing ticks,
 # then its attach dwell of 50 ticks (records 80-129), then leg 2 vents.
@@ -21,11 +16,11 @@ DWELL_START, DWELL_END, LEG2_VENTS = 80, 129, 170
 
 
 def capacity(record, model):
-    """Holding capacity of the cups as a tick record left them."""
-    state = PneumaticState.initial()
-    state.valve.update(record.valve)
-    state.pressure_kpa.update(record.pressure_kpa)
-    return holding_capacity(state, model)
+    """Holding capacity (normal_N, tangential_N) of the cups as a tick record
+    left them. Every pump runs, so the legs under suction are those whose
+    valve is on suction."""
+    suction_legs = [leg for leg, valve in record.valve.items() if valve is Valve.SUCTION]
+    return grip(record.pressure_kpa, suction_legs, model)[1:]
 
 
 def main():

@@ -27,12 +27,7 @@ from .kinematics import (
     reachable,
     solve_leg,
 )
-from .pneumatics import (
-    AdhesionModel,
-    PneumaticState,
-    Valve,
-    holding_capacity,
-)
+from .pneumatics import AdhesionModel, Valve
 from .simulator import (
     ScenarioConfig,
     SimReport,
@@ -55,7 +50,6 @@ __all__ = [
     "JointAngles",
     "JointLimits",
     "LegGeometry",
-    "PneumaticState",
     "ScenarioConfig",
     "SimReport",
     "Valve",
@@ -64,7 +58,6 @@ __all__ = [
     "fk_normal_z",
     "fk_planar_xy",
     "generate_cycle",
-    "holding_capacity",
     "ik_normal_zy",
     "ik_planar_xy",
     "load_config",

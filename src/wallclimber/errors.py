@@ -17,6 +17,12 @@ def is_finite_real(value):
         return False
 
 
+def is_int(value):
+    """Whether `value` is an int. A bool is not one, though it is an int
+    subclass: True is no count, seed or leg id."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def require_finite(obj, *names):
     """Raise ValueError naming the first of the fields `names` of `obj`
     for which is_finite_real fails. Range checks alone let NaN through,
@@ -39,7 +45,7 @@ def require_int(obj, *names):
     and a NaN seed hashes differently per object, so equal runs differ."""
     for name in names:
         value = getattr(obj, name)
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

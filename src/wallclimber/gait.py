@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .errors import (GaitValidationError, KinematicsError, UnreachableFoothold, is_finite_real,
-                     require_finite, require_int)
+                     is_int, require_finite, require_int)
 from .kinematics import (CupTarget, ElbowBranch, JointAngles, ik_normal_zy, ik_planar_xy,
                          reachable)
 
@@ -131,12 +131,13 @@ class GaitParams:
             raise ValueError(f"samples_per_step must be >= 2, got {self.samples_per_step}")
         if self.advance_mode not in ADVANCE_MODES:
             raise ValueError(f"advance_mode must be one of {ADVANCE_MODES}")
-        try:
-            permutation = sorted(self.order) == list(LEG_IDS)
+        try:  # 4.0 sorts as 4, but a table would print it as 4.0
+            permutation = sorted(self.order) == list(LEG_IDS) and all(map(is_int, self.order))
         except TypeError:  # not iterable, or legs that do not compare
             permutation = False
         if not permutation:
-            raise ValueError(f"order must be a permutation of {LEG_IDS}, got {self.order}")
+            raise ValueError(f"order must be a permutation of the int leg ids {LEG_IDS}, "
+                             f"got {self.order}")
         if not isinstance(self.branch, ElbowBranch):
             raise ValueError(f"branch must be an ElbowBranch, got {self.branch!r}")
         if self.swing_s <= 0.0 or self.advance_s <= 0.0:

@@ -7,9 +7,12 @@ counts as attached only while its valve is on SUCTION, its pump is
 running, and its pressure has passed the attach threshold -- so an
 attached reading can never coexist with a vented valve or a dead pump.
 `grip` states that rule once, split where a run's tick loop splits it:
-the caller names the legs under suction (valve and pump), which change
-only between phases, and `grip` reads the pressures, which change every
-tick. PneumaticState.grip passes its own legs under suction.
+the caller names the legs under suction (valve on suction and pump
+running), which change only between phases, and `grip` reads the
+pressures, which change every tick. Every pump of a run runs for the
+whole run, so a run's legs under suction are those whose valve is on
+suction; `assign_pumps` checks which pump feeds which leg, and the power
+model counts the pumps.
 
 Pressure dynamics are first order: under suction the cup pressure
 relaxes exponentially toward the pump's steady vacuum level (time
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import require_finite
+from .errors import is_int, require_finite
 
 DEFAULT_PUMP_LEGS = {"A": (1, 2), "B": (3, 4)}
 
@@ -103,10 +106,13 @@ def pressure_under_suction(model, p0_kpa, dt_s):
 
 def assign_pumps(pump_legs):
     """Map each leg to its pump from a pump -> legs assignment. Raises
-    ValueError unless every leg 1..4 is listed exactly once."""
+    ValueError unless every leg 1..4 is listed exactly once, as an int (a
+    bool or a float such as 4.0 is no leg id)."""
     pump_of_leg = {leg: pump for pump, legs in pump_legs.items() for leg in legs}
-    if sorted(leg for legs in pump_legs.values() for leg in legs) != [1, 2, 3, 4]:
-        raise ValueError(f"pump assignment must cover legs 1..4 once each, got {pump_legs}")
+    legs = [leg for legs in pump_legs.values() for leg in legs]
+    if sorted(legs) != [1, 2, 3, 4] or not all(map(is_int, legs)):
+        raise ValueError(f"pump_legs must be a pump assignment that covers the int legs 1..4 "
+                         f"once each, got {pump_legs}")
     return pump_of_leg
 
 
@@ -115,8 +121,10 @@ def grip(pressure_kpa, suction_legs, model):
     tangential_N), where attached maps each leg of `pressure_kpa` to whether
     its cup holds, and the forces are the grip of the attached cups.
 
-    The one statement of the attach rule. A cup holds if its leg is in
-    `suction_legs` (its valve is on suction and its pump runs) and its
+    The one statement of the attach rule. The caller names the legs under
+    suction in `suction_legs`: those whose valve is on suction and whose
+    pump runs. A run keeps every pump running, so it names the legs whose
+    valve is on suction. A cup holds if its leg is under suction and its
     pressure is at or below the attach threshold. Normal force sums
     |pressure| * area per attached cup (kPa * mm^2 is millinewtons); the
     friction cone scales it into tangential capacity.
@@ -135,45 +143,12 @@ def grip(pressure_kpa, suction_legs, model):
     return attached, normal_n, model.friction * normal_n
 
 
-@dataclass
-class PneumaticState:
-    """Snapshot of pumps, valves, and cup pressures. run_scenario mutates
-    its own state in place, tick by tick.
+def holding_capacity(pressure_kpa, suction_legs, model):
+    """Total grip of the attached cups: (normal_N, tangential_N), the forces
+    of `grip` over the pressures and legs under suction it is given.
+
+    No run calls it: a run reads its capacities from `grip`. It stays only
+    because benchmarks/traced_run.py looks it up by name to count its
+    calls, which therefore read 0.
     """
-
-    pump_on: dict
-    valve: dict
-    pressure_kpa: dict
-    pump_of_leg: dict
-
-    @classmethod
-    def initial(cls, pump_legs=None):
-        """All cups vented at atmospheric pressure, pumps running."""
-        pump_legs = DEFAULT_PUMP_LEGS if pump_legs is None else pump_legs
-        pump_of_leg = assign_pumps(pump_legs)
-        return cls(
-            pump_on={pump: True for pump in pump_legs},
-            valve={leg: Valve.VENT for leg in pump_of_leg},
-            pressure_kpa={leg: 0.0 for leg in pump_of_leg},
-            pump_of_leg=pump_of_leg,
-        )
-
-    def pump_running(self, leg):
-        return self.pump_on[self.pump_of_leg[leg]]
-
-    def under_suction(self, leg):
-        """The leg's valve is on suction and its pump runs, so its cup
-        pressure relaxes toward the suction equilibrium."""
-        return self.valve[leg] is Valve.SUCTION and self.pump_running(leg)
-
-    def grip(self, model):
-        """(attached, normal_N, tangential_N) of this state: the module's
-        `grip` of its pressures, with the legs under suction."""
-        return grip(self.pressure_kpa, [leg for leg in self.valve if self.under_suction(leg)],
-                    model)
-
-
-def holding_capacity(state, model):
-    """Total grip of the attached cups: (normal_N, tangential_N); see
-    PneumaticState.grip."""
-    return state.grip(model)[1:]
+    return grip(pressure_kpa, suction_legs, model)[1:]

@@ -38,7 +38,6 @@ from .pneumatics import (
     ATTACH_DWELLS,
     DEFAULT_PUMP_LEGS,
     AdhesionModel,
-    PneumaticState,
     Valve,
     assign_pumps,
     grip,
@@ -171,7 +170,8 @@ class TickRecord:
     after that share the `valve`, `pressure_kpa` and `attached` dicts of the
     cycle before it. Treat all four as read-only.
     A sink with fileio.series_csv_sink's `cycle` hook gets no record for a
-    replayed tick of a noise-free run (see run_scenario).
+    replayed tick of a noise-free run (see run_scenario). The `valve`,
+    `pressure_kpa` and `attached` dicts list the legs 1..4 in order.
     """
 
     t_s: float
@@ -225,6 +225,11 @@ def _pneumatics(config, script, keep):
     once for every cycle left. It holds one cycle of phases. The last item is
     (failure_tick, "attach_timeout", reason) for a cup that never grips, else
     (None, None, None).
+
+    The pass keeps the valves and the cup pressures in two dicts keyed by
+    leg, 1..4 in order, whatever order `pump_legs` lists them in. Every pump
+    runs for the whole run, so the legs under suction, whose cups relax and
+    may grip, are those whose valve is on suction.
     """
     gait = config.gait
     model = config.adhesion
@@ -234,13 +239,10 @@ def _pneumatics(config, script, keep):
 
     p_eq = model.equilibrium_kpa
     decay = suction_decay(model, config.tick_s)
-    pstate = PneumaticState.initial(config.pump_legs)
-    pressure = pstate.pressure_kpa
-    for leg in LEG_IDS:
-        pstate.valve[leg] = Valve.SUCTION
-        pressure[leg] = p_eq
     # Every cup starts under suction at the suction equilibrium; if that
     # does not pass the attach threshold, no cup can ever grip.
+    valve = {leg: Valve.SUCTION for leg in LEG_IDS}
+    pressure = {leg: p_eq for leg in LEG_IDS}
     if not all(grip(pressure, LEG_IDS, model)[0].values()):
         yield 0, "attach_timeout", (
             f"attach timeout before the first step: the suction equilibrium "
@@ -264,13 +266,13 @@ def _pneumatics(config, script, keep):
                 phase = plan.pop(0)
                 n = n_ticks[phase]
                 if phase != "advance":
-                    pstate.valve[leg] = Valve.SUCTION if phase == "attach" else Valve.VENT
+                    valve[leg] = Valve.SUCTION if phase == "attach" else Valve.VENT
                     if phase == "vent":
                         vent_p0 = pressure[leg]
                     elif phase == "swing":
                         pressure[leg] = 0.0
-                valves = dict(pstate.valve)
-                relaxing = [other for other in LEG_IDS if pstate.under_suction(other)]
+                valves = dict(valve)
+                relaxing = [other for other in LEG_IDS if valve[other] is Valve.SUCTION]
                 grips = []
                 for j in range(n):
                     for other in relaxing:
@@ -278,7 +280,7 @@ def _pneumatics(config, script, keep):
                     if phase == "vent":
                         pressure[leg] = vent(vent_p0, (j + 1) / n)
                     attached, _, cap = grip(pressure, relaxing, model)
-                    pressures = {other: pressure[other] for other in LEG_IDS} if keep else None
+                    pressures = dict(pressure) if keep else None
                     grips.append((attached, cap, pressures))
                 held.append((start, step, phase, valves, grips))
                 yield held[-1]

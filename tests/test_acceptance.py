@@ -25,10 +25,11 @@ from wallclimber.kinematics import (
     solve_leg,
 )
 from wallclimber.pneumatics import (
+    DEFAULT_PUMP_LEGS,
     AdhesionModel,
-    PneumaticState,
     Valve,
-    holding_capacity,
+    assign_pumps,
+    grip,
     pressure_under_suction,
     vent,
 )
@@ -158,27 +159,33 @@ def test_criterion_7_pneumatic_protocol():
     assert gripped.pressure_kpa[1] == pytest.approx(expected, rel=1e-12)
     assert abs(gripped.pressure_kpa[1] - model.vacuum_kpa) <= 0.05 * abs(model.vacuum_kpa)
 
+    # random valve and pump switches; grip gets the legs whose valve is on
+    # suction and whose pump runs, and must hold no other leg
     rng = random.Random(2007)
-    state = PneumaticState.initial()
+    pump_of_leg = assign_pumps(DEFAULT_PUMP_LEGS)
+    pump_on = {pump: True for pump in DEFAULT_PUMP_LEGS}
+    valve = {leg: Valve.VENT for leg in LEG_IDS}
+    pressure = {leg: 0.0 for leg in LEG_IDS}
     steps = 0
     for _ in range(1000):
         op = rng.randrange(4)
         leg = rng.choice(LEG_IDS)
         pump = rng.choice(("A", "B"))
         if op == 0:
-            state.valve[leg] = Valve.SUCTION
-            if state.under_suction(leg):
-                state.pressure_kpa[leg] = pressure_under_suction(model, state.pressure_kpa[leg],
-                                                                 model.dwell_s)
+            valve[leg] = Valve.SUCTION
+            if pump_on[pump_of_leg[leg]]:
+                pressure[leg] = pressure_under_suction(model, pressure[leg], model.dwell_s)
         elif op == 1:
-            state.valve[leg] = Valve.VENT
-            state.pressure_kpa[leg] = vent(state.pressure_kpa[leg], 1.0)
+            valve[leg] = Valve.VENT
+            pressure[leg] = vent(pressure[leg], 1.0)
         else:
-            state.pump_on[pump] = op == 2
+            pump_on[pump] = op == 2
         steps += 1
-        attached = state.grip(model)[0]
+        suction_legs = [other for other in LEG_IDS
+                        if valve[other] is Valve.SUCTION and pump_on[pump_of_leg[other]]]
+        attached = grip(pressure, suction_legs, model)[0]
         for check in LEG_IDS:
-            if state.valve[check] is Valve.VENT or not state.pump_running(check):
+            if valve[check] is Valve.VENT or not pump_on[pump_of_leg[check]]:
                 assert not attached[check]
     _report(7, f"attach oracle within 5% of vacuum; invariant held over {steps} "
                "random transitions")
@@ -202,13 +209,9 @@ def test_criterion_9_overload_failure_mode(tmp_path):
     # 0.5 * 50 kPa * 1963 mm^2 = 49.075 N tangentially, so three hold
     # 147.225 N; choose a mass whose 90-degree load exceeds that.
     model = AdhesionModel()
-    state = PneumaticState.initial()
-    for leg in LEG_IDS:
-        state.valve[leg] = Valve.SUCTION
-        state.pressure_kpa[leg] = model.vacuum_kpa
-    cap4_n = holding_capacity(state, model)[1]
-    state.valve[4] = Valve.VENT
-    cap3_n = holding_capacity(state, model)[1]
+    pressure = {leg: model.vacuum_kpa for leg in LEG_IDS}
+    cap4_n = grip(pressure, LEG_IDS, model)[2]
+    cap3_n = grip(pressure, (1, 2, 3), model)[2]  # leg 4's valve vented
     assert cap3_n == pytest.approx(3 * 0.5 * 50.0 * 1963.0 / 1000.0, rel=1e-12)
     assert cap4_n / cap3_n == pytest.approx(4.0 / 3.0, rel=1e-12)
 

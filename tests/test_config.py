@@ -159,6 +159,14 @@ def test_swing_order_that_is_not_a_permutation_is_config_error(tmp_path, order):
         load_config(path)
 
 
+def test_a_fractional_leg_id_is_refused_when_parsed(tmp_path):
+    # GaitParams refuses a float leg id itself; the loader's int() parse
+    # already refuses "4.0" before any object is built
+    path = write(tmp_path, "[gait]\norder = 1, 2, 3, 4.0\n")
+    with pytest.raises(ConfigError, match=r"^bad value for 'order' in \[gait\]: .*'4\.0'"):
+        load_config(path)
+
+
 def test_missing_file_is_config_error():
     with pytest.raises(ConfigError, match="cannot read"):
         load_config("/nonexistent/robot.ini")

@@ -5,9 +5,10 @@ import pytest
 
 from wallclimber.pneumatics import (
     ATTACH_DWELLS,
+    DEFAULT_PUMP_LEGS,
     AdhesionModel,
-    PneumaticState,
     Valve,
+    assign_pumps,
     grip,
     holding_capacity,
     pressure_under_suction,
@@ -18,19 +19,28 @@ from wallclimber.pneumatics import (
 from wallclimber.simulator import ScenarioConfig, run_scenario
 
 MODEL = AdhesionModel()
+LEGS = (1, 2, 3, 4)
+PUMP_OF_LEG = assign_pumps(DEFAULT_PUMP_LEGS)
 
 
-def attached_state(model=MODEL, legs=(1, 2, 3, 4), pressure=None):
-    state = PneumaticState.initial()
+def cups(model=MODEL, legs=LEGS, pressure=None):
+    """(valve, pressure_kpa) dicts: the cups of `legs` on suction at
+    `pressure` (the vacuum level by default), the others vented at 0 kPa."""
     pressure = model.vacuum_kpa if pressure is None else pressure
-    for leg in legs:
-        state.valve[leg] = Valve.SUCTION
-        state.pressure_kpa[leg] = pressure
-    return state
+    valve = {leg: Valve.SUCTION if leg in legs else Valve.VENT for leg in LEGS}
+    return valve, {leg: pressure if leg in legs else 0.0 for leg in LEGS}
 
 
-def held_legs(state, model=MODEL):
-    return [leg for leg, held in state.grip(model)[0].items() if held]
+def suction_legs(valve, pump_on=None, pump_of_leg=PUMP_OF_LEG):
+    """The legs whose valve is on suction and whose pump runs; `pump_on`
+    maps each pump to whether it runs, and by default every pump does."""
+    return [leg for leg in sorted(valve) if valve[leg] is Valve.SUCTION
+            and (pump_on is None or pump_on[pump_of_leg[leg]])]
+
+
+def held_legs(valve, pressure, model=MODEL, pump_on=None):
+    attached = grip(pressure, suction_legs(valve, pump_on), model)[0]
+    return [leg for leg, held in attached.items() if held]
 
 
 # --- attach ---------------------------------------------------------------
@@ -55,11 +65,13 @@ def test_attach_reaches_near_vacuum_after_one_dwell():
 
 
 def test_attach_requires_pump():
-    state = attached_state()
-    state.pump_on["A"] = False
-    assert [state.under_suction(leg) for leg in (1, 2, 3, 4)] == [False, False, True, True]
+    # assign_pumps puts legs 1 and 2 on pump A: with A off, their valves
+    # stay on suction but they are not under suction
+    valve, pressure = cups()
+    pump_on = {"A": False, "B": True}
+    assert suction_legs(valve, pump_on) == [3, 4]
     # legs 3 and 4 ride pump B, still fine
-    assert held_legs(state) == [3, 4]
+    assert held_legs(valve, pressure, pump_on=pump_on) == [3, 4]
 
 
 def test_attach_timeout_with_leak():
@@ -71,24 +83,24 @@ def test_attach_timeout_with_leak():
     for dwells in (1, ATTACH_DWELLS, 100):
         p = pressure_under_suction(leaky, 0.0, dwells * leaky.dwell_s)
         assert p > leaky.attach_threshold_kpa
-        assert held_legs(attached_state(leaky, pressure=p), leaky) == []
+        assert held_legs(*cups(leaky, pressure=p), leaky) == []
 
 
 def test_attach_with_tolerable_leak():
     # equilibrium -50 + 60 * (0.5/3) = -40 kPa, still below -30
     leaky = AdhesionModel(leak_kpa_per_s=60.0)
     p = pressure_under_suction(leaky, 0.0, leaky.dwell_s)
-    assert held_legs(attached_state(leaky, legs=(2,), pressure=p), leaky) == [2]
+    assert held_legs(*cups(leaky, legs=(2,), pressure=p), leaky) == [2]
 
 
 # --- detach ---------------------------------------------------------------
 
 def test_detach_vents_to_zero():
-    state = attached_state()
-    state.valve[4] = Valve.VENT
-    state.pressure_kpa[4] = vent(state.pressure_kpa[4], 1.0)
-    assert state.pressure_kpa[4] == 0.0
-    assert held_legs(state) == [1, 2, 3]
+    valve, pressure = cups()
+    valve[4] = Valve.VENT
+    pressure[4] = vent(pressure[4], 1.0)
+    assert pressure[4] == 0.0
+    assert held_legs(valve, pressure) == [1, 2, 3]
 
 
 def test_detach_attach_round_trip():
@@ -132,73 +144,73 @@ def test_holding_capacity_hand_values():
     # 3 cups at -50 kPa over 1000 mm^2 with mu = 0.5:
     # 50 kPa * 1000 mm^2 = 50 N per cup
     model = AdhesionModel(cup_area_mm2=1000.0)
-    state = attached_state(model, legs=(1, 2, 3))
-    normal, tangential = holding_capacity(state, model)
+    valve, pressure = cups(model, legs=(1, 2, 3))
+    normal, tangential = holding_capacity(pressure, suction_legs(valve), model)
     assert normal == 150.0
     assert tangential == 75.0
 
 
 def test_holding_capacity_empty():
-    assert holding_capacity(PneumaticState.initial(), MODEL) == (0.0, 0.0)
+    valve, pressure = cups(legs=())
+    assert holding_capacity(pressure, suction_legs(valve), MODEL) == (0.0, 0.0)
 
 
 def test_holding_capacity_linearity():
     model = AdhesionModel(cup_area_mm2=1000.0)
-    three = holding_capacity(attached_state(model, legs=(1, 2, 3)), model)
-    four = holding_capacity(attached_state(model), model)
+
+    def capacity(valve, pressure):
+        return holding_capacity(pressure, suction_legs(valve), model)
+
+    three = capacity(*cups(model, legs=(1, 2, 3)))
+    four = capacity(*cups(model))
     assert four[0] / three[0] == 4.0 / 3.0
     assert four[1] / three[1] == 4.0 / 3.0
     # linear in vacuum depth as well
-    deeper = attached_state(model, pressure=2 * model.vacuum_kpa)
-    assert holding_capacity(deeper, model)[0] == 2.0 * four[0]
+    assert capacity(*cups(model, pressure=2 * model.vacuum_kpa))[0] == 2.0 * four[0]
 
 
 # --- structural invariants ------------------------------------------------
 
 def test_never_attached_with_vent_or_pump_off():
-    state = attached_state()
-    assert held_legs(state) == [1, 2, 3, 4]
+    valve, pressure = cups()
+    assert held_legs(valve, pressure) == [1, 2, 3, 4]
     # venting the valve clears attachment immediately, pressure regardless
-    vented = attached_state()
-    vented.valve[1] = Valve.VENT
-    assert not vented.grip(MODEL)[0][1]
+    valve[1] = Valve.VENT
+    assert not grip(pressure, suction_legs(valve), MODEL)[0][1]
     # pump off drops both of its legs
-    dead = attached_state()
-    dead.pump_on["B"] = False
-    assert held_legs(dead) == [1, 2]
+    assert held_legs(*cups(), pump_on={"A": True, "B": False}) == [1, 2]
 
 
 def test_random_interleavings_preserve_invariant():
     # random valve switches, each followed by one dwell of suction or a full
     # vent, and random pump switches
     rng = random.Random(42)
-    state = PneumaticState.initial()
+    valve, pressure = cups(legs=())
+    pump_on = {"A": True, "B": True}
     for _ in range(500):
         op = rng.randrange(4)
-        leg = rng.choice((1, 2, 3, 4))
+        leg = rng.choice(LEGS)
         pump = rng.choice(("A", "B"))
         if op == 0:
-            state.valve[leg] = Valve.SUCTION
-            if state.under_suction(leg):
-                state.pressure_kpa[leg] = pressure_under_suction(MODEL, state.pressure_kpa[leg],
-                                                                 MODEL.dwell_s)
+            valve[leg] = Valve.SUCTION
+            if pump_on[PUMP_OF_LEG[leg]]:
+                pressure[leg] = pressure_under_suction(MODEL, pressure[leg], MODEL.dwell_s)
         elif op == 1:
-            state.valve[leg] = Valve.VENT
-            state.pressure_kpa[leg] = vent(state.pressure_kpa[leg], 1.0)
+            valve[leg] = Valve.VENT
+            pressure[leg] = vent(pressure[leg], 1.0)
         else:
-            state.pump_on[pump] = op == 2
-        attached = state.grip(MODEL)[0]
-        for check in (1, 2, 3, 4):
-            if state.valve[check] is Valve.VENT or not state.pump_running(check):
+            pump_on[pump] = op == 2
+        attached = grip(pressure, suction_legs(valve, pump_on), MODEL)[0]
+        for check in LEGS:
+            if valve[check] is Valve.VENT or not pump_on[PUMP_OF_LEG[check]]:
                 assert not attached[check]
-            assert state.pressure_kpa[check] <= 0.0
+            assert pressure[check] <= 0.0
 
 
 def test_custom_pump_assignment():
-    state = PneumaticState.initial({"A": (1, 2, 3), "B": (4,)})
-    assert state.pump_of_leg[3] == "A"
+    assert assign_pumps({"A": (1, 2, 3), "B": (4,)}) == {1: "A", 2: "A", 3: "A", 4: "B"}
     with pytest.raises(ValueError):
-        PneumaticState.initial({"A": (1, 2), "B": (2, 3)})
+        assign_pumps({"A": (1, 2), "B": (2, 3)})
 
 
 # --- model validation -----------------------------------------------------
@@ -231,52 +243,54 @@ def test_model_rejects_non_finite(field, value):
 @pytest.mark.parametrize("seed", range(5))
 def test_grip_agrees_with_attach_rule_and_capacity(seed):
     rng = random.Random(seed)
-    state = PneumaticState.initial()
-    state.pump_on["B"] = rng.random() < 0.7
-    for leg in (1, 2, 3, 4):
-        state.valve[leg] = rng.choice([Valve.SUCTION, Valve.VENT])
-        state.pressure_kpa[leg] = rng.uniform(-50.0, 0.0)
-    attached, normal, tangential = state.grip(MODEL)
+    pump_on = {"A": True, "B": rng.random() < 0.7}
+    valve, pressure = {}, {}
+    for leg in LEGS:
+        valve[leg] = rng.choice([Valve.SUCTION, Valve.VENT])
+        pressure[leg] = rng.uniform(-50.0, 0.0)
+    legs = suction_legs(valve, pump_on)
+    attached, normal, tangential = grip(pressure, legs, MODEL)
     assert list(attached) == [1, 2, 3, 4]
-    assert attached == {leg: state.under_suction(leg)
-                        and state.pressure_kpa[leg] <= MODEL.attach_threshold_kpa
-                        for leg in (1, 2, 3, 4)}
-    assert holding_capacity(state, MODEL) == (normal, tangential)
+    assert attached == {leg: valve[leg] is Valve.SUCTION and pump_on[PUMP_OF_LEG[leg]]
+                        and pressure[leg] <= MODEL.attach_threshold_kpa
+                        for leg in LEGS}
+    assert holding_capacity(pressure, legs, MODEL) == (normal, tangential)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_grip_matches_the_attach_rule_written_out(seed):
-    # The run's per-tick grip, given the legs under suction, and the state's
-    # grip must both be the rule written out: the same legs in the same order,
-    # the same force bits. Pressures include the threshold itself and -0.0;
-    # pump B is off in some seeds, and the pumps list their legs out of order.
+    # The run's per-tick grip, given the legs under suction, must be the rule
+    # written out: the same legs in the same order, the same force bits, and
+    # holding_capacity its forces. Pressures include the threshold itself and
+    # -0.0; pump B is off in some seeds, the pumps list their legs out of
+    # order, and the dicts hold the legs in descending order.
     rng = random.Random(seed)
     threshold = MODEL.attach_threshold_kpa
-    state = PneumaticState.initial({"A": (4, 2), "B": (3, 1)})
-    state.pump_on["B"] = seed % 4 != 0 and rng.random() < 0.7
+    pump_of_leg = assign_pumps({"A": (4, 2), "B": (3, 1)})
+    pump_on = {"A": True, "B": seed % 4 != 0 and rng.random() < 0.7}
+    valve, pressure = {}, {}
     for leg in (4, 3, 2, 1):
-        state.valve[leg] = rng.choice([Valve.SUCTION, Valve.VENT])
-        state.pressure_kpa[leg] = rng.choice([threshold, -0.0, rng.uniform(-50.0, 0.0)])
+        valve[leg] = rng.choice([Valve.SUCTION, Valve.VENT])
+        pressure[leg] = rng.choice([threshold, -0.0, rng.uniform(-50.0, 0.0)])
     expected = {}
     normal_mn = 0.0
-    for leg in (1, 2, 3, 4):
-        held = expected[leg] = (state.valve[leg] is Valve.SUCTION
-                                and state.pump_on[state.pump_of_leg[leg]]
-                                and state.pressure_kpa[leg] <= threshold)
+    for leg in LEGS:
+        held = expected[leg] = (valve[leg] is Valve.SUCTION and pump_on[pump_of_leg[leg]]
+                                and pressure[leg] <= threshold)
         if held:
-            normal_mn += -state.pressure_kpa[leg] * MODEL.cup_area_mm2
+            normal_mn += -pressure[leg] * MODEL.cup_area_mm2
     expected_forces = [(normal_mn / 1000.0).hex(), (MODEL.friction * normal_mn / 1000.0).hex()]
-    suction_legs = [leg for leg in (1, 2, 3, 4) if state.under_suction(leg)]
-    for attached, normal, tangential in (state.grip(MODEL),
-                                         grip(state.pressure_kpa, suction_legs, MODEL)):
-        assert list(attached.items()) == list(expected.items())
-        assert [normal.hex(), tangential.hex()] == expected_forces
+    legs = suction_legs(valve, pump_on, pump_of_leg)
+    attached, normal, tangential = grip(pressure, legs, MODEL)
+    assert list(attached.items()) == list(expected.items())
+    assert [normal.hex(), tangential.hex()] == expected_forces
+    assert holding_capacity(pressure, legs, MODEL) == (normal, tangential)
 
 
 def test_cup_at_exactly_the_threshold_holds():
-    state = attached_state(pressure=MODEL.attach_threshold_kpa)
-    assert held_legs(state) == [1, 2, 3, 4]
-    assert state.grip(MODEL)[0][1]
+    valve, pressure = cups(pressure=MODEL.attach_threshold_kpa)
+    assert held_legs(valve, pressure) == [1, 2, 3, 4]
+    assert grip(pressure, LEGS, MODEL)[0][1]
 
 
 def test_per_tick_relaxation_matches_closed_form_bit_for_bit():

@@ -566,12 +566,20 @@ def test_gait_params_keeps_its_own_copy_of_the_stance():
     (GaitParams, {"stance_mm": {1: (-80.0, 80.0), 2: (80.0, 80.0), 3: (80.0, -80.0),
                                 4: (False, -80.0)}}, r"stance_mm\[4\]"),
     (ScenarioConfig, {"mass_kg": True}, "mass_kg"),
+    # leg ids equal to 4 or 1 that are not ints: each sorts as a permutation
+    # of the legs, and a joint table compiled from the float order prints
+    # 4.0 in its leg column
+    (GaitParams, {"order": (1, 2, 3, 4.0)}, "order"),
+    (GaitParams, {"order": (True, 2, 3, 4)}, "order"),
+    (ScenarioConfig, {"pump_legs": {"A": (1, 2), "B": (3, 4.0)}}, "pump_legs"),
+    (ScenarioConfig, {"pump_legs": {"A": (True, 2), "B": (3, 4)}}, "pump_legs"),
 ], ids=["cycles", "cycles-bool", "samples_per_step", "nan-seed", "branch-name", "order-repeat",
         "order-short", "stance-short", "stance-extra", "stance-xyz", "stance-1-tuple",
         "limits-tuple", "geometry-none", "gait-none", "adhesion-none", "mass-str", "angle-none",
         "geometry-str", "target-str", "vacuum-str", "stance-str", "pump-legs-none",
         "order-none", "stance-none", "stance-number", "pump-legs-value-none", "geometry-bool",
-        "limits-bool", "target-bool", "adhesion-bool", "gait-bool", "stance-bool", "mass-bool"])
+        "limits-bool", "target-bool", "adhesion-bool", "gait-bool", "stance-bool", "mass-bool",
+        "order-float", "order-bool", "pump-legs-float", "pump-legs-bool"])
 def test_inputs_that_would_fail_mid_run_are_rejected_when_built(make, kwargs, field):
     # unchecked, each of these builds and then crashes or runs nondeterministically
     with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -583,3 +591,14 @@ def test_inputs_that_would_fail_mid_run_are_rejected_when_built(make, kwargs, fi
 def test_scenario_config_rejects_bad_pump_legs(pump_legs):
     with pytest.raises(ValueError, match="pump assignment"):
         ScenarioConfig(pump_legs=pump_legs)
+
+
+def test_records_list_legs_in_leg_order():
+    # the pumps list their legs out of order; every record's leg dicts still
+    # list the legs 1..4, computed and replayed ticks alike
+    report = run_scenario(ScenarioConfig(pump_legs={"A": (4, 2), "B": (3, 1)}))
+    assert report.ticks == len(report.records) > 0
+    for record in report.records:
+        assert list(record.valve) == [1, 2, 3, 4]
+        assert list(record.pressure_kpa) == [1, 2, 3, 4]
+        assert list(record.attached) == [1, 2, 3, 4]
