@@ -107,10 +107,11 @@ def pressure_under_suction(model, p0_kpa, dt_s):
 def assign_pumps(pump_legs):
     """Map each leg to its pump from a pump -> legs assignment. Raises
     ValueError unless every leg 1..4 is listed exactly once, as an int (a
-    bool or a float such as 4.0 is no leg id)."""
+    bool or a float such as 4.0 is no leg id), and every pump feeds a leg:
+    the power model bills each pump listed."""
     pump_of_leg = {leg: pump for pump, legs in pump_legs.items() for leg in legs}
     legs = [leg for legs in pump_legs.values() for leg in legs]
-    if sorted(legs) != [1, 2, 3, 4] or not all(map(is_int, legs)):
+    if sorted(legs) != [1, 2, 3, 4] or not all(map(is_int, legs)) or not all(pump_legs.values()):
         raise ValueError(f"pump_legs must be a pump assignment that covers the int legs 1..4 "
                          f"once each, got {pump_legs}")
     return pump_of_leg

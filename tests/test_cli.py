@@ -1,5 +1,10 @@
+import gc
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -334,3 +339,82 @@ def test_output_path_that_is_a_directory_is_a_validation_error(argv, path, tmp_p
     assert "Is a directory" in err and path.format(tmp=tmp_path) in err
     # nothing is left behind: no temporary series file, no summary
     assert sorted(p.name for p in (tmp_path / "odir").iterdir()) == ["run.series.csv"]
+
+
+# --- the process exit --------------------------------------------------------------
+# run() freezes the GC after main() returns, so the interpreter's shutdown
+# collections find nothing to free. That is safe because main() closes every
+# file it opens: a frozen file object would never be flushed by the GC.
+
+TIGHT_LIMITS_INI = "[joints]\nlimit_min_deg = -180\nlimit_max_deg = 177\n"  # fails mid-table
+OVERLOAD_INI = "[scenario]\nclimb_angle_deg = 90\nmass_kg = 1000\n"
+
+
+@pytest.mark.parametrize("code", [EXIT_OK, EXIT_VALIDATION, EXIT_SIMFAIL])
+def test_run_freezes_once_after_main_returns(code, monkeypatch):
+    # both are stand-ins, so this process itself is never frozen
+    events = []
+    monkeypatch.setattr(cli, "main", lambda: events.append("main") or code)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.run()
+    assert events == ["main", "freeze"]
+    assert exit_info.value.code == code
+
+
+@pytest.mark.parametrize("argv", [["validate-config"], ["simulate", "-o", "run"],
+                                  ["gait", "-o", "table.csv"], ["sweep", "-o", "sweep.csv"]],
+                         ids=["validate-config", "simulate", "gait", "sweep"])
+def test_main_leaves_the_gc_unfrozen(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    frozen = gc.get_freeze_count()
+    assert main(argv) == EXIT_OK
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("config, argv, code", [
+    (None, ["simulate", "-o", "run"], EXIT_OK),
+    (None, ["gait", "-o", "table.csv"], EXIT_OK),
+    (None, ["sweep", "-o", "sweep.csv"], EXIT_OK),
+    (TIGHT_LIMITS_INI, ["gait", "-o", "table.csv"], EXIT_VALIDATION),
+    (OVERLOAD_INI, ["simulate", "-o", "heavy"], EXIT_SIMFAIL),
+], ids=["simulate", "gait", "sweep", "gait-fails-mid-table", "simulate-overload"])
+def test_main_closes_every_file_it_opens(config, argv, code, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        argv = ["--config", write_config(tmp_path, config), *argv]
+    gc.collect()  # garbage left by earlier tests is not this run's
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(argv) == code
+        gc.collect()  # an unclosed file in a reference cycle warns here
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+@pytest.mark.parametrize("config, argv, code, outputs", [
+    (None, ["simulate", "-o", "run"], EXIT_OK, ["run.series.csv", "run.summary.json"]),
+    (OVERLOAD_INI, ["simulate", "-o", "heavy"], EXIT_SIMFAIL,
+     ["heavy.series.csv", "heavy.summary.json"]),
+], ids=["simulate", "simulate-overload"])
+def test_the_cli_process_writes_what_main_writes(config, argv, code, outputs, tmp_path,
+                                                 monkeypatch, capsys):
+    # one process through run(), the entry point of `python -m wallclimber`,
+    # against main() in this process, each in its own working directory
+    if config is not None:
+        argv = ["--config", write_config(tmp_path, config), *argv]
+    spawned, here = tmp_path / "process", tmp_path / "in-process"
+    spawned.mkdir()
+    here.mkdir()
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    env.pop(CONFIG_ENV_VAR, None)
+    env.pop("PYTHONUNBUFFERED", None)  # buffer stdout as into any pipe, so a lost flush shows
+    process = subprocess.run([sys.executable, "-m", "wallclimber", *argv], cwd=spawned,
+                             env=env, capture_output=True, timeout=120)
+    monkeypatch.chdir(here)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert process.returncode == code
+    assert process.stdout == captured.out.encode()
+    assert process.stderr == captured.err.encode()
+    for name in outputs:
+        assert (spawned / name).read_bytes() == (here / name).read_bytes()

@@ -587,8 +587,10 @@ def test_inputs_that_would_fail_mid_run_are_rejected_when_built(make, kwargs, fi
 
 
 @pytest.mark.parametrize("pump_legs", [{"A": (1, 2)}, {"A": (1, 2), "B": (2, 3)},
-                                       {"A": (1, 2, 3, 4), "B": (1,)}])
+                                       {"A": (1, 2, 3, 4), "B": (1,)},
+                                       {"A": (1, 2), "B": (3, 4), "C": ()}])
 def test_scenario_config_rejects_bad_pump_legs(pump_legs):
+    # the last one covers the legs, but the power model would bill its idle pump
     with pytest.raises(ValueError, match="pump assignment"):
         ScenarioConfig(pump_legs=pump_legs)
 
