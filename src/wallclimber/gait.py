@@ -122,8 +122,13 @@ class GaitParams:
                 raise ValueError(f"stance_mm[{leg}] must be an (x, y) pair, got {point!r}")
             if not all(is_finite_real(c) for c in point):
                 raise ValueError(f"stance_mm[{leg}] must be finite, got {point}")
+            if not all(math.isfinite(c * UM_PER_MM) for c in point):  # mm_to_um would overflow
+                raise ValueError(f"stance_mm[{leg}] must be finite in micrometres, got {point}")
         object.__setattr__(self, "stance_mm", MappingProxyType(
             {leg: tuple(point) for leg, point in self.stance_mm.items()}))
+        if not math.isfinite(self.step_length_mm * UM_PER_MM):  # mm_to_um would overflow
+            raise ValueError(f"step_length_mm must be finite in micrometres, "
+                             f"got {self.step_length_mm}")
         if mm_to_um(self.step_length_mm) <= 0:  # plans keep whole micrometres
             raise ValueError(f"step_length_mm must be > 0 and round to at least 1 um, "
                              f"got {self.step_length_mm}")

@@ -66,6 +66,9 @@ class AdhesionModel:
             )
         if self.dwell_s <= 0.0 or self.vent_s <= 0.0:
             raise ValueError("dwell_s and vent_s must be > 0")
+        if self.time_constant_s == 0.0:  # suction_decay divides by it
+            raise ValueError(f"dwell_s must be large enough that dwell_s / 3 > 0, "
+                             f"got {self.dwell_s}")
         if not 0.0 < self.friction <= 2.0:
             raise ValueError(f"friction must be in (0, 2], got {self.friction}")
         if self.leak_kpa_per_s < 0.0:
@@ -118,9 +121,11 @@ def assign_pumps(pump_legs):
 
 
 def grip(pressure_kpa, suction_legs, model):
-    """One pass over the legs in ascending order: (attached, normal_N,
-    tangential_N), where attached maps each leg of `pressure_kpa` to whether
-    its cup holds, and the forces are the grip of the attached cups.
+    """One pass over the legs in the order `pressure_kpa` lists them:
+    (attached, normal_N, tangential_N), where attached maps each leg of
+    `pressure_kpa`, in that order, to whether its cup holds, and the forces
+    are the grip of the attached cups, summed in that order. A run keeps its
+    pressures as legs 1..4 in order, so it sums them in leg order.
 
     The one statement of the attach rule. The caller names the legs under
     suction in `suction_legs`: those whose valve is on suction and whose
@@ -133,8 +138,7 @@ def grip(pressure_kpa, suction_legs, model):
     threshold, area = model.attach_threshold_kpa, model.cup_area_mm2
     attached = {}
     total_mn = 0.0
-    for leg in sorted(pressure_kpa):
-        p = pressure_kpa[leg]
+    for leg, p in pressure_kpa.items():
         if leg in suction_legs and p <= threshold:
             attached[leg] = True
             total_mn += -p * area

@@ -105,6 +105,17 @@ class ScenarioConfig:
             raise ValueError(f"cycles must be >= 1, got {self.cycles}")
         if self.tick_s <= 0.0:
             raise ValueError(f"tick_s must be > 0, got {self.tick_s}")
+        for owner, name in ((self.adhesion, "vent_s"), (self.gait, "swing_s"),
+                            (self.adhesion, "dwell_s"), (self.gait, "advance_s")):
+            duration_s = getattr(owner, name)  # its ticks are round(duration_s / tick_s)
+            if not math.isfinite(duration_s / self.tick_s):
+                raise ValueError(f"{name} / tick_s must be finite, got {duration_s} / "
+                                 f"{self.tick_s}")
+        if self.gravity_m_s2 <= 0.0:
+            raise ValueError(f"gravity_m_s2 must be > 0, got {self.gravity_m_s2}")
+        if self.servo_power_w < 0.0 or self.pump_power_w < 0.0:
+            name = "servo_power_w" if self.servo_power_w < 0.0 else "pump_power_w"
+            raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 < self.lift_efficiency <= 1.0:
             raise ValueError(f"lift_efficiency must be in (0, 1], got {self.lift_efficiency}")
         if self.c_slip < 0.0 or not 0.0 <= self.s_max < 1.0:

@@ -238,6 +238,37 @@ def test_validate_config_bad_file(tmp_path, capsys):
     assert "no_such_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, field", [
+    ("[gait]\np1_mm = 1e308, 0\n", "stance_mm[1]"),
+    ("[gait]\nstep_length_mm = -1e308\n", "step_length_mm"),
+    ("[gait]\nswing_s = 1e308\n", "swing_s"),
+    ("[gait]\nadvance_s = 1e308\n", "advance_s"),
+    ("[adhesion]\ndwell_s = 1e308\n", "dwell_s"),
+    ("[adhesion]\nvent_s = 1e308\n", "vent_s"),
+    ("[scenario]\ntick_s = 5e-324\n", "tick_s"),
+    ("[adhesion]\ndwell_s = 5e-324\n", "dwell_s"),
+    ("[scenario]\nservo_power_w = -5\n", "servo_power_w"),
+    ("[scenario]\npump_power_w = -1\n", "pump_power_w"),
+    ("[scenario]\ngravity_m_s2 = -9.81\n", "gravity_m_s2"),
+], ids=["foothold", "step", "swing", "advance", "dwell", "vent", "tick", "dwell-tiny", "servo",
+        "pump", "gravity"])
+@pytest.mark.parametrize("argv", [["validate-config"], ["simulate", "-o", "run"],
+                                  ["gait", "-o", "table.csv"], ["sweep", "0", "90", "-o", "s.csv"]],
+                         ids=["validate-config", "simulate", "gait", "sweep"])
+def test_a_value_the_model_cannot_run_is_a_config_error(text, field, argv, tmp_path, monkeypatch,
+                                                         capsys):
+    # Each of these once ended in a traceback (an OverflowError or a
+    # ZeroDivisionError), or ran and reported a power or a climb that means
+    # nothing. The config is refused when it is built, naming the field.
+    path = write_config(tmp_path, text)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--config", path, *argv]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("config error: [") and field in captured.err
+    assert os.listdir(tmp_path) == ["robot.ini"]
+
+
 def test_validate_config_plans_the_gait(tmp_path, capsys):
     # The config loads, but leg 1's foothold lies 262.5 mm out, past the
     # 200 mm reach: validate-config refuses it as simulate and gait do.

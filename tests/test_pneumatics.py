@@ -263,7 +263,8 @@ def test_grip_matches_the_attach_rule_written_out(seed):
     # written out: the same legs in the same order, the same force bits, and
     # holding_capacity its forces. Pressures include the threshold itself and
     # -0.0; pump B is off in some seeds, the pumps list their legs out of
-    # order, and the dicts hold the legs in descending order.
+    # order, and the dicts hold the legs in descending order, which grip
+    # walks as given: its attached dict and its force sum follow it.
     rng = random.Random(seed)
     threshold = MODEL.attach_threshold_kpa
     pump_of_leg = assign_pumps({"A": (4, 2), "B": (3, 1)})
@@ -274,7 +275,7 @@ def test_grip_matches_the_attach_rule_written_out(seed):
         pressure[leg] = rng.choice([threshold, -0.0, rng.uniform(-50.0, 0.0)])
     expected = {}
     normal_mn = 0.0
-    for leg in LEGS:
+    for leg in pressure:
         held = expected[leg] = (valve[leg] is Valve.SUCTION and pump_on[pump_of_leg[leg]]
                                 and pressure[leg] <= threshold)
         if held:

@@ -573,17 +573,42 @@ def test_gait_params_keeps_its_own_copy_of_the_stance():
     (GaitParams, {"order": (True, 2, 3, 4)}, "order"),
     (ScenarioConfig, {"pump_legs": {"A": (1, 2), "B": (3, 4.0)}}, "pump_legs"),
     (ScenarioConfig, {"pump_legs": {"A": (True, 2), "B": (3, 4)}}, "pump_legs"),
+    # finite values that overflowed mid-run: mm_to_um's round, a phase's tick
+    # count round(duration / tick_s), and suction_decay's division by dwell_s / 3
+    (GaitParams, {"step_length_mm": 1e308}, "step_length_mm"),
+    (GaitParams, {"step_length_mm": -1e308}, "step_length_mm"),
+    (GaitParams, {"stance_mm": {1: (-80.0, 80.0), 2: (80.0, 80.0), 3: (80.0, -80.0),
+                                4: (-80.0, -1e308)}}, r"stance_mm\[4\]"),
+    (ScenarioConfig, {"gait": GaitParams(swing_s=1e308)}, "swing_s / tick_s"),
+    (ScenarioConfig, {"gait": GaitParams(advance_s=1e308)}, "advance_s / tick_s"),
+    (ScenarioConfig, {"adhesion": AdhesionModel(dwell_s=1e308)}, "dwell_s / tick_s"),
+    (ScenarioConfig, {"adhesion": AdhesionModel(vent_s=1e308)}, "vent_s / tick_s"),
+    (ScenarioConfig, {"tick_s": 5e-324}, "vent_s / tick_s"),
+    (AdhesionModel, {"dwell_s": 5e-324}, "dwell_s"),
+    # signs the model needs: a negative draw, or gravity that pulls the robot up the wall
+    (ScenarioConfig, {"servo_power_w": -5.0}, "servo_power_w"),
+    (ScenarioConfig, {"pump_power_w": -1e308}, "pump_power_w"),
+    (ScenarioConfig, {"gravity_m_s2": -9.81}, "gravity_m_s2"),
+    (ScenarioConfig, {"gravity_m_s2": 0.0}, "gravity_m_s2"),
 ], ids=["cycles", "cycles-bool", "samples_per_step", "nan-seed", "branch-name", "order-repeat",
         "order-short", "stance-short", "stance-extra", "stance-xyz", "stance-1-tuple",
         "limits-tuple", "geometry-none", "gait-none", "adhesion-none", "mass-str", "angle-none",
         "geometry-str", "target-str", "vacuum-str", "stance-str", "pump-legs-none",
         "order-none", "stance-none", "stance-number", "pump-legs-value-none", "geometry-bool",
         "limits-bool", "target-bool", "adhesion-bool", "gait-bool", "stance-bool", "mass-bool",
-        "order-float", "order-bool", "pump-legs-float", "pump-legs-bool"])
+        "order-float", "order-bool", "pump-legs-float", "pump-legs-bool", "step-huge",
+        "step-huge-negative", "stance-huge", "swing-huge", "advance-huge", "dwell-huge",
+        "vent-huge", "tick-tiny", "dwell-tiny", "servo-negative", "pump-negative",
+        "gravity-negative", "gravity-zero"])
 def test_inputs_that_would_fail_mid_run_are_rejected_when_built(make, kwargs, field):
     # unchecked, each of these builds and then crashes or runs nondeterministically
     with pytest.raises(ValueError, match=f"^{field} must be"):
         make(**kwargs)
+
+
+def test_zero_draw_is_accepted():
+    config = ScenarioConfig(servo_power_w=0.0, pump_power_w=0.0, climb_angle_deg=90.0)
+    assert power_model(config, 0.0, 2) == 0.0
 
 
 @pytest.mark.parametrize("pump_legs", [{"A": (1, 2)}, {"A": (1, 2), "B": (2, 3)},
