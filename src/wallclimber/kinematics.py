@@ -231,7 +231,7 @@ def pose_memo(solve, geom, k, branch, limits):
     the target's exact bits; float keys would conflate 0.0 and -0.0, which
     atan2 tells apart. run_scenario passes its own module's solve_leg binding,
     so patching that binding (in a test or a tracer) reaches every solve. A
-    run that keeps no records and has no joint limits does not use a memo: it
+    run that keeps no records and has no joint limits never calls its memo: it
     reads no angle, and generate_cycle's validate has already found every pose
     it commands in reach, so it neither solves, checks nor builds a pose.
 

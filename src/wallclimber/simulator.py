@@ -21,6 +21,9 @@ import math
 import random
 import struct
 from collections.abc import Mapping
+from functools import reduce
+from itertools import accumulate
+from operator import add
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
@@ -227,15 +230,17 @@ def _pneumatics(config, script, keep):
 
     Nothing here reads the climb angle, the mass, the body position or the
     jitter, so the angles of a sweep share one pass. Each phase comes as
-    (start, step, phase, valves, grips): `start` holds the exact bits of the
-    cup pressures (0.0 and -0.0 apart) when the phase's cycle started, and
+    (start, step, phase, valves, grips, low): `start` holds the exact bits of
+    the cup pressures (0.0 and -0.0 apart) when the phase's cycle started,
     `grips` each tick's (attached, tangential capacity, pressures), the
-    pressures dict only when `keep`. Every valve is on suction between
-    steps, so a cycle that starts in the bits the previous cycle started in
-    repeats it: the pass yields that cycle's phases again, the same tuples,
-    once for every cycle left. It holds one cycle of phases. The last item is
-    (failure_tick, "attach_timeout", reason) for a cup that never grips, else
-    (None, None, None).
+    pressures dict only when `keep`, and `low` the phase's lowest capacity,
+    which tells every angle of a sweep whether its load overloads the phase.
+    Every valve is on suction between steps, so a cycle that starts in the
+    bits the previous cycle started in repeats it: the pass yields that
+    cycle's phases again, the same tuples, once for every cycle left. It
+    holds one cycle of phases. The last item is (failure_tick,
+    "attach_timeout", reason) for a cup that never grips, else (None, None,
+    None).
 
     The pass keeps the valves and the cup pressures in two dicts keyed by
     leg, 1..4 in order, whatever order `pump_legs` lists them in. Every pump
@@ -293,7 +298,7 @@ def _pneumatics(config, script, keep):
                     attached, _, cap = grip(pressure, relaxing, model)
                     pressures = dict(pressure) if keep else None
                     grips.append((attached, cap, pressures))
-                held.append((start, step, phase, valves, grips))
+                held.append((start, step, phase, valves, grips, min(g[1] for g in grips)))
                 yield held[-1]
                 ticks += n
 
@@ -318,42 +323,48 @@ def run_scenario(config, sink=None):
     (_pneumatics) switches the valves, moves the cup pressures and grips
     once per tick, through pneumatics.grip, from the legs that the phase
     keeps under suction; it reads no angle, mass or body position. The
-    motion pass reads each tick's holding capacity and computes the rest:
-    the slip of each advance, the body position, power and energy, the
-    overload check, the poses and the records. A sweep runs the pneumatic
-    pass once for all its angles (see sweep_climb_angle).
+    motion pass (_run) works a phase at a time: it splits the phase's
+    advance into per-tick shares once, computes the energy term power x tick
+    once per distinct share and still adds it once per tick, in tick order,
+    and finds an overload as the first tick whose holding capacity is below
+    the load, which only a phase whose lowest capacity is below it has. A
+    sweep runs the pneumatic pass once for all its angles and each angle's
+    motion pass on its own (see sweep_climb_angle).
 
-    Each tick's TickRecord is passed to `sink` when one is given, and the
-    report's `records` stays empty; without a sink the records are
-    collected in `records`. A noise-free run whose sink has a `cycle` hook
-    (fileio.series_csv_sink's sink) calls `sink.cycle()` before each cycle
-    it computes, and instead of the records of each cycle it replays calls
-    `sink.cycle(times, bodies)` with that cycle's t_s and body_mm values,
-    computed as for the records; every other sink, and every sink of a
-    noisy run, gets each tick's TickRecord. A run whose sink is a `_Drop`
-    (`_drop`, or a sweep's) builds no TickRecord and draws no pressure
-    jitter; its `ticks` and energy are counted as before, so its summary
-    is the same. Such a run
-    without joint limits reads no joint angle and cannot fail on reach
-    (validate checks every pose the plan commands), so it neither solves,
-    checks nor builds a pose: no stance dict, swing waypoint or angles
-    dict; every other run solves its poses through pose_memo.
-    Deterministic for a given config. Overload and attach timeouts mark
-    the report completed=False (with failing tick, code and reason)
-    instead of raising; planning errors (bad stance, unreachable
-    footholds) raise.
+    Each tick's TickRecord, built from its phase's shares and energy terms,
+    is passed to `sink` when one is given, and the report's `records` stays
+    empty; without a sink the records are collected in `records`. A
+    noise-free run whose sink has a `cycle` hook (fileio.series_csv_sink's
+    sink) calls `sink.cycle()` before each cycle it computes, and instead of
+    the records of each cycle it replays calls `sink.cycle(times, bodies)`
+    with that cycle's t_s and body_mm values, computed as for the records;
+    every other sink, and every sink of a noisy run, gets each tick's
+    TickRecord. Every run solves its poses through pose_memo, phase by
+    phase, before it passes on the phase's records. Deterministic for a
+    given config. Overload and attach timeouts mark the report
+    completed=False (with failing tick, code and reason) instead of raising;
+    planning errors (bad stance, unreachable footholds) raise.
     """
+    return _run(config, sink)
+
+
+def _run(config, sink=None, shared=None, keep=True):
+    """run_scenario's run. A run that does not `keep` its records (a sweep's
+    angle) builds no TickRecord and draws no pressure jitter, and its summary
+    is the same; without joint limits as well it reads no joint angle and
+    cannot fail on reach (validate checks every pose the plan commands), so
+    it builds no pose. `shared` is a sweep's plan and the items of its
+    pneumatic pass, listed for all its angles.
+    """
+    if shared is None:
+        script = generate_cycle(config.geometry, config.gait, config.limits)
+        shared = script, _pneumatics(config, script, keep)
+    script, pneumatics = shared
     tick = config.tick_s
     load_n = config.tangential_load_n
-    keep = not isinstance(sink, _Drop)  # whether anything reads the TickRecords
-    if keep or sink.shared is None:
-        script = generate_cycle(config.geometry, config.gait, config.limits)
-        pneumatics = _pneumatics(config, script, keep)
-    else:
-        script, pneumatics = sink.shared
     z_mm = script.z_mm
-    active_pumps = len(config.pump_legs)  # every pump runs the whole run
-    idle_power = power_model(config, 0.0, active_pumps)
+    pumps = len(config.pump_legs)  # every pump runs the whole run
+    idle = {0: power_model(config, 0.0, pumps)}  # a still tick's power
 
     rng = random.Random(config.seed)
     jitter = config.noise_kpa
@@ -370,109 +381,112 @@ def run_scenario(config, sink=None):
     slip_count = 0
 
     # Without records or joint limits nothing reads the angles, and the plan has
-    # checked every pose's reach, so such a run builds no pose: its angles are None.
+    # checked every pose's reach, so such a run builds no pose.
     posed = keep or config.limits is not None
-    if posed:  # the gait revisits the same few poses every cycle, so ticks share them
-        pose = pose_memo(solve_leg, config.geometry, script.k_rad, script.branch, config.limits)
+    # the gait revisits the same few poses every cycle, so ticks share them
+    pose = pose_memo(solve_leg, config.geometry, script.k_rad, script.branch, config.limits)
 
-    def stance_pose():
-        """Every leg on its foothold; None in a run that builds no pose."""
-        return {leg: pose(um_to_mm(wall_um[leg][0]), um_to_mm(wall_um[leg][1] - body_um), z_mm)
-                for leg in LEG_IDS} if posed else None
+    def stance_pose(body):
+        """Every leg on its foothold with the body at `body` um."""
+        return {leg: pose(um_to_mm(wall_um[leg][0]), um_to_mm(wall_um[leg][1] - body), z_mm)
+                for leg in LEG_IDS}
 
-    def record(frame):
-        """Emit the TickRecord of a computed or replayed tick from its frame: the
-        body share in um (already applied and counted), then the TickRecord
-        fields after body_mm, with noiseless pressures."""
-        _, angles, valves, pressures, attached, power, slip = frame
-        if jitter > 0.0:
-            pressures = {leg: p + rng.uniform(-jitter, jitter) for leg, p in pressures.items()}
-        emit(TickRecord(ticks * tick, um_to_mm(body_um), angles, valves, pressures, attached,
-                        power, slip))
+    def poses(step, phase, shares, n):
+        """The angles of the first len(shares) ticks of an n-tick phase. Ticks in
+        which no leg moved share one dict."""
+        leg, stance = step.swing_leg, stance_pose(body_um)
+        if phase == "swing":
+            old_bf = (um_to_mm(wall_um[leg][0]), um_to_mm(wall_um[leg][1] - body_um))
+            return [{**stance, leg: pose(*swing_waypoint(old_bf, step.new_foothold_mm,
+                                                         (j + 1) / n, z_mm, script.lift_mm))}
+                    for j in range(len(shares))]
+        if phase == "attach":  # the swing leg's cup on its new foothold
+            stance = {**stance, leg: pose(*step.new_foothold_mm, z_mm)}
+        angles, body = [], body_um
+        for share in shares:  # only an advance moves the body, and the stance with it
+            body += share
+            if share:
+                stance = stance_pose(body)
+            angles.append(stance)
+        return angles
+
+    def apply(moved, terms, frame):
+        """Add a phase's ticks to the run: the body moves `moved` um, and the
+        energy adds each tick's term in tick order, in C. `frame`, (shares,
+        angles, valves, grips, slip, power), gives each tick's TickRecord."""
+        nonlocal body_um, energy_j, ticks
+        if frame is not None:
+            shares, angles, valves, grips, slip, power = frame
+            body, t = body_um, ticks
+            for share, angles_now, (attached, _, kpa) in zip(shares, angles, grips):
+                body, t = body + share, t + 1
+                if jitter > 0.0:
+                    kpa = {leg: p + rng.uniform(-jitter, jitter) for leg, p in kpa.items()}
+                emit(TickRecord(t * tick, um_to_mm(body), angles_now, valves, kpa, attached,
+                                power[share], slip))
+        body_um += moved
+        energy_j = reduce(add, terms, energy_j)
+        ticks += len(terms)
 
     def climb():
-        """Run the ticks. Return (failure_tick, failure_code, reason) where the
+        """Run the phases. Return (failure_tick, failure_code, reason) where the
         run fails, or (None, None, None) when every cycle completes."""
-        nonlocal body_um, slip_count, energy_j, ticks
-        cap = 0.0  # tangential capacity at the end of the last tick
+        nonlocal slip_count
         # What a cycle reads that can differ from one cycle to the next: the
         # pressure bits at its start and the footholds in the body frame. The
-        # rest is fixed for the run (the phases' valves, idle_power, load_n), and
+        # rest is fixed for the run (the phases' valves, idle, load_n), and
         # `cap` does not carry over: each phase grips before it reads it. A cycle
         # that starts in the state the previous cycle started in ends in it too,
-        # so the remaining cycles replay the previous one's frames.
+        # so the remaining cycles replay the previous one's phases.
         state = None
         cycles_left = config.cycles
         for item in pneumatics:
             if len(item) == 3:  # the end of the pneumatic pass
                 return item
-            start, step, phase, valves, grips = item
-            leg = step.swing_leg
+            start, step, phase, valves, grips, low = item
             if phase == "vent" and step is script.steps[0]:  # a cycle starts
                 previous, state = state, (start, tuple(
                     (wall_um[other][0], wall_um[other][1] - body_um) for other in LEG_IDS))
                 if state == previous:
+                    if cycle_hook is not None:  # the body's offset at each tick of the cycle
+                        rises = list(accumulate(share for *_, frame in held for share in frame[0]))
                     for _ in range(cycles_left):
-                        times, bodies = [], []
-                        for frame in frames:  # a computed tick's sums and fields, in its order
-                            body_um += frame[0]
-                            energy_j += frame[5] * tick
-                            ticks += 1
-                            if cycle_hook is not None:
-                                times.append(ticks * tick)
-                                bodies.append(um_to_mm(body_um))
-                            elif keep:
-                                record(frame)
                         if cycle_hook is not None:
-                            cycle_hook(times, bodies)
+                            cycle_hook([t * tick for t in range(ticks + 1, ticks + len(rises) + 1)],
+                                       [um_to_mm(body_um + rise) for rise in rises])
+                        for moved, terms, frame in held:
+                            apply(moved, terms, None if cycle_hook else frame)
                     slip_count += (slip_count - slips) * cycles_left
                     return None, None, None
                 cycles_left -= 1
-                frames, slips = [], slip_count
+                held, slips = [], slip_count
                 if cycle_hook is not None:
                     cycle_hook()
 
             n = len(grips)
-            speed = slip = 0.0
-            stance = stance_pose()
-            if phase == "vent":
-                old_bf = (um_to_mm(wall_um[leg][0]), um_to_mm(wall_um[leg][1] - body_um))
+            # the ticks the phase runs: up to the first whose capacity is below the load
+            stop = n if load_n <= low else 1 + next(j for j, g in enumerate(grips) if load_n > g[1])
+            slip, shares, power, terms = 0.0, [0] * stop, idle, [idle[0] * tick] * stop
             if phase == "advance":  # the pneumatics have not changed since the last tick
                 slip = slip_model(load_n, cap, config.c_slip, config.s_max)
-                shares = split_um(round(step.body_advance_um * (1.0 - slip)), n)
+                shares = split_um(round(step.body_advance_um * (1.0 - slip)), n)[:stop]
                 if slip > 0.0 and step.body_advance_um > 0:
                     slip_count += 1
-            else:
-                foothold = step.new_foothold_mm if phase == "attach" else old_bf
-                angles = {**stance, leg: pose(*foothold, z_mm)} if posed else None
+                power = {s: power_model(config, um_to_mm(s) / tick, pumps) for s in {*shares}}
+                term = {share: watts * tick for share, watts in power.items()}
+                terms = [term[share] for share in shares]
+            angles = poses(step, phase, shares, n) if posed else None
+            held.append((sum(shares), terms,
+                         (shares, angles, valves, grips, slip, power) if keep else None))
+            apply(*held[-1])
+            if load_n > low:
+                return ticks - 1, "adhesion_overload", (
+                    f"adhesion overload: tangential load "
+                    f"{load_n:.3f} N > holding capacity {grips[stop - 1][1]:.3f} N")
 
-            for j, (attached, cap, pressures) in enumerate(grips):
-                share = 0
-                if phase == "swing" and posed:
-                    waypoint = swing_waypoint(old_bf, step.new_foothold_mm, (j + 1) / n, z_mm,
-                                              script.lift_mm)
-                    angles = {**stance, leg: pose(*waypoint)}
-                elif phase == "advance":
-                    share = shares[j]
-                    body_um += share
-                    if share and posed:
-                        stance = stance_pose()
-                    angles = stance
-                    speed = um_to_mm(share) / tick
-
-                power = power_model(config, speed, active_pumps) if speed else idle_power
-                frames.append((share, angles, valves, pressures, attached, power, slip))
-                energy_j += power * tick
-                ticks += 1
-                if keep:
-                    record(frames[-1])
-
-                if load_n > cap:
-                    return ticks - 1, "adhesion_overload", (
-                        f"adhesion overload: tangential load "
-                        f"{load_n:.3f} N > holding capacity {cap:.3f} N")
-
-            if phase == "attach" and attached[leg]:  # the grip of the attach's last tick
+            # the grip of the phase's last tick; the next advance reads its capacity
+            leg, (attached, cap, _) = step.swing_leg, grips[-1]
+            if phase == "attach" and attached[leg]:
                 wall_um[leg] = (step.new_foothold_um[0], step.new_foothold_um[1] + body_um)
 
     failure_tick, failure_code, failure_reason = climb()
@@ -507,28 +521,17 @@ class SweepRow:
     completed: bool
 
 
-@dataclass(frozen=True)
-class _Drop:
-    """Sink for runs whose ticks nobody reads. run_scenario never calls it: a
-    run given a _Drop builds no TickRecord, and still counts its ticks and
-    energy. A sweep's _Drop also holds what its runs share: the plan and the
-    items of its pneumatic pass (_pneumatics) as a list."""
-
-    shared: tuple = None
-
-
-_drop = _Drop()
-
-
 def sweep_climb_angle(base, angles_deg):
     """Run the base scenario once per climb angle, each through run_scenario.
 
     Neither the plan nor the cup pneumatics read the angle, so the sweep
-    plans and runs the pneumatic pass once and hands it to every angle's run
-    in its sink; each run computes only its own slip, body motion, power and
-    energy, and its rows equal those of runs made one by one. Returns rows
-    sorted by angle. A failed angle (incomplete run or a planning error) is
-    flagged in its row instead of aborting the sweep.
+    plans and runs the pneumatic pass once, with each phase's lowest holding
+    capacity, and hands the plan and the listed pass to every angle's motion
+    pass (_run), which keeps no record. An angle then costs a few sums per
+    phase: its slip, body motion, power, energy and overload check, and its
+    row equals that of a run made on its own. Returns rows sorted by angle.
+    A failed angle (incomplete run or a planning error) is flagged in its
+    row instead of aborting the sweep.
     """
     if not angles_deg:
         raise ValueError("at least one climb angle is required")
@@ -539,13 +542,14 @@ def sweep_climb_angle(base, angles_deg):
     try:
         script = generate_cycle(base.geometry, base.gait, base.limits)
     except ClimberError:  # a planning error, the same at every angle
-        sink = None
+        shared = None
     else:
-        sink = _Drop((script, list(_pneumatics(base, script, keep=False))))
+        shared = script, list(_pneumatics(base, script, keep=False))
     rows = []
     for angle in angles_deg:
         try:
-            report = sink and run_scenario(replace(base, climb_angle_deg=angle), sink=sink)
+            report = shared and _run(replace(base, climb_angle_deg=angle), shared=shared,
+                                     keep=False)
         except ClimberError:
             report = None
         rows.append(SweepRow(angle, report.average_speed_mm_s, report.average_power_w,

@@ -19,12 +19,8 @@ from test_streaming import multi_cycle_scenarios
 
 from wallclimber.fileio import summary_dict
 from wallclimber.pneumatics import AdhesionModel
-from wallclimber.simulator import ScenarioConfig, SweepRow, _drop, run_scenario, sweep_climb_angle
-
-
-def record_free_run(config):
-    """A run that keeps no record, as a sweep's angles run."""
-    return run_scenario(config, sink=_drop)
+from wallclimber import simulator
+from wallclimber.simulator import ScenarioConfig, SweepRow, run_scenario, sweep_climb_angle
 
 
 def summary(report):
@@ -42,7 +38,7 @@ def assert_matches_reference(config):
                 tick.power_w, tick.slip)
         assert repr(got) == repr(want)
     assert repr(summary(listed)) == repr(expected)
-    assert repr(summary(record_free_run(config))) == repr(expected)
+    assert repr(summary(simulator._run(config, keep=False))) == repr(expected)
 
     # The sweep shares one pneumatic pass between its angles, and a noisy
     # run's jitter reaches its records, not its summary. At 90 degrees the

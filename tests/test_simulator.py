@@ -485,7 +485,7 @@ def test_sweep_grips_as_often_as_one_run(grip_calls, limits):
     assert all(row.completed for row in rows)
     swept = len(grip_calls)
     grip_calls.clear()
-    run_scenario(config, sink=simulator._drop)
+    simulator._run(config, keep=False)
     assert swept == len(grip_calls) == 1361
 
 

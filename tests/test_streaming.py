@@ -32,7 +32,7 @@ from wallclimber.gait import (ADVANCE_MODES, LEG_IDS, JointTableRow, compile_joi
 from wallclimber.kinematics import (CupTarget, ElbowBranch, JointAngles, JointLimits, ik_normal_zy,
                                     ik_planar_xy, solve_leg)
 from wallclimber.pneumatics import AdhesionModel
-from wallclimber.simulator import GaitParams, ScenarioConfig, _drop, run_scenario
+from wallclimber.simulator import GaitParams, ScenarioConfig, run_scenario
 
 RUNS = {
     "default": ("[scenario]\n", EXIT_OK),
@@ -87,7 +87,7 @@ def test_sink_mode_matches_list_mode(config):
     assert seen == listed.records
     assert summary_dict(streamed) == summary_dict(listed)
     # a run that builds no TickRecord still counts and sums every tick
-    dropped = run_scenario(config, sink=_drop)
+    dropped = simulator._run(config, keep=False)
     assert dropped.records == [] and dropped.ticks == listed.ticks
     assert summary_dict(dropped) == summary_dict(listed)
 
@@ -201,13 +201,14 @@ def test_replayed_cycles_write_what_every_tick_writes(config):
     # list mode writes the records afterwards. All three must agree byte for
     # byte. A run whose every cycle start differs from the last (a fresh
     # object in place of the pressure bits) computes every tick, and must
-    # give the records and summary of the replaying run; `_drop` the summary.
+    # give the records and summary of the replaying run; a record-free run the
+    # summary.
     listed = run_scenario(config)
     event("completed" if listed.completed else listed.failure_code)
     computed = computed_run(config)
     assert computed.records == listed.records
     assert summary_dict(computed) == summary_dict(listed)
-    assert summary_dict(run_scenario(config, sink=_drop)) == summary_dict(listed)
+    assert summary_dict(simulator._run(config, keep=False)) == summary_dict(listed)
     with tempfile.TemporaryDirectory() as tmp:
         written = [_series_and_summary(os.path.join(tmp, "hook.csv"), config, lambda sink: sink),
                    _series_and_summary(os.path.join(tmp, "plain.csv"), config,
