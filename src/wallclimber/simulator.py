@@ -21,10 +21,10 @@ import math
 import random
 import struct
 from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import accumulate
 from operator import add
-from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
 from .errors import ClimberError, ZeroCapacity, require_finite, require_int
@@ -339,8 +339,9 @@ def run_scenario(config, sink=None):
     the records of each cycle it replays calls `sink.cycle(times, bodies)`
     with that cycle's t_s and body_mm values, computed as for the records;
     every other sink, and every sink of a noisy run, gets each tick's
-    TickRecord. Every run solves its poses through pose_memo, phase by
-    phase, before it passes on the phase's records. Deterministic for a
+    TickRecord. The run solves the poses of a phase through pose_memo
+    before it passes on that phase's records, so a sink gets no record of
+    the phase in which a pose fails its joint limits. Deterministic for a
     given config. Overload and attach timeouts mark the report
     completed=False (with failing tick, code and reason) instead of raising;
     planning errors (bad stance, unreachable footholds) raise.
@@ -349,12 +350,12 @@ def run_scenario(config, sink=None):
 
 
 def _run(config, sink=None, shared=None, keep=True):
-    """run_scenario's run. A run that does not `keep` its records (a sweep's
-    angle) builds no TickRecord and draws no pressure jitter, and its summary
-    is the same; without joint limits as well it reads no joint angle and
-    cannot fail on reach (validate checks every pose the plan commands), so
-    it builds no pose. `shared` is a sweep's plan and the items of its
-    pneumatic pass, listed for all its angles.
+    """Run one scenario as run_scenario does. A run that does not `keep` its
+    records (a sweep's angle) builds no TickRecord and draws no pressure
+    jitter, and its summary is the same; without joint limits as well it
+    reads no joint angle and cannot fail on reach (validate checks every
+    pose the plan commands), so it builds no pose. `shared` is a sweep's
+    plan and the items of its pneumatic pass, listed once for all angles.
     """
     if shared is None:
         script = generate_cycle(config.geometry, config.gait, config.limits)
