@@ -26,16 +26,10 @@ def is_int(value):
 def require_finite(obj, *names):
     """Raise ValueError naming the first of the fields `names` of `obj`
     for which is_finite_real fails. Range checks alone let NaN through,
-    since every comparison with it is false. The test is is_finite_real's,
-    inlined: every config object and every CupTarget built from outside
-    input runs it (only pose_memo builds its CupTargets unchecked)."""
+    since every comparison with it is false."""
     for name in names:
         value = getattr(obj, name)
-        try:
-            finite = math.isfinite(value) and value is not True and value is not False
-        except TypeError:
-            finite = False
-        if not finite:
+        if not is_finite_real(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 

@@ -60,6 +60,11 @@ class ScenarioConfig:
     against climb angle, not absolute numbers. It is frozen, so no field
     changes past its check, and `pump_legs` is stored as a read-only
     mapping, so neither do its entries.
+
+    Building it also turns each phase duration into whole ticks,
+    max(1, round(duration / tick_s)), once for the run: the read-only
+    `_phase_ticks` maps "vent", "swing", "attach" (one dwell) and "advance"
+    to their counts, and the pneumatic pass reads them from there.
     """
 
     climb_angle_deg: float = 0.0
@@ -108,12 +113,16 @@ class ScenarioConfig:
             raise ValueError(f"cycles must be >= 1, got {self.cycles}")
         if self.tick_s <= 0.0:
             raise ValueError(f"tick_s must be > 0, got {self.tick_s}")
-        for owner, name in ((self.adhesion, "vent_s"), (self.gait, "swing_s"),
-                            (self.adhesion, "dwell_s"), (self.gait, "advance_s")):
-            duration_s = getattr(owner, name)  # its ticks are round(duration_s / tick_s)
-            if not math.isfinite(duration_s / self.tick_s):
-                raise ValueError(f"{name} / tick_s must be finite, got {duration_s} / "
+        phase_ticks = {}
+        for phase, owner, name in (
+                ("vent", self.adhesion, "vent_s"), ("swing", self.gait, "swing_s"),
+                ("attach", self.adhesion, "dwell_s"), ("advance", self.gait, "advance_s")):
+            ratio = getattr(owner, name) / self.tick_s
+            if not math.isfinite(ratio):
+                raise ValueError(f"{name} / tick_s must be finite, got {getattr(owner, name)} / "
                                  f"{self.tick_s}")
+            phase_ticks[phase] = max(1, round(ratio))
+        object.__setattr__(self, "_phase_ticks", MappingProxyType(phase_ticks))
         if self.gravity_m_s2 <= 0.0:
             raise ValueError(f"gravity_m_s2 must be > 0, got {self.gravity_m_s2}")
         if self.servo_power_w < 0.0 or self.pump_power_w < 0.0:
@@ -242,17 +251,14 @@ def _pneumatics(config, script, keep):
     "attach_timeout", reason) for a cup that never grips, else (None, None,
     None).
 
+    Each phase runs the ticks that the config counted for it when it was
+    built (ScenarioConfig._phase_ticks); the pass rounds no duration itself.
     The pass keeps the valves and the cup pressures in two dicts keyed by
     leg, 1..4 in order, whatever order `pump_legs` lists them in. Every pump
     runs for the whole run, so the legs under suction, whose cups relax and
     may grip, are those whose valve is on suction.
     """
-    gait = config.gait
     model = config.adhesion
-    n_ticks = {phase: max(1, round(duration_s / config.tick_s)) for phase, duration_s in (
-        ("vent", model.vent_s), ("swing", gait.swing_s), ("attach", model.dwell_s),
-        ("advance", gait.advance_s))}
-
     p_eq = model.equilibrium_kpa
     decay = suction_decay(model, config.tick_s)
     # Every cup starts under suction at the suction equilibrium; if that
@@ -280,7 +286,7 @@ def _pneumatics(config, script, keep):
             plan = ["vent", "swing", *["attach"] * ATTACH_DWELLS, "advance"]
             while plan:
                 phase = plan.pop(0)
-                n = n_ticks[phase]
+                n = config._phase_ticks[phase]
                 if phase != "advance":
                     valve[leg] = Valve.SUCTION if phase == "attach" else Valve.VENT
                     if phase == "vent":
@@ -532,13 +538,13 @@ def sweep_climb_angle(base, angles_deg):
     phase: its slip, body motion, power, energy and overload check, and its
     row equals that of a run made on its own. Returns rows sorted by angle.
     A failed angle (incomplete run or a planning error) is flagged in its
-    row instead of aborting the sweep.
+    row instead of aborting the sweep. Every angle's ScenarioConfig is built
+    before any angle runs, so an angle that config refuses (outside [0, 90],
+    or not a finite number) raises its ValueError and no angle runs.
     """
     if not angles_deg:
         raise ValueError("at least one climb angle is required")
-    for angle in angles_deg:
-        if not 0.0 <= angle <= 90.0:
-            raise ValueError(f"climb angle {angle} outside [0, 90] deg")
+    configs = [replace(base, climb_angle_deg=angle) for angle in angles_deg]
 
     try:
         script = generate_cycle(base.geometry, base.gait, base.limits)
@@ -547,12 +553,12 @@ def sweep_climb_angle(base, angles_deg):
     else:
         shared = script, list(_pneumatics(base, script, keep=False))
     rows = []
-    for angle in angles_deg:
+    for config in configs:
         try:
-            report = shared and _run(replace(base, climb_angle_deg=angle), shared=shared,
-                                     keep=False)
+            report = shared and _run(config, shared=shared, keep=False)
         except ClimberError:
             report = None
+        angle = config.climb_angle_deg
         rows.append(SweepRow(angle, report.average_speed_mm_s, report.average_power_w,
                              report.completed) if report else
                     SweepRow(angle, float("nan"), float("nan"), False))
