@@ -14,6 +14,7 @@ boundary and nowhere else.
 import configparser
 import math
 import os
+import re
 from dataclasses import replace
 
 from .errors import ConfigError
@@ -157,7 +158,10 @@ def _build(section, make, *args, **fields):
 def load_config(path=None):
     """Build a ScenarioConfig from an INI file, or pure defaults when
     path is None. Every value a file leaves out comes from the dataclass
-    defaults. Raises ConfigError naming the offending section/key."""
+    defaults. Raises ConfigError naming the offending section/key. Some
+    ScenarioConfig checks read fields of other sections (a phase duration
+    over tick_s, the run's tick count); their error is labelled with the
+    section that sets the first field it names, [scenario] if none."""
     values = _read_values(path) if path is not None else {}
     defaults = ScenarioConfig()
 
@@ -174,9 +178,13 @@ def load_config(path=None):
     adhesion = part("adhesion")
     pump_legs = _fields(values, "pneumatics", defaults).get("pump_legs", defaults.pump_legs)
     _build("pneumatics", assign_pumps, pump_legs)
-    return _build("scenario", replace, defaults, geometry=geometry, limits=limits, gait=gait,
-                  adhesion=adhesion, pump_legs=pump_legs,
-                  **_fields(values, "scenario", defaults))
+    try:
+        return replace(defaults, geometry=geometry, limits=limits, gait=gait, adhesion=adhesion,
+                       pump_legs=pump_legs, **_fields(values, "scenario", defaults))
+    except ValueError as exc:
+        section = next((section for word in re.findall(r"\w+", str(exc))
+                        for section in values if word in values[section]), "scenario")
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def resolve_config_path(cli_path=None):

@@ -245,7 +245,7 @@ def write_summary_json(path, report):
     import json  # here, not at the top: `import wallclimber` loads no json
 
     with _replacing(path) as handle:
-        json.dump(summary_dict(report), handle, sort_keys=True, indent=2)
+        json.dump(summary_dict(report), handle, sort_keys=True, indent=2, allow_nan=False)
         handle.write("\n")
 
 

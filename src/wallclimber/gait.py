@@ -30,6 +30,11 @@ ADVANCE_PER_STEP = "per_step"
 ADVANCE_PER_CYCLE = "per_cycle"
 ADVANCE_MODES = (ADVANCE_PER_STEP, ADVANCE_PER_CYCLE)
 
+# The most rows a GaitParams' joint table may have (samples_per_step x 4
+# steps x 4 legs). The file writer streams them; a list-mode compile holds
+# about 230 B a row.
+MAX_TABLE_ROWS = 1_000_000
+
 
 def mm_to_um(value_mm):
     return round(value_mm * UM_PER_MM)
@@ -143,6 +148,9 @@ class GaitParams:
         if not permutation:
             raise ValueError(f"order must be a permutation of the int leg ids {LEG_IDS}, "
                              f"got {self.order}")
+        if self.samples_per_step * len(self.order) * len(LEG_IDS) > MAX_TABLE_ROWS:
+            raise ValueError(f"samples_per_step x {len(self.order)} steps x {len(LEG_IDS)} legs "
+                             f"must be at most {MAX_TABLE_ROWS} rows, got {self.samples_per_step}")
         if not isinstance(self.branch, ElbowBranch):
             raise ValueError(f"branch must be an ElbowBranch, got {self.branch!r}")
         if self.swing_s <= 0.0 or self.advance_s <= 0.0:

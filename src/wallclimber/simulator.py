@@ -49,6 +49,11 @@ from .pneumatics import (
     vent,
 )
 
+# The most ticks a ScenarioConfig's run may take: cycles x steps x the ticks
+# of a step's vent, swing, ATTACH_DWELLS dwells and advance. A run that keeps
+# records holds up to about 1.6 KB a tick, a sweep about 0.35 KB.
+MAX_RUN_TICKS = 1_000_000
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -123,11 +128,24 @@ class ScenarioConfig:
                                  f"{self.tick_s}")
             phase_ticks[phase] = max(1, round(ratio))
         object.__setattr__(self, "_phase_ticks", MappingProxyType(phase_ticks))
+        run_ticks = self.cycles * len(self.gait.order) * (  # at most, if every attach dwells twice
+            sum(phase_ticks.values()) + (ATTACH_DWELLS - 1) * phase_ticks["attach"])
+        if run_ticks > MAX_RUN_TICKS:
+            raise ValueError(f"cycles x ticks per cycle must be at most {MAX_RUN_TICKS}, got "
+                             f"{self.cycles} cycles of {len(self.gait.order)} x (vent_s + swing_s "
+                             f"+ {ATTACH_DWELLS} x dwell_s + advance_s) / tick_s ticks, tick_s = "
+                             f"{self.tick_s}")
+        run_s = run_ticks * self.tick_s  # the longest the run lasts
+        if not math.isfinite(run_s):
+            raise ValueError(f"tick_s must be short enough that {run_ticks} ticks last a finite "
+                             f"time, got {self.tick_s}")
         if self.gravity_m_s2 <= 0.0:
             raise ValueError(f"gravity_m_s2 must be > 0, got {self.gravity_m_s2}")
-        if self.servo_power_w < 0.0 or self.pump_power_w < 0.0:
-            name = "servo_power_w" if self.servo_power_w < 0.0 else "pump_power_w"
-            raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name, watts in (("servo_power_w", self.servo_power_w),
+                            ("pump_power_w", len(self.pump_legs) * self.pump_power_w)):
+            if not 0.0 <= watts * run_s < math.inf:  # the draw's energy over the longest run
+                raise ValueError(f"{name} must be >= 0 and keep the run's energy finite, got "
+                                 f"{getattr(self, name)} W over at most {run_s} s")
         if not 0.0 < self.lift_efficiency <= 1.0:
             raise ValueError(f"lift_efficiency must be in (0, 1], got {self.lift_efficiency}")
         if self.c_slip < 0.0 or not 0.0 <= self.s_max < 1.0:

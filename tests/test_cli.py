@@ -250,23 +250,47 @@ def test_validate_config_bad_file(tmp_path, capsys):
     ("[scenario]\nservo_power_w = -5\n", "servo_power_w"),
     ("[scenario]\npump_power_w = -1\n", "pump_power_w"),
     ("[scenario]\ngravity_m_s2 = -9.81\n", "gravity_m_s2"),
+    ("[scenario]\ncycles = 1000000000\n", "cycles"),
+    ("[gait]\nsamples_per_step = 1000000000\n", "samples_per_step"),
+    ("[gait]\nswing_s = 1e16\n", "swing_s"),
+    ("[scenario]\ntick_s = 1e-300\n", "tick_s"),
+    ("[scenario]\ntick_s = 1e308\n", "tick_s"),
+    ("[scenario]\nservo_power_w = 1e308\n", "servo_power_w"),
+    ("[scenario]\npump_power_w = 1e308\n", "pump_power_w"),
 ], ids=["foothold", "step", "swing", "advance", "dwell", "vent", "tick", "dwell-tiny", "servo",
-        "pump", "gravity"])
+        "pump", "gravity", "cycles-many", "samples-many", "swing-long", "tick-short", "tick-long",
+        "servo-huge", "pump-huge"])
 @pytest.mark.parametrize("argv", [["validate-config"], ["simulate", "-o", "run"],
                                   ["gait", "-o", "table.csv"], ["sweep", "0", "90", "-o", "s.csv"]],
                          ids=["validate-config", "simulate", "gait", "sweep"])
 def test_a_value_the_model_cannot_run_is_a_config_error(text, field, argv, tmp_path, monkeypatch,
                                                          capsys):
     # Each of these once ended in a traceback (an OverflowError or a
-    # ZeroDivisionError), or ran and reported a power or a climb that means
-    # nothing. The config is refused when it is built, naming the field.
+    # ZeroDivisionError), ran without end (cycles, samples, a long phase or a
+    # short tick), wrote Infinity or NaN into summary.json (a long tick or a
+    # huge draw), or ran and reported a power or a climb that means nothing.
+    # The config is refused when it is built, naming the field, under the
+    # section of the key the file sets.
     path = write_config(tmp_path, text)
     monkeypatch.chdir(tmp_path)
     assert main(["--config", path, *argv]) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
-    assert captured.err.startswith("config error: [") and field in captured.err
+    section = text.split("\n")[0]
+    assert captured.err.startswith(f"config error: {section} ") and field in captured.err
     assert os.listdir(tmp_path) == ["robot.ini"]
+
+
+def test_a_summary_that_is_not_finite_is_not_written(tmp_path, monkeypatch, capsys):
+    # Every value passes its check, but at 90 deg the lift power m g v / 5e-324
+    # overflows, so the energy and the average power are infinite. summary.json
+    # is written with allow_nan=False: the command exits 3 and leaves no summary.
+    path = write_config(tmp_path, "[scenario]\nclimb_angle_deg = 90\nlift_efficiency = 5e-324\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["--config", path, "simulate", "-o", "run"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not JSON compliant" in captured.err
+    assert sorted(os.listdir(tmp_path)) == ["robot.ini", "run.series.csv"]
 
 
 def test_validate_config_plans_the_gait(tmp_path, capsys):

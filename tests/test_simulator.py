@@ -334,11 +334,15 @@ def test_sweep_of_a_leg_with_an_inner_hole():
     assert (info.value.leg, info.value.step) == (3, 2)
 
 
-def test_sweep_rejects_bad_inputs():
+def test_sweep_rejects_bad_inputs(monkeypatch):
     with pytest.raises(ValueError):
         sweep_climb_angle(ScenarioConfig(), [])
-    with pytest.raises(ValueError):
+    # every angle's config is built first, so a bad angle runs no angle at all
+    runs = []
+    monkeypatch.setattr(simulator, "_run", lambda *args, **kwargs: runs.append(args))
+    with pytest.raises(ValueError, match=r"^climb_angle_deg must be in \[0, 90\], got 120.0"):
         sweep_climb_angle(ScenarioConfig(), [0.0, 120.0])
+    assert runs == []
 
 
 def test_sweep_flags_failed_angles():
@@ -590,6 +594,15 @@ def test_gait_params_keeps_its_own_copy_of_the_stance():
     (ScenarioConfig, {"pump_power_w": -1e308}, "pump_power_w"),
     (ScenarioConfig, {"gravity_m_s2": -9.81}, "gravity_m_s2"),
     (ScenarioConfig, {"gravity_m_s2": 0.0}, "gravity_m_s2"),
+    # work without end: a run's ticks and a joint table's rows are capped
+    (ScenarioConfig, {"cycles": 1_000_000_000}, "cycles x ticks per cycle"),
+    (ScenarioConfig, {"gait": GaitParams(swing_s=1e16)}, "cycles x ticks per cycle"),
+    (ScenarioConfig, {"tick_s": 1e-300}, "cycles x ticks per cycle"),
+    (GaitParams, {"samples_per_step": 1_000_000_000}, "samples_per_step x 4 steps x 4 legs"),
+    # a duration or an energy that overflows, which summary.json would read as Infinity
+    (ScenarioConfig, {"tick_s": 1e308}, "tick_s"),
+    (ScenarioConfig, {"servo_power_w": 1e308}, "servo_power_w"),
+    (ScenarioConfig, {"pump_power_w": 1e308}, "pump_power_w"),
 ], ids=["cycles", "cycles-bool", "samples_per_step", "nan-seed", "branch-name", "order-repeat",
         "order-short", "stance-short", "stance-extra", "stance-xyz", "stance-1-tuple",
         "limits-tuple", "geometry-none", "gait-none", "adhesion-none", "mass-str", "angle-none",
@@ -599,11 +612,27 @@ def test_gait_params_keeps_its_own_copy_of_the_stance():
         "order-float", "order-bool", "pump-legs-float", "pump-legs-bool", "step-huge",
         "step-huge-negative", "stance-huge", "swing-huge", "advance-huge", "dwell-huge",
         "vent-huge", "tick-tiny", "dwell-tiny", "servo-negative", "pump-negative",
-        "gravity-negative", "gravity-zero"])
+        "gravity-negative", "gravity-zero", "cycles-many", "swing-long", "tick-short",
+        "samples-many", "tick-long", "servo-huge", "pump-huge"])
 def test_inputs_that_would_fail_mid_run_are_rejected_when_built(make, kwargs, field):
-    # unchecked, each of these builds and then crashes or runs nondeterministically
+    # unchecked, each of these builds and then crashes, runs without end, writes
+    # Infinity into summary.json or runs nondeterministically
     with pytest.raises(ValueError, match=f"^{field} must be"):
         make(**kwargs)
+
+
+def test_phase_ticks_are_counted_once_when_the_config_is_built():
+    # (20, 60, 50, 40) ticks of 10 ms at the defaults
+    assert dict(ScenarioConfig()._phase_ticks) == {"vent": 20, "swing": 60, "attach": 50,
+                                                   "advance": 40}
+    # A phase shorter than half a tick still takes one, and a ratio that ends
+    # in a half rounds as round() does, to the even neighbour: 0.5 -> 0 -> 1,
+    # 2.5 -> 2 and 3.5 -> 4.
+    config = ScenarioConfig(tick_s=1.0, adhesion=AdhesionModel(vent_s=0.4, dwell_s=2.5),
+                            gait=GaitParams(swing_s=3.5, advance_s=0.5))
+    assert dict(config._phase_ticks) == {"vent": 1, "swing": 4, "attach": 2, "advance": 1}
+    with pytest.raises(TypeError):
+        config._phase_ticks["vent"] = 2
 
 
 def test_zero_draw_is_accepted():
