@@ -571,12 +571,11 @@ def sweep_climb_angle(base, angles_deg):
     else:
         shared = script, list(_pneumatics(base, script, keep=False))
     rows = []
-    for config in configs:
+    for angle, config in zip(angles_deg, configs):
         try:
             report = shared and _run(config, shared=shared, keep=False)
         except ClimberError:
             report = None
-        angle = config.climb_angle_deg
         rows.append(SweepRow(angle, report.average_speed_mm_s, report.average_power_w,
                              report.completed) if report else
                     SweepRow(angle, float("nan"), float("nan"), False))
