@@ -19,7 +19,6 @@ from dataclasses import replace
 
 from .errors import ConfigError
 from .kinematics import ElbowBranch, JointLimits
-from .pneumatics import assign_pumps
 from .simulator import ScenarioConfig
 
 CONFIG_ENV_VAR = "WALLCLIMBER_CONFIG"
@@ -50,7 +49,8 @@ def _parse_branch(text):
 # section -> key -> (field, parser). This is the whole schema; anything else
 # in a file is an error. A (field, item) target sets one entry of a dict
 # field. The sections are built in this order, so of two bad sections the
-# first is reported.
+# first is reported; pneumatics and scenario are built together, as the
+# ScenarioConfig, whose own check order decides between them.
 _SCHEMA = {
     "geometry": {
         "a1_mm": ("a1", float),
@@ -148,43 +148,38 @@ def _fields(values, section, base):
     return fields
 
 
-def _build(section, make, *args, **fields):
-    try:
-        return make(*args, **fields)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {exc}") from exc
-
-
 def load_config(path=None):
     """Build a ScenarioConfig from an INI file, or pure defaults when
     path is None. Every value a file leaves out comes from the dataclass
-    defaults. Raises ConfigError naming the offending section/key. Some
-    ScenarioConfig checks read fields of other sections (a phase duration
-    over tick_s, the run's tick count); their error is labelled with the
-    section that sets the first field it names, [scenario] if none."""
+    defaults. Raises ConfigError naming the offending section/key.
+
+    The sections are built in _SCHEMA's order: geometry, joints, gait and
+    adhesion as their dataclasses, then pneumatics and scenario together as
+    the ScenarioConfig. One rule labels every ValueError a build raises: the
+    section that sets the first field the message names (a (field, item)
+    target counts as its field), else the section being built. So a check
+    that reads fields of several sections (a phase duration over tick_s, the
+    run's tick count) names a section the file sets.
+    """
     values = _read_values(path) if path is not None else {}
-    defaults = ScenarioConfig()
-
-    def part(section):
-        base = getattr(defaults, section)
-        return _build(section, replace, base, **_fields(values, section, base))
-
-    geometry = part("geometry")
-    limits = values.get("joints", {})
-    if len(limits) == 1:
+    if len(values.get("joints", {})) == 1:
         raise ConfigError("[joints] needs both limit_min_deg and limit_max_deg")
-    limits = _build("joints", JointLimits, **limits) if limits else None
-    gait = part("gait")
-    adhesion = part("adhesion")
-    pump_legs = _fields(values, "pneumatics", defaults).get("pump_legs", defaults.pump_legs)
-    _build("pneumatics", assign_pumps, pump_legs)
+    defaults, parts, named = ScenarioConfig(), {}, {}
     try:
-        return replace(defaults, geometry=geometry, limits=limits, gait=gait, adhesion=adhesion,
-                       pump_legs=pump_legs, **_fields(values, "scenario", defaults))
+        for section in _SCHEMA:
+            part = "limits" if section == "joints" else section
+            # pneumatics and scenario set fields of the ScenarioConfig itself
+            base = getattr(defaults, part, defaults) or JointLimits()
+            named[section] = fields = _fields(values, section, base)
+            if base is defaults:
+                parts.update(fields)
+            elif fields:
+                parts[part] = replace(base, **fields)
+        return replace(defaults, **parts)
     except ValueError as exc:
-        section = next((section for word in re.findall(r"\w+", str(exc))
-                        for section in values if word in values[section]), "scenario")
-        raise ConfigError(f"[{section}] {exc}") from exc
+        label = next((name for word in re.findall(r"\w+", str(exc))
+                      for name, fields in named.items() if word in fields), section)
+        raise ConfigError(f"[{label}] {exc}") from exc
 
 
 def resolve_config_path(cli_path=None):

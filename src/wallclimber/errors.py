@@ -26,21 +26,33 @@ def is_int(value):
 def require_finite(obj, *names):
     """Raise ValueError naming the first of the fields `names` of `obj`
     for which is_finite_real fails. Range checks alone let NaN through,
-    since every comparison with it is false."""
+    since every comparison with it is false. The CLI checks its parsed
+    arguments with it; a dataclass of this package calls check_fields."""
     for name in names:
         value = getattr(obj, name)
         if not is_finite_real(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def require_int(obj, *names):
-    """Raise ValueError naming the first of the fields `names` of `obj` that
-    is not an int (bool excluded). A fractional count fails only mid-run,
-    and a NaN seed hashes differently per object, so equal runs differ."""
-    for name in names:
-        value = getattr(obj, name)
-        if not is_int(value):
+def check_fields(obj):
+    """Check each field of the dataclass `obj` against its annotation, in
+    declaration order, and raise ValueError naming the first that fails: a
+    `float` field must pass is_finite_real, an `int` field is_int, and a
+    field annotated with a class of this package must hold an instance of it,
+    or None where None is its default. Other fields are left to the class.
+
+    It reads the annotations as classes: in a module that postponed its
+    annotations they are strings, and no field would be checked.
+    """
+    for name, spec in obj.__dataclass_fields__.items():
+        kind, value = spec.type, getattr(obj, name)
+        if kind is float and not is_finite_real(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        if kind is int and not is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+        if (getattr(kind, "__module__", "").startswith(f"{__package__}.")
+                and not isinstance(value, kind) and not (value is None and spec.default is None)):
+            raise ValueError(f"{name} must be an instance of {kind.__name__}, got {value!r}")
 
 
 class ClimberError(Exception):

@@ -18,8 +18,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .errors import (GaitValidationError, KinematicsError, UnreachableFoothold, is_finite_real,
-                     is_int, require_finite, require_int)
+from .errors import (GaitValidationError, KinematicsError, UnreachableFoothold, check_fields,
+                     is_finite_real, is_int)
 from .kinematics import (CupTarget, ElbowBranch, JointAngles, ik_normal_zy, ik_planar_xy,
                          reachable)
 
@@ -98,7 +98,8 @@ class GaitParams:
     """Gait planning knobs for a scenario (mm, radians, seconds).
 
     The one place the gait's defaults and checks are written: generate_cycle
-    plans from it as it is. It is frozen, so no field changes past its check,
+    plans from it as it is. Building one checks each field against its type
+    first (errors.check_fields), then the ranges and the stance. It is frozen, so no field changes past its check,
     and `stance_mm` is stored as a read-only mapping of (x, y) tuples, so
     neither do its entries.
     """
@@ -116,9 +117,7 @@ class GaitParams:
     advance_s: float = 0.4
 
     def __post_init__(self):
-        require_finite(self, "step_length_mm", "lift_mm", "z_mm", "k_rad", "swing_s",
-                       "advance_s")
-        require_int(self, "samples_per_step")
+        check_fields(self)
         if not isinstance(self.stance_mm, Mapping) or set(self.stance_mm) != set(LEG_IDS):
             raise ValueError(f"stance_mm must be a mapping keyed by {LEG_IDS}, "
                              f"got {self.stance_mm!r}")
@@ -151,8 +150,6 @@ class GaitParams:
         if self.samples_per_step * len(self.order) * len(LEG_IDS) > MAX_TABLE_ROWS:
             raise ValueError(f"samples_per_step x {len(self.order)} steps x {len(LEG_IDS)} legs "
                              f"must be at most {MAX_TABLE_ROWS} rows, got {self.samples_per_step}")
-        if not isinstance(self.branch, ElbowBranch):
-            raise ValueError(f"branch must be an ElbowBranch, got {self.branch!r}")
         if self.swing_s <= 0.0 or self.advance_s <= 0.0:
             raise ValueError("swing_s and advance_s must be > 0")
         if not 0.0 <= self.lift_mm <= self.z_mm:
@@ -187,8 +184,10 @@ class GaitScript:
     validate, replay, compile_joint_table and run_scenario read the stance
     and the pose only from here, so what they check, replay, compile and
     run is one plan. No field has a default: a plan names its whole pose.
-    It is frozen, and building one checks that z_mm, k_rad and lift_mm are
-    finite and that branch is an ElbowBranch; validate checks the rest.
+    It is frozen, and building one checks each field against its type
+    (errors.check_fields): z_mm, k_rad and lift_mm finite, step_length_um an
+    int, initial a FootholdMap and branch an ElbowBranch; validate checks the
+    rest.
     """
 
     steps: list
@@ -201,9 +200,7 @@ class GaitScript:
     branch: ElbowBranch
 
     def __post_init__(self):
-        require_finite(self, "z_mm", "k_rad", "lift_mm")
-        if not isinstance(self.branch, ElbowBranch):
-            raise ValueError(f"branch must be an ElbowBranch, got {self.branch!r}")
+        check_fields(self)
 
     @property
     def step_length_mm(self):

@@ -28,7 +28,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DegenerateTarget, JointLimit, OutOfReach, ZUnreachable, require_finite
+from .errors import DegenerateTarget, JointLimit, OutOfReach, ZUnreachable, check_fields
 
 # Rounding slack when a target sits exactly on the reach boundary:
 # |D| up to 1 + D_CLAMP_TOL is clamped to +/-1 instead of rejected. Each
@@ -47,7 +47,7 @@ class LegGeometry:
     a4: float = 100.0
 
     def __post_init__(self):
-        require_finite(self, "a1", "a2", "a3", "a4")
+        check_fields(self)
         for name in ("a1", "a2", "a3", "a4"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"link length {name} must be > 0, got {getattr(self, name)}")
@@ -84,7 +84,7 @@ class JointLimits:
     upper: float = math.pi / 2
 
     def __post_init__(self):
-        require_finite(self, "lower", "upper")
+        check_fields(self)
         if not self.lower < self.upper:
             raise ValueError(f"joint limits need lower < upper, got [{self.lower}, {self.upper}]")
 
@@ -112,7 +112,7 @@ class CupTarget:
     k: float
 
     def __post_init__(self):
-        require_finite(self, "x", "y", "z", "k")
+        check_fields(self)
         if self.z < 0.0:
             raise ValueError(f"wall clearance z must be >= 0, got {self.z}")
 

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import is_int, require_finite
+from .errors import check_fields, is_int
 
 DEFAULT_PUMP_LEGS = {"A": (1, 2), "B": (3, 4)}
 
@@ -55,8 +55,7 @@ class AdhesionModel:
     leak_kpa_per_s: float = 0.0
 
     def __post_init__(self):
-        require_finite(self, "cup_area_mm2", "vacuum_kpa", "attach_threshold_kpa", "dwell_s",
-                       "vent_s", "friction", "leak_kpa_per_s")
+        check_fields(self)
         if self.cup_area_mm2 <= 0.0:
             raise ValueError(f"cup_area_mm2 must be > 0, got {self.cup_area_mm2}")
         if not self.vacuum_kpa < self.attach_threshold_kpa < 0.0:

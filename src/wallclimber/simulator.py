@@ -27,7 +27,7 @@ from itertools import accumulate
 from operator import add
 from types import MappingProxyType
 
-from .errors import ClimberError, ZeroCapacity, require_finite, require_int
+from .errors import ClimberError, ZeroCapacity, check_fields
 from .gait import (
     LEG_IDS,
     GaitParams,
@@ -62,7 +62,9 @@ class ScenarioConfig:
     The power/slip calibration values (servo and pump draw, lift
     efficiency, slip gain and cap, robot mass) are desk-scale defaults,
     not measurements; they reproduce the qualitative speed/power trends
-    against climb angle, not absolute numbers. It is frozen, so no field
+    against climb angle, not absolute numbers. Building one checks each
+    field against its type first (errors.check_fields: `limits` may be
+    None), then `pump_legs` and the ranges. It is frozen, so no field
     changes past its check, and `pump_legs` is stored as a read-only
     mapping, so neither do its entries.
 
@@ -91,17 +93,7 @@ class ScenarioConfig:
     noise_kpa: float = 0.0
 
     def __post_init__(self):
-        require_finite(self, "climb_angle_deg", "mass_kg", "gravity_m_s2", "tick_s",
-                       "servo_power_w", "pump_power_w", "lift_efficiency", "c_slip", "s_max",
-                       "noise_kpa")
-        require_int(self, "cycles", "seed")
-        for name, kind in (("geometry", LegGeometry), ("gait", GaitParams),
-                           ("adhesion", AdhesionModel)):
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                raise ValueError(f"{name} must be an instance of {kind.__name__}, got {value!r}")
-        if not isinstance(self.limits, (JointLimits, type(None))):
-            raise ValueError(f"limits must be None or a JointLimits, got {self.limits!r}")
+        check_fields(self)
         try:  # a wrong assignment of legs raises its own ValueError
             pump_of_leg = isinstance(self.pump_legs, Mapping) and assign_pumps(self.pump_legs)
         except TypeError:  # a pump whose legs are not a collection of leg ids

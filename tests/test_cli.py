@@ -257,9 +257,12 @@ def test_validate_config_bad_file(tmp_path, capsys):
     ("[scenario]\ntick_s = 1e308\n", "tick_s"),
     ("[scenario]\nservo_power_w = 1e308\n", "servo_power_w"),
     ("[scenario]\npump_power_w = 1e308\n", "pump_power_w"),
+    # a check that ScenarioConfig or JointLimits makes, labelled with the section set
+    ("[pneumatics]\npump_a_legs = 1, 2\npump_b_legs = 2, 3\n", "pump_legs"),
+    ("[joints]\nlimit_min_deg = 10\nlimit_max_deg = 10\n", "lower < upper"),
 ], ids=["foothold", "step", "swing", "advance", "dwell", "vent", "tick", "dwell-tiny", "servo",
         "pump", "gravity", "cycles-many", "samples-many", "swing-long", "tick-short", "tick-long",
-        "servo-huge", "pump-huge"])
+        "servo-huge", "pump-huge", "pump-partition", "limits-order"])
 @pytest.mark.parametrize("argv", [["validate-config"], ["simulate", "-o", "run"],
                                   ["gait", "-o", "table.csv"], ["sweep", "0", "90", "-o", "s.csv"]],
                          ids=["validate-config", "simulate", "gait", "sweep"])

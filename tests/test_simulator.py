@@ -1,12 +1,14 @@
+import copy
 import math
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 from wallclimber import simulator
-from wallclimber.errors import ClimberError, UnreachableFoothold, ZeroCapacity
+from wallclimber.errors import ClimberError, UnreachableFoothold, ZeroCapacity, check_fields
 from wallclimber.fileio import write_series_csv, write_summary_json
-from wallclimber.gait import ADVANCE_PER_CYCLE
+from wallclimber.gait import ADVANCE_PER_CYCLE, generate_cycle
 from wallclimber.kinematics import CupTarget, JointLimits, LegGeometry, solve_leg
 from wallclimber.pneumatics import AdhesionModel, Valve
 from wallclimber.simulator import (
@@ -619,6 +621,44 @@ def test_inputs_that_would_fail_mid_run_are_rejected_when_built(make, kwargs, fi
     # Infinity into summary.json or runs nondeterministically
     with pytest.raises(ValueError, match=f"^{field} must be"):
         make(**kwargs)
+
+
+def test_field_checks_come_from_the_annotations():
+    # check_fields takes each field's check from its annotation: float, int or
+    # a class of the package. A module that postponed its annotations would
+    # make every field.type a string and turn its checks off without an error;
+    # the written-out sets below would then not match.
+    checked = [
+        (LegGeometry(), {"a1", "a2", "a3", "a4"}, set(), set()),
+        (JointLimits(), {"lower", "upper"}, set(), set()),
+        (CupTarget(0.0, 100.0, 100.0, 0.0), {"x", "y", "z", "k"}, set(), set()),
+        (GaitParams(), {"step_length_mm", "lift_mm", "z_mm", "k_rad", "swing_s", "advance_s"},
+         {"samples_per_step"}, {"branch"}),
+        (generate_cycle(LegGeometry(), GaitParams()), {"z_mm", "k_rad", "lift_mm"},
+         {"step_length_um"}, {"initial", "branch"}),
+        (AdhesionModel(), {"cup_area_mm2", "vacuum_kpa", "attach_threshold_kpa", "dwell_s",
+                           "vent_s", "friction", "leak_kpa_per_s"}, set(), set()),
+        (ScenarioConfig(), {"climb_angle_deg", "mass_kg", "gravity_m_s2", "tick_s",
+                            "servo_power_w", "pump_power_w", "lift_efficiency", "c_slip",
+                            "s_max", "noise_kpa"}, {"cycles", "seed"},
+         {"geometry", "gait", "adhesion", "limits"}),
+    ]
+    for obj, floats, ints, classes in checked:
+        found = {"finite": set(), "an integer": set(), "an instance": set()}
+        for name in obj.__dataclass_fields__:  # a NaN in one field, past the constructor
+            probe = copy.copy(obj)
+            object.__setattr__(probe, name, math.nan)
+            try:
+                check_fields(probe)
+            except ValueError as exc:
+                found[re.match(f"{name} must be (finite|an integer|an instance)",
+                               str(exc)).group(1)].add(name)
+        assert [found["finite"], found["an integer"], found["an instance"]] == [
+            floats, ints, classes], type(obj).__name__
+        for name in floats | ints | classes:  # each constructor checks its fields first
+            for bad in (math.nan, True, "1"):
+                with pytest.raises(ValueError, match=f"^{name} must be"):
+                    replace(obj, **{name: bad})
 
 
 def test_phase_ticks_are_counted_once_when_the_config_is_built():
