@@ -100,7 +100,10 @@ def _cmd_sweep(args):
             return _fail(f"usage error: climb angle {angle:g} outside [0, 90] deg",
                          EXIT_USAGE)
     config = _load(args)
-    rows = sweep_climb_angle(config, args.angles)
+    try:  # each angle's config is the file's with its climb_angle_deg replaced
+        rows = sweep_climb_angle(config, args.angles)
+    except ValueError as exc:  # such as a lift power that overflows at that angle
+        raise ConfigError(f"[scenario] {exc}") from exc
     fileio.write_sweep_csv(args.out, rows)
     for row in rows:
         print(_result_line(row.angle_deg, row.avg_speed_mm_s, row.avg_power_w, row.completed))

@@ -36,6 +36,17 @@ ADVANCE_MODES = (ADVANCE_PER_STEP, ADVANCE_PER_CYCLE)
 MAX_TABLE_ROWS = 1_000_000
 
 
+def _check_samples(samples_per_step, steps):
+    """The joint table's sampling rule, which GaitParams and
+    compile_joint_table both apply: samples_per_step is an int of at least 2,
+    and a table of `steps` steps has at most MAX_TABLE_ROWS rows."""
+    if not is_int(samples_per_step) or samples_per_step < 2:
+        raise ValueError(f"samples_per_step must be an integer >= 2, got {samples_per_step!r}")
+    if samples_per_step * steps * len(LEG_IDS) > MAX_TABLE_ROWS:
+        raise ValueError(f"samples_per_step x {steps} steps x {len(LEG_IDS)} legs must be at "
+                         f"most {MAX_TABLE_ROWS} rows, got {samples_per_step}")
+
+
 def mm_to_um(value_mm):
     return round(value_mm * UM_PER_MM)
 
@@ -99,9 +110,9 @@ class GaitParams:
 
     The one place the gait's defaults and checks are written: generate_cycle
     plans from it as it is. Building one checks each field against its type
-    first (errors.check_fields), then the ranges and the stance. It is frozen, so no field changes past its check,
-    and `stance_mm` is stored as a read-only mapping of (x, y) tuples, so
-    neither do its entries.
+    first (errors.check_fields), then the stance and the ranges. It is
+    frozen, so no field changes past its check, and `stance_mm` is stored as
+    a read-only mapping of (x, y) tuples, so neither do its entries.
     """
 
     stance_mm: Mapping = field(default_factory=lambda: FootholdMap.square_stance().points_mm())
@@ -136,8 +147,6 @@ class GaitParams:
         if mm_to_um(self.step_length_mm) <= 0:  # plans keep whole micrometres
             raise ValueError(f"step_length_mm must be > 0 and round to at least 1 um, "
                              f"got {self.step_length_mm}")
-        if self.samples_per_step < 2:
-            raise ValueError(f"samples_per_step must be >= 2, got {self.samples_per_step}")
         if self.advance_mode not in ADVANCE_MODES:
             raise ValueError(f"advance_mode must be one of {ADVANCE_MODES}")
         try:  # 4.0 sorts as 4, but a table would print it as 4.0
@@ -147,9 +156,7 @@ class GaitParams:
         if not permutation:
             raise ValueError(f"order must be a permutation of the int leg ids {LEG_IDS}, "
                              f"got {self.order}")
-        if self.samples_per_step * len(self.order) * len(LEG_IDS) > MAX_TABLE_ROWS:
-            raise ValueError(f"samples_per_step x {len(self.order)} steps x {len(LEG_IDS)} legs "
-                             f"must be at most {MAX_TABLE_ROWS} rows, got {self.samples_per_step}")
+        _check_samples(self.samples_per_step, len(self.order))
         if self.swing_s <= 0.0 or self.advance_s <= 0.0:
             raise ValueError("swing_s and advance_s must be > 0")
         if not 0.0 <= self.lift_mm <= self.z_mm:
@@ -426,14 +433,16 @@ def compile_joint_table(script, geom, samples_per_step, *, step_duration_s=1.0, 
     JointAngles and one target_mm tuple; the swing leg gets a new pair per
     sample. A sample's rows are made only once its solves have succeeded.
     """
-    if type(samples_per_step) is not int or samples_per_step < 2:  # a bool is no count
-        raise ValueError(f"samples_per_step must be an integer >= 2, got {samples_per_step!r}")
-    if not is_finite_real(step_duration_s) or step_duration_s <= 0.0:
-        raise ValueError(f"step_duration_s must be finite and > 0, got {step_duration_s!r}")
+    _check_samples(samples_per_step, len(script.steps))
+    last = samples_per_step - 1
+    if not (is_finite_real(step_duration_s) and step_duration_s > 0.0 and math.isfinite(
+            (len(script.steps) - 1 + last / samples_per_step) * step_duration_s)):  # the last t_s
+        raise ValueError(f"step_duration_s must be finite and > 0 and keep the last sample's "
+                         f"t_s finite, got {step_duration_s!r}")
     report = validate(script, geom, limits=limits)
     if not report.ok:
         raise GaitValidationError(report)
-    z_mm, k_rad, branch = script.z_mm, script.k_rad, script.branch
+    z_mm, k_rad, lift_mm, branch = script.z_mm, script.k_rad, script.lift_mm, script.branch
     rows = []
     step_hook = getattr(sink, "step", None)
     if step_hook is None:
@@ -454,7 +463,6 @@ def compile_joint_table(script, geom, samples_per_step, *, step_duration_s=1.0, 
     def named(exc, index, j, leg):  # a plane solver's error, named by where it was raised
         return type(exc)(f"step {index} sample {j} leg {leg}: {exc}", plane=exc.plane)
 
-    last, lift_mm = samples_per_step - 1, script.lift_mm
     for index, (step, stance) in enumerate(zip(script.steps, replay(script))):
         swing_leg, new_bf = step.swing_leg, step.new_foothold_mm
         stance_mm = {leg: (um_to_mm(x), um_to_mm(y)) for leg, (x, y) in stance.items()}

@@ -29,9 +29,11 @@ from types import MappingProxyType
 
 from .errors import ClimberError, ZeroCapacity, check_fields
 from .gait import (
+    ADVANCE_PER_CYCLE,
     LEG_IDS,
     GaitParams,
     generate_cycle,
+    mm_to_um,
     split_um,
     swing_waypoint,
     um_to_mm,
@@ -104,8 +106,9 @@ class ScenarioConfig:
         object.__setattr__(self, "pump_legs", MappingProxyType(dict(self.pump_legs)))
         if not 0.0 <= self.climb_angle_deg <= 90.0:
             raise ValueError(f"climb_angle_deg must be in [0, 90], got {self.climb_angle_deg}")
-        if self.mass_kg <= 0.0:
-            raise ValueError(f"mass_kg must be > 0, got {self.mass_kg}")
+        if not (self.mass_kg > 0.0 and math.isfinite(self.mass_kg * self.gravity_m_s2)):
+            raise ValueError(f"mass_kg must be > 0 and keep mass_kg x gravity_m_s2 finite, got "
+                             f"{self.mass_kg} x {self.gravity_m_s2}")
         if self.cycles < 1:
             raise ValueError(f"cycles must be >= 1, got {self.cycles}")
         if self.tick_s <= 0.0:
@@ -133,13 +136,23 @@ class ScenarioConfig:
                              f"time, got {self.tick_s}")
         if self.gravity_m_s2 <= 0.0:
             raise ValueError(f"gravity_m_s2 must be > 0, got {self.gravity_m_s2}")
-        for name, watts in (("servo_power_w", self.servo_power_w),
-                            ("pump_power_w", len(self.pump_legs) * self.pump_power_w)):
-            if not 0.0 <= watts * run_s < math.inf:  # the draw's energy over the longest run
-                raise ValueError(f"{name} must be >= 0 and keep the run's energy finite, got "
-                                 f"{getattr(self, name)} W over at most {run_s} s")
         if not 0.0 < self.lift_efficiency <= 1.0:
             raise ValueError(f"lift_efficiency must be in (0, 1], got {self.lift_efficiency}")
+        # the most the body advances in one tick, in um: the largest advance of a
+        # step (a whole step length per cycle, else its share) split over the
+        # advance ticks, rounded up as split_um rounds its largest share
+        steps = 1 if self.gait.advance_mode == ADVANCE_PER_CYCLE else len(self.gait.order)
+        share_um = -(-mm_to_um(self.gait.step_length_mm) // (steps * phase_ticks["advance"]))
+        energy_j = 0.0  # the most the run can draw: each draw's energy over the longest run
+        for name, watts in (("servo_power_w", self.servo_power_w),
+                            ("pump_power_w", len(self.pump_legs) * self.pump_power_w),
+                            ("lift_efficiency", self.tangential_load_n * (  # as power_model
+                                um_to_mm(share_um) / self.tick_s / 1000.0) / self.lift_efficiency)):
+            energy_j += watts * run_s
+            if not (watts >= 0.0 and energy_j < math.inf):
+                raise ValueError(f"{name} must be set so each draw is >= 0 and the run's energy "
+                                 f"finite, got {getattr(self, name)}: {watts} W over at most "
+                                 f"{run_s} s")
         if self.c_slip < 0.0 or not 0.0 <= self.s_max < 1.0:
             raise ValueError("need c_slip >= 0 and 0 <= s_max < 1")
         if self.noise_kpa < 0.0:

@@ -1,16 +1,21 @@
+import dataclasses
 import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
 from file_readers import read_joint_table, read_series_csv, read_sweep_csv
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from wallclimber import cli
+from wallclimber import config as config_module
 from wallclimber.cli import EXIT_OK, EXIT_SIMFAIL, EXIT_USAGE, EXIT_VALIDATION, main
 from wallclimber.config import CONFIG_ENV_VAR
 
@@ -257,12 +262,20 @@ def test_validate_config_bad_file(tmp_path, capsys):
     ("[scenario]\ntick_s = 1e308\n", "tick_s"),
     ("[scenario]\nservo_power_w = 1e308\n", "servo_power_w"),
     ("[scenario]\npump_power_w = 1e308\n", "pump_power_w"),
+    # a load m g that overflows made the load NaN at 0 deg, which ended a run
+    # in a StopIteration, and a lift power m g v / efficiency that overflows
+    # wrote power=inf into a sweep
+    ("[scenario]\nmass_kg = 1e308\n", "mass_kg"),
+    ("[scenario]\ngravity_m_s2 = 1e308\n", "mass_kg"),
+    ("[scenario]\nmass_kg = 1e300\ngravity_m_s2 = 1e10\n", "mass_kg"),
+    ("[scenario]\nclimb_angle_deg = 45\nlift_efficiency = 5e-324\n", "lift_efficiency"),
     # a check that ScenarioConfig or JointLimits makes, labelled with the section set
     ("[pneumatics]\npump_a_legs = 1, 2\npump_b_legs = 2, 3\n", "pump_legs"),
     ("[joints]\nlimit_min_deg = 10\nlimit_max_deg = 10\n", "lower < upper"),
 ], ids=["foothold", "step", "swing", "advance", "dwell", "vent", "tick", "dwell-tiny", "servo",
         "pump", "gravity", "cycles-many", "samples-many", "swing-long", "tick-short", "tick-long",
-        "servo-huge", "pump-huge", "pump-partition", "limits-order"])
+        "servo-huge", "pump-huge", "mass-huge", "gravity-huge", "weight-huge", "lift-tiny",
+        "pump-partition", "limits-order"])
 @pytest.mark.parametrize("argv", [["validate-config"], ["simulate", "-o", "run"],
                                   ["gait", "-o", "table.csv"], ["sweep", "0", "90", "-o", "s.csv"]],
                          ids=["validate-config", "simulate", "gait", "sweep"])
@@ -284,11 +297,66 @@ def test_a_value_the_model_cannot_run_is_a_config_error(text, field, argv, tmp_p
     assert os.listdir(tmp_path) == ["robot.ini"]
 
 
+def test_a_sweep_angle_the_config_refuses_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # At the file's 0 deg the lift power is 0, but at 45 deg m g v / 5e-324
+    # overflows. The sweep builds every angle's config before it runs one, so
+    # it writes nothing, and the error is labelled with the angle's section.
+    path = write_config(tmp_path, "[scenario]\nlift_efficiency = 5e-324\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["--config", path, "sweep", "0", "45", "90", "-o", "s.csv"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: [scenario] lift_efficiency must be")
+    assert os.listdir(tmp_path) == ["robot.ini"]
+
+
+SCHEMA_KEYS = [(section, key) for section, keys in config_module._SCHEMA.items() for key in keys]
+EXTREMES = ("1e308", "-1e308", "5e-324", "-5e-324", "1e16", "0", "-0", "1000000000",
+            str(2 ** 63))
+
+
+def refuse_constant(name):
+    raise AssertionError(f"summary.json holds {name}, which is not JSON")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.sampled_from(SCHEMA_KEYS), st.sampled_from(EXTREMES)),
+                min_size=1, max_size=2, unique_by=lambda entry: entry[0]))
+def test_every_extreme_file_ends_in_exit_0_3_or_4(entries):
+    # One or two keys of the schema, each set to an extreme value: an x, y pair
+    # gets it twice, and a key whose parser refuses it (an int, a leg list, the
+    # branch or the advance mode) is a config error. Every accepted config is
+    # bounded when it is built, so each command here ends within a second,
+    # with an exit code, and what summary.json holds is finite.
+    lines = {}
+    for (section, key), value in entries:
+        pair = config_module._SCHEMA[section][key][1] is config_module._parse_pair
+        lines.setdefault(section, []).append(f"{key} = {value}, {value}\n" if pair else
+                                             f"{key} = {value}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "robot.ini")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("".join(f"[{section}]\n{''.join(keys)}" for section, keys in lines.items()))
+        for argv in (["validate-config"], ["simulate", "-o", f"{tmp}/run"],
+                     ["gait", "-o", f"{tmp}/table.csv"], ["sweep", "0", "90", "-o", f"{tmp}/s.csv"]):
+            code = main(["--config", path, *argv])
+            event(f"{argv[0]} exits {code}")
+            assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_SIMFAIL)
+        if os.path.exists(f"{tmp}/run.summary.json"):
+            with open(f"{tmp}/run.summary.json", encoding="utf-8") as handle:
+                json.load(handle, parse_constant=refuse_constant)
+
+
 def test_a_summary_that_is_not_finite_is_not_written(tmp_path, monkeypatch, capsys):
-    # Every value passes its check, but at 90 deg the lift power m g v / 5e-324
-    # overflows, so the energy and the average power are infinite. summary.json
-    # is written with allow_nan=False: the command exits 3 and leaves no summary.
-    path = write_config(tmp_path, "[scenario]\nclimb_angle_deg = 90\nlift_efficiency = 5e-324\n")
+    # ScenarioConfig now refuses every input known to make a summary that is
+    # not finite, such as a lift_efficiency of 5e-324 at 90 deg, whose lift
+    # power overflowed. summary.json is still written with allow_nan=False, so
+    # a report with an infinite power, made here by patching the run, exits 3
+    # after the series is written and leaves no summary.
+    run = cli.run_scenario
+    monkeypatch.setattr(cli, "run_scenario", lambda config, sink: dataclasses.replace(
+        run(config, sink=sink), average_power_w=math.inf))
+    path = write_config(tmp_path, "[scenario]\nclimb_angle_deg = 90\n")
     monkeypatch.chdir(tmp_path)
     assert main(["--config", path, "simulate", "-o", "run"]) == EXIT_VALIDATION
     captured = capsys.readouterr()

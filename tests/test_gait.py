@@ -288,9 +288,14 @@ def test_compile_rejects_single_sample():
     (2.5, 1.0, "samples_per_step"), (True, 1.0, "samples_per_step"),
     (3, math.nan, "step_duration_s"), (3, math.inf, "step_duration_s"),
     (3, -1.0, "step_duration_s"), (3, 0.0, "step_duration_s"), (3, "1", "step_duration_s"),
+    # GaitParams' table cap, and a last sample time that overflows to inf
+    (62_501, 1.0, "samples_per_step x 4 steps x 4 legs"),
+    (10**9, 1.0, "samples_per_step x 4 steps x 4 legs"),
+    (2, 1e308, "step_duration_s"),
 ])
 def test_compile_rejects_bad_sampling_naming_it(samples, duration, name):
-    # unchecked, these raise a bare TypeError or return NaN, negative or all-zero times
+    # unchecked, these raise a bare TypeError, return NaN, negative, all-zero or
+    # infinite times, or compile a table past GaitParams' cap
     seen = []
     with pytest.raises(ValueError, match=f"^{name} must be"):
         compile_joint_table(default_cycle(), GEOM, samples, step_duration_s=duration,

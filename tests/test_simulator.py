@@ -344,6 +344,9 @@ def test_sweep_rejects_bad_inputs(monkeypatch):
     monkeypatch.setattr(simulator, "_run", lambda *args, **kwargs: runs.append(args))
     with pytest.raises(ValueError, match=r"^climb_angle_deg must be in \[0, 90\], got 120.0"):
         sweep_climb_angle(ScenarioConfig(), [0.0, 120.0])
+    # so does an angle whose lift power overflows, though the base angle's does not
+    with pytest.raises(ValueError, match="^lift_efficiency must be"):
+        sweep_climb_angle(ScenarioConfig(lift_efficiency=5e-324), [0.0, 45.0])
     assert runs == []
 
 
@@ -605,6 +608,13 @@ def test_gait_params_keeps_its_own_copy_of_the_stance():
     (ScenarioConfig, {"tick_s": 1e308}, "tick_s"),
     (ScenarioConfig, {"servo_power_w": 1e308}, "servo_power_w"),
     (ScenarioConfig, {"pump_power_w": 1e308}, "pump_power_w"),
+    # draws whose energies are finite one by one but not summed
+    (ScenarioConfig, {"servo_power_w": 6e306, "pump_power_w": 3e306}, "pump_power_w"),
+    # a load that overflows, NaN at 0 deg, and a lift power that overflows at 45 deg
+    (ScenarioConfig, {"mass_kg": 1e308}, "mass_kg"),
+    (ScenarioConfig, {"gravity_m_s2": 1e308}, "mass_kg"),
+    (ScenarioConfig, {"mass_kg": 1e300, "gravity_m_s2": 1e10}, "mass_kg"),
+    (ScenarioConfig, {"climb_angle_deg": 45.0, "lift_efficiency": 5e-324}, "lift_efficiency"),
 ], ids=["cycles", "cycles-bool", "samples_per_step", "nan-seed", "branch-name", "order-repeat",
         "order-short", "stance-short", "stance-extra", "stance-xyz", "stance-1-tuple",
         "limits-tuple", "geometry-none", "gait-none", "adhesion-none", "mass-str", "angle-none",
@@ -615,7 +625,8 @@ def test_gait_params_keeps_its_own_copy_of_the_stance():
         "step-huge-negative", "stance-huge", "swing-huge", "advance-huge", "dwell-huge",
         "vent-huge", "tick-tiny", "dwell-tiny", "servo-negative", "pump-negative",
         "gravity-negative", "gravity-zero", "cycles-many", "swing-long", "tick-short",
-        "samples-many", "tick-long", "servo-huge", "pump-huge"])
+        "samples-many", "tick-long", "servo-huge", "pump-huge", "draws-summed", "mass-huge",
+        "gravity-huge", "weight-huge", "lift-tiny"])
 def test_inputs_that_would_fail_mid_run_are_rejected_when_built(make, kwargs, field):
     # unchecked, each of these builds and then crashes, runs without end, writes
     # Infinity into summary.json or runs nondeterministically
