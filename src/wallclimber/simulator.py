@@ -150,9 +150,8 @@ class ScenarioConfig:
                                 um_to_mm(share_um) / self.tick_s / 1000.0) / self.lift_efficiency)):
             energy_j += watts * run_s
             if not (watts >= 0.0 and energy_j < math.inf):
-                raise ValueError(f"{name} must be set so each draw is >= 0 and the run's energy "
-                                 f"finite, got {getattr(self, name)}: {watts} W over at most "
-                                 f"{run_s} s")
+                raise ValueError(f"{name} must be set so draws are >= 0 and the energy finite, got "
+                                 f"{getattr(self, name)}: {watts} W over at most {run_s} s")
         if self.c_slip < 0.0 or not 0.0 <= self.s_max < 1.0:
             raise ValueError("need c_slip >= 0 and 0 <= s_max < 1")
         if self.noise_kpa < 0.0:

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from wallclimber import cli
 from wallclimber import config as config_module
 from wallclimber.cli import EXIT_OK, EXIT_SIMFAIL, EXIT_USAGE, EXIT_VALIDATION, main
-from wallclimber.config import CONFIG_ENV_VAR
+from wallclimber.config import CONFIG_ENV_VAR, load_config
+from wallclimber.errors import ConfigError
 
 
 @pytest.fixture(autouse=True)
@@ -325,18 +326,25 @@ def refuse_constant(name):
 def test_every_extreme_file_ends_in_exit_0_3_or_4(entries):
     # One or two keys of the schema, each set to an extreme value: an x, y pair
     # gets it twice, and a key whose parser refuses it (an int, a leg list, the
-    # branch or the advance mode) is a config error. Every accepted config is
-    # bounded when it is built, so each command here ends within a second,
-    # with an exit code, and what summary.json holds is finite.
-    lines = {}
+    # branch or the advance mode) is a config error that names a key or a field
+    # the file sets. Every accepted config is bounded when it is built, so each
+    # command here ends within a second, with an exit code, and what
+    # summary.json holds is finite.
+    lines, names = {}, set()
     for (section, key), value in entries:
-        pair = config_module._SCHEMA[section][key][1] is config_module._parse_pair
+        target, parse = config_module._SCHEMA[section][key]
+        pair = parse is config_module._parse_pair
         lines.setdefault(section, []).append(f"{key} = {value}, {value}\n" if pair else
                                              f"{key} = {value}\n")
+        names |= {key, target[0] if isinstance(target, tuple) else target}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "robot.ini")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("".join(f"[{section}]\n{''.join(keys)}" for section, keys in lines.items()))
+        try:
+            load_config(path)
+        except ConfigError as exc:
+            assert any(name in str(exc) for name in names), (str(exc), names)
         for argv in (["validate-config"], ["simulate", "-o", f"{tmp}/run"],
                      ["gait", "-o", f"{tmp}/table.csv"], ["sweep", "0", "90", "-o", f"{tmp}/s.csv"]):
             code = main(["--config", path, *argv])
