@@ -168,7 +168,8 @@ def load_config(path=None):
     try:
         for section in _SCHEMA:
             part = "limits" if section == "joints" else section
-            # pneumatics and scenario set fields of the ScenarioConfig itself
+            # pneumatics and scenario set fields of the ScenarioConfig itself, and
+            # joints builds the limits, which are None by default
             base = getattr(defaults, part, defaults) or JointLimits()
             named[section] = fields = _fields(values, section, base)
             if base is defaults:

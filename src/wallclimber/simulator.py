@@ -562,7 +562,8 @@ def sweep_climb_angle(base, angles_deg):
     A failed angle (incomplete run or a planning error) is flagged in its
     row instead of aborting the sweep. Every angle's ScenarioConfig is built
     before any angle runs, so an angle that config refuses (outside [0, 90],
-    or not a finite number) raises its ValueError and no angle runs.
+    not a finite number, or one at which the lift power's energy overflows)
+    raises its ValueError and no angle runs.
     """
     if not angles_deg:
         raise ValueError("at least one climb angle is required")
