@@ -209,11 +209,20 @@ def main(argv=None):
 
 
 def run():
-    """Entry point of `python -m wallclimber` and the console script. Once
-    main() has returned, gc.freeze() moves every live object into the
-    permanent generation, so the shutdown collections have nothing to scan;
-    main() has closed every file it opened. main() leaves the GC alone,
-    because tests and tools call it in-process."""
-    code = main()
+    """Entry point of `python -m wallclimber` and the console script. The
+    collector is off while main() runs: reference counting frees what a
+    command drops (a 30-cycle simulate peaks at the same RSS either way), and
+    main() closes every file it opens rather than leaving one to a
+    collection. It is switched back on as it was found, then gc.freeze()
+    moves every live object into the permanent generation, so the shutdown
+    collections have nothing to scan. main() leaves the GC alone, because
+    tests and tools call it in-process."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        code = main()
+    finally:
+        if enabled:
+            gc.enable()
     gc.freeze()
     sys.exit(code)

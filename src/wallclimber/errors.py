@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, with the field checks and
+the eq, repr and hash methods that the package's dataclasses share.
 
 Everything derives from ClimberError so callers (notably the CLI) can
 catch domain failures in one place while letting programming errors
@@ -6,6 +7,7 @@ catch domain failures in one place while letting programming errors
 """
 
 import math
+from reprlib import recursive_repr
 
 
 def is_finite_real(value):
@@ -53,6 +55,39 @@ def check_fields(obj):
         if (getattr(kind, "__module__", "").startswith(f"{__package__}.")
                 and not isinstance(value, kind) and not (value is None and spec.default is None)):
             raise ValueError(f"{name} must be an instance of {kind.__name__}, got {value!r}")
+
+
+def _values(obj):
+    return tuple(getattr(obj, name) for name in obj.__dataclass_fields__)
+
+
+class Fields:
+    """The __eq__ and __repr__ that @dataclass writes, for a dataclass of this
+    package declared with eq=False, repr=False: written once here rather
+    than compiled for each class at import. == compares the field tuples of
+    two instances of one class and leaves any other class to Python; repr
+    reads `Class(name=value!r, ...)`, with `...` for an instance met again
+    inside itself. Every field takes part: none is declared with
+    compare=False or repr=False. Defining __eq__ makes a subclass unhashable,
+    as @dataclass makes a class that is not frozen."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return _values(self) == _values(other)
+        return NotImplemented
+
+    @recursive_repr()
+    def __repr__(self):
+        items = zip(self.__dataclass_fields__, _values(self))
+        return f"{self.__class__.__qualname__}({', '.join(f'{k}={v!r}' for k, v in items)})"
+
+
+class FrozenFields(Fields):
+    """Fields for a frozen dataclass, with the __hash__ @dataclass gives it:
+    the hash of the field tuple."""
+
+    def __hash__(self):
+        return hash(_values(self))
 
 
 class ClimberError(Exception):

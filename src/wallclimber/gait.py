@@ -18,8 +18,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .errors import (GaitValidationError, KinematicsError, UnreachableFoothold, check_fields,
-                     is_finite_real, is_int)
+from .errors import (Fields, FrozenFields, GaitValidationError, KinematicsError,
+                     UnreachableFoothold, check_fields, is_finite_real, is_int)
 from .kinematics import (CupTarget, ElbowBranch, JointAngles, ik_normal_zy, ik_planar_xy,
                          reachable)
 
@@ -62,8 +62,8 @@ def split_um(total_um, parts):
     return [q + 1] * r + [q] * (parts - r)
 
 
-@dataclass
-class FootholdMap:
+@dataclass(eq=False, repr=False)
+class FootholdMap(Fields):
     """Per-leg cup contact points in the body frame plus attachment flags.
 
     Positions are integer micrometres; use from_mm()/point_mm() at the
@@ -104,8 +104,8 @@ class FootholdMap:
         return {leg: self.point_mm(leg) for leg in LEG_IDS}
 
 
-@dataclass(frozen=True)
-class GaitParams:
+@dataclass(frozen=True, eq=False, repr=False)
+class GaitParams(FrozenFields):
     """Gait planning knobs for a scenario (mm, radians, seconds).
 
     The one place the gait's defaults and checks are written: generate_cycle
@@ -165,8 +165,8 @@ class GaitParams:
             )
 
 
-@dataclass(frozen=True)
-class GaitStep:
+@dataclass(frozen=True, eq=False, repr=False)
+class GaitStep(FrozenFields):
     """One swing: which leg moves, where its cup lands (body frame at the
     moment of re-attachment), and how far the body advances afterwards."""
 
@@ -183,8 +183,8 @@ class GaitStep:
         return um_to_mm(self.body_advance_um)
 
 
-@dataclass(frozen=True)
-class GaitScript:
+@dataclass(frozen=True, eq=False, repr=False)
+class GaitScript(FrozenFields):
     """A one-cycle plan with its start stance and its pose: the wall
     clearance z, the approach angle k, the swing lift and the elbow branch.
 
@@ -214,8 +214,12 @@ class GaitScript:
         return um_to_mm(self.step_length_um)
 
 
-@dataclass(frozen=True)
-class Violation:
+@dataclass(frozen=True, eq=False, repr=False)
+class Violation(FrozenFields):
+    """One rule a gait script breaks: its kind (unreachable, coverage,
+    advance, attach_count or closure), a message, and the step and leg it
+    concerns, -1 where none."""
+
     kind: str
     detail: str
     step: int = -1
@@ -231,8 +235,10 @@ class Violation:
         return f"{prefix}{self.kind}: {self.detail}"
 
 
-@dataclass
-class GaitValidationReport:
+@dataclass(eq=False, repr=False)
+class GaitValidationReport(Fields):
+    """What validate found: every Violation, in the order met. ok when none."""
+
     violations: list = field(default_factory=list)
 
     @property
@@ -385,8 +391,8 @@ def swing_waypoint(old_mm, new_mm, progress, z_mm, lift_mm):
     return x, y, z
 
 
-@dataclass
-class JointTableRow:
+@dataclass(eq=False, repr=False)
+class JointTableRow(Fields):
     """One compiled sample: commanded pose and solved angles for one leg.
 
     Not frozen, so not hashable: compile_joint_table builds a new row for

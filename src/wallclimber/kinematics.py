@@ -28,7 +28,8 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DegenerateTarget, JointLimit, OutOfReach, ZUnreachable, check_fields
+from .errors import (DegenerateTarget, FrozenFields, JointLimit, OutOfReach, ZUnreachable,
+                     check_fields)
 
 # Rounding slack when a target sits exactly on the reach boundary:
 # |D| up to 1 + D_CLAMP_TOL is clamped to +/-1 instead of rejected. Each
@@ -37,8 +38,8 @@ from .errors import DegenerateTarget, JointLimit, OutOfReach, ZUnreachable, chec
 D_CLAMP_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class LegGeometry:
+@dataclass(frozen=True, eq=False, repr=False)
+class LegGeometry(FrozenFields):
     """Link lengths of one leg, mm. a1/a2 are the xy pair, a3/a4 the zy pair."""
 
     a1: float = 100.0
@@ -58,8 +59,8 @@ class LegGeometry:
         return abs(self.a1 - self.a2), self.a1 + self.a2
 
 
-@dataclass(frozen=True)
-class JointAngles:
+@dataclass(frozen=True, eq=False, repr=False)
+class JointAngles(FrozenFields):
     """One leg's four joint values, radians."""
 
     theta1: float
@@ -71,8 +72,8 @@ class JointAngles:
         return (self.theta1, self.theta2, self.theta3, self.theta4)
 
 
-@dataclass(frozen=True)
-class JointLimits:
+@dataclass(frozen=True, eq=False, repr=False)
+class JointLimits(FrozenFields):
     """Uniform [lower, upper] interval applied to every joint, radians.
 
     Limit checking is opt-in: solvers only enforce limits when an
@@ -102,8 +103,8 @@ class JointLimits:
                 )
 
 
-@dataclass(frozen=True)
-class CupTarget:
+@dataclass(frozen=True, eq=False, repr=False)
+class CupTarget(FrozenFields):
     """Desired cup pose: contact point (x, y), wall clearance z, approach angle k."""
 
     x: float

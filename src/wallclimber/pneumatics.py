@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import check_fields, is_int
+from .errors import FrozenFields, check_fields, is_int
 
 DEFAULT_PUMP_LEGS = {"A": (1, 2), "B": (3, 4)}
 
@@ -38,8 +38,8 @@ class Valve(Enum):
     VENT = "vent"
 
 
-@dataclass(frozen=True)
-class AdhesionModel:
+@dataclass(frozen=True, eq=False, repr=False)
+class AdhesionModel(FrozenFields):
     """Calibration of one cup/pump pair.
 
     These are simulation calibration values, not measurements of a

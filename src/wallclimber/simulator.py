@@ -27,7 +27,7 @@ from itertools import accumulate
 from operator import add
 from types import MappingProxyType
 
-from .errors import ClimberError, ZeroCapacity, check_fields
+from .errors import ClimberError, Fields, FrozenFields, ZeroCapacity, check_fields
 from .gait import (
     ADVANCE_PER_CYCLE,
     LEG_IDS,
@@ -57,8 +57,8 @@ from .pneumatics import (
 MAX_RUN_TICKS = 1_000_000
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+@dataclass(frozen=True, eq=False, repr=False)
+class ScenarioConfig(FrozenFields):
     """Everything one deterministic run needs.
 
     The power/slip calibration values (servo and pump draw, lift
@@ -194,8 +194,8 @@ def power_model(config, speed_mm_s, active_pumps):
     return config.servo_power_w + active_pumps * config.pump_power_w + lift_w
 
 
-@dataclass
-class TickRecord:
+@dataclass(eq=False, repr=False)
+class TickRecord(Fields):
     """State snapshot at the end of one tick.
 
     Not frozen: a run builds a new record for every tick, replayed ticks
@@ -229,8 +229,8 @@ class TickRecord:
     slip: float
 
 
-@dataclass
-class SimReport:
+@dataclass(eq=False, repr=False)
+class SimReport(Fields):
     """Per-tick series plus run summary.
 
     `records` holds the ticks only when the run had no sink; `ticks`
@@ -542,8 +542,12 @@ def _run(config, sink=None, shared=None, keep=True):
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+@dataclass(frozen=True, eq=False, repr=False)
+class SweepRow(FrozenFields):
+    """One climb angle of a sweep: the run's average speed and power, and
+    whether it completed. An angle whose plan or run raises reads NaN, NaN,
+    False."""
+
     angle_deg: float
     avg_speed_mm_s: float
     avg_power_w: float
