@@ -154,8 +154,13 @@ class ScenarioConfig(FrozenFields):
                                  f"{getattr(self, name)}: {watts} W over at most {run_s} s")
         if self.c_slip < 0.0 or not 0.0 <= self.s_max < 1.0:
             raise ValueError("need c_slip >= 0 and 0 <= s_max < 1")
-        if self.noise_kpa < 0.0:
-            raise ValueError(f"noise_kpa must be >= 0, got {self.noise_kpa}")
+        # a jitter draw spans 2 x noise_kpa; a run that writes a tick starts with
+        # every cup gripping at the suction equilibrium, so its pressures stay
+        # in [vacuum_kpa, 0]
+        if not (self.noise_kpa >= 0.0 and math.isfinite(2.0 * self.noise_kpa
+                                                        - self.adhesion.vacuum_kpa)):
+            raise ValueError(f"noise_kpa must be >= 0 and keep 2 x noise_kpa - vacuum_kpa "
+                             f"finite, got {self.noise_kpa}")
 
     @property
     def climb_angle_rad(self):

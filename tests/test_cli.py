@@ -270,13 +270,15 @@ def test_validate_config_bad_file(tmp_path, capsys):
     ("[scenario]\ngravity_m_s2 = 1e308\n", "mass_kg"),
     ("[scenario]\nmass_kg = 1e300\ngravity_m_s2 = 1e10\n", "mass_kg"),
     ("[scenario]\nclimb_angle_deg = 45\nlift_efficiency = 5e-324\n", "lift_efficiency"),
+    # a jitter span 2 x noise_kpa that overflows wrote inf for every cup pressure
+    ("[scenario]\nnoise_kpa = 1e308\n", "noise_kpa"),
     # a check that ScenarioConfig or JointLimits makes, labelled with the section set
     ("[pneumatics]\npump_a_legs = 1, 2\npump_b_legs = 2, 3\n", "pump_legs"),
     ("[joints]\nlimit_min_deg = 10\nlimit_max_deg = 10\n", "lower < upper"),
 ], ids=["foothold", "step", "swing", "advance", "dwell", "vent", "tick", "dwell-tiny", "servo",
         "pump", "gravity", "cycles-many", "samples-many", "swing-long", "tick-short", "tick-long",
         "servo-huge", "pump-huge", "mass-huge", "gravity-huge", "weight-huge", "lift-tiny",
-        "pump-partition", "limits-order"])
+        "noise-huge", "pump-partition", "limits-order"])
 @pytest.mark.parametrize("argv", [["validate-config"], ["simulate", "-o", "run"],
                                   ["gait", "-o", "table.csv"], ["sweep", "0", "90", "-o", "s.csv"]],
                          ids=["validate-config", "simulate", "gait", "sweep"])
@@ -476,9 +478,10 @@ def test_output_path_that_is_a_directory_is_a_validation_error(argv, path, tmp_p
 
 
 # --- the process exit --------------------------------------------------------------
-# run() freezes the GC after main() returns, so the interpreter's shutdown
-# collections find nothing to free. That is safe because main() closes every
-# file it opens: a frozen file object would never be flushed by the GC.
+# run() switches the collector off while main() runs and back on as it found
+# it, then freezes the GC, so the interpreter's shutdown collections find
+# nothing to free. That is safe because main() closes every file it opens: a
+# frozen file object would never be flushed by the GC.
 
 TIGHT_LIMITS_INI = "[joints]\nlimit_min_deg = -180\nlimit_max_deg = 177\n"  # fails mid-table
 OVERLOAD_INI = "[scenario]\nclimb_angle_deg = 90\nmass_kg = 1000\n"
@@ -496,14 +499,39 @@ def test_run_freezes_once_after_main_returns(code, monkeypatch):
     assert exit_info.value.code == code
 
 
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_run_pauses_the_gc_while_main_runs(enabled, raises, monkeypatch):
+    seen = []
+
+    def fake_main():
+        seen.append(gc.isenabled())
+        if raises:
+            raise KeyboardInterrupt
+        return EXIT_OK
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(gc, "freeze", lambda: None)  # this process is never frozen
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(KeyboardInterrupt if raises else SystemExit):
+            cli.run()
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
 @pytest.mark.parametrize("argv", [["validate-config"], ["simulate", "-o", "run"],
                                   ["gait", "-o", "table.csv"], ["sweep", "-o", "sweep.csv"]],
                          ids=["validate-config", "simulate", "gait", "sweep"])
 def test_main_leaves_the_gc_unfrozen(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    frozen = gc.get_freeze_count()
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
     assert main(argv) == EXIT_OK
     assert gc.get_freeze_count() == frozen
+    assert gc.isenabled() is enabled
 
 
 @pytest.mark.parametrize("config, argv, code", [
