@@ -23,7 +23,7 @@ def main():
 
     script = generate_cycle(geom, gait)
     print(f"\nCycle of {len(script.steps)} steps, step length "
-          f"{script.step_length_mm} mm, advance mode '{script.advance_mode}':")
+          f"{gait.step_length_mm} mm, advance mode '{gait.advance_mode}':")
     for i, step in enumerate(script.steps):
         print(f"  step {i}: leg {step.swing_leg} swings to "
               f"{step.new_foothold_mm} mm, then body +{step.body_advance_mm} mm")

@@ -64,26 +64,23 @@ def split_um(total_um, parts):
 
 @dataclass(eq=False, repr=False)
 class FootholdMap(Fields):
-    """Per-leg cup contact points in the body frame plus attachment flags.
+    """A stance: each leg's cup contact point in the body frame.
 
-    Positions are integer micrometres; use from_mm()/point_mm() at the
-    millimetre boundary.
+    Every cup of a stance is on the wall; a plan detaches only its swing
+    leg, one step at a time. Positions are integer micrometres; use
+    from_mm()/point_mm() at the millimetre boundary.
     """
 
     points_um: dict
-    attached: dict
 
     def __post_init__(self):
-        if sorted(self.points_um) != list(LEG_IDS) or sorted(self.attached) != list(LEG_IDS):
+        if sorted(self.points_um) != list(LEG_IDS):
             raise ValueError(f"foothold map must cover exactly legs {LEG_IDS}")
         self.points_um = {leg: (int(p[0]), int(p[1])) for leg, p in self.points_um.items()}
 
     @classmethod
-    def from_mm(cls, points_mm, attached=None):
-        points = {leg: (mm_to_um(p[0]), mm_to_um(p[1])) for leg, p in points_mm.items()}
-        if attached is None:
-            attached = {leg: True for leg in points_mm}
-        return cls(points, dict(attached))
+    def from_mm(cls, points_mm):
+        return cls({leg: (mm_to_um(p[0]), mm_to_um(p[1])) for leg, p in points_mm.items()})
 
     @classmethod
     def square_stance(cls, half_x_mm=80.0, half_y_mm=80.0):
@@ -200,7 +197,6 @@ class GaitScript(FrozenFields):
     steps: list
     step_length_um: int
     initial: FootholdMap
-    advance_mode: str
     z_mm: float
     k_rad: float
     lift_mm: float
@@ -209,15 +205,11 @@ class GaitScript(FrozenFields):
     def __post_init__(self):
         check_fields(self)
 
-    @property
-    def step_length_mm(self):
-        return um_to_mm(self.step_length_um)
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Violation(FrozenFields):
     """One rule a gait script breaks: its kind (unreachable, coverage,
-    advance, attach_count or closure), a message, and the step and leg it
+    advance or closure), a message, and the step and leg it
     concerns, -1 where none."""
 
     kind: str
@@ -276,8 +268,8 @@ def generate_cycle(geom, gait, limits=None):
         advanced_um += advance
 
     script = GaitScript(steps=steps, step_length_um=length_um, initial=footholds,
-                        advance_mode=gait.advance_mode, z_mm=gait.z_mm, k_rad=gait.k_rad,
-                        lift_mm=gait.lift_mm, branch=gait.branch)
+                        z_mm=gait.z_mm, k_rad=gait.k_rad, lift_mm=gait.lift_mm,
+                        branch=gait.branch)
 
     report = validate(script, geom, limits=limits)
     for violation in report.violations:
@@ -293,11 +285,13 @@ def validate(script, geom, limits=None):
     `script.initial`, at its own z, k and lift, and report every violated
     invariant (no exceptions; the report carries them).
 
-    Checks: swing coverage (each leg exactly once), at least three legs
-    attached at every instant, every commanded foothold inside the
-    reachable workspace (stance points, swing endpoints, the lifted
-    mid-swing point and, where a swing crosses y = 0, its start's x at
-    y = 0), and exact cycle closure in integer micrometres.
+    Checks: swing coverage (each leg exactly once), no negative body
+    advance, every commanded foothold inside the reachable workspace
+    (stance points, swing endpoints, the lifted mid-swing point and, where
+    a swing crosses y = 0, its start's x at y = 0), and exact cycle closure
+    in integer micrometres. A stance has every cup on the wall and a step
+    detaches only its swing leg, so three cups are placed whenever a leg
+    swings; whether they grip is the run's pneumatics, which no plan models.
 
     Every pose a run of a generate_cycle plan commands lies on a swing
     segment (a leg keeps its x; slip only shortens advances) at a clearance
@@ -324,10 +318,8 @@ def validate(script, geom, limits=None):
         report.add("coverage", f"swing legs {swings} do not cover each of {LEG_IDS} exactly once")
 
     z, initial = script.z_mm, script.initial
-    attached = dict(initial.attached)
     for leg in LEG_IDS:
-        if attached[leg]:
-            check_reach(initial.points_um[leg], z, -1, leg, "initial foothold")
+        check_reach(initial.points_um[leg], z, -1, leg, "initial foothold")
 
     stances = list(replay(script))
     for index, (step, before, after) in enumerate(zip(script.steps, stances, stances[1:])):
@@ -338,10 +330,6 @@ def validate(script, geom, limits=None):
         if step.body_advance_um < 0:
             report.add("advance", f"negative body advance {step.body_advance_um} um",
                        step=index, leg=leg)
-        attached[leg] = False
-        count = sum(1 for flag in attached.values() if flag)
-        if count < 3:
-            report.add("attach_count", f"attached={count} during swing", step=index, leg=leg)
 
         check_reach(old_bf, z, index, leg, "swing start")
         mid_bf = ((old_bf[0] + new_bf[0]) // 2, (old_bf[1] + new_bf[1]) // 2)
@@ -349,11 +337,8 @@ def validate(script, geom, limits=None):
         check_reach(new_bf, z, index, leg, "swing end")
         if min(old_bf[1], new_bf[1]) < 0 < max(old_bf[1], new_bf[1]):
             check_reach((old_bf[0], 0), z, index, leg, "swing point nearest the shoulder")
-        attached[leg] = True
-
         for other in LEG_IDS:
-            if attached[other]:
-                check_reach(after[other], z, index, other, "stance point after advance")
+            check_reach(after[other], z, index, other, "stance point after advance")
 
     advanced_um = sum(step.body_advance_um for step in script.steps)
     if advanced_um != script.step_length_um:
@@ -364,8 +349,6 @@ def validate(script, geom, limits=None):
         report.add("closure",
                    f"body-frame stance {stances[-1]} does not return to initial "
                    f"{initial.points_um}")
-    if attached != initial.attached:
-        report.add("closure", "attachment flags changed over the cycle")
     return report
 
 

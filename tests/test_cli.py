@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import gc
 import json
 import math
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from wallclimber import cli
 from wallclimber import config as config_module
+from wallclimber import fileio
 from wallclimber.cli import EXIT_OK, EXIT_SIMFAIL, EXIT_USAGE, EXIT_VALIDATION, main
 from wallclimber.config import CONFIG_ENV_VAR, load_config
 from wallclimber.errors import ConfigError
@@ -238,6 +240,12 @@ def test_validate_config_env_var(monkeypatch, tmp_path, capsys):
     assert path in out and "cycles=7" in out
 
 
+def test_validate_config_prints_the_joint_limits(tmp_path, capsys):
+    path = write_config(tmp_path, "[joints]\nlimit_min_deg = -170\nlimit_max_deg = 165.5\n")
+    assert main(["--config", path, "validate-config"]) == EXIT_OK
+    assert "\n  joint limits: [-170, 165.5] deg\n" in capsys.readouterr().out
+
+
 def test_validate_config_bad_file(tmp_path, capsys):
     path = write_config(tmp_path, "[gait]\nno_such_key = 1\n")
     assert main(["--config", path, "validate-config"]) == EXIT_VALIDATION
@@ -297,6 +305,22 @@ def test_a_value_the_model_cannot_run_is_a_config_error(text, field, argv, tmp_p
     assert captured.out == "" and "Traceback" not in captured.err
     section = text.split("\n")[0]
     assert captured.err.startswith(f"config error: {section} ") and field in captured.err
+    assert os.listdir(tmp_path) == ["robot.ini"]
+
+
+@pytest.mark.parametrize("argv", [["validate-config"], ["simulate", "-o", "run"],
+                                  ["gait", "-o", "table.csv"], ["sweep", "0", "90", "-o", "s.csv"]],
+                         ids=["validate-config", "simulate", "gait", "sweep"])
+def test_a_foothold_that_is_not_a_pair_is_a_config_error(argv, tmp_path, monkeypatch, capsys):
+    # refused when the file is parsed, before any object is built, so the
+    # label names the key and its section, not a field
+    path = write_config(tmp_path, "[gait]\np1_mm = 80\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["--config", path, *argv]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: bad value for 'p1_mm' in [gait]: "
+                            "expected 'x, y' pair, got '80'\n")
     assert os.listdir(tmp_path) == ["robot.ini"]
 
 
@@ -475,6 +499,29 @@ def test_output_path_that_is_a_directory_is_a_validation_error(argv, path, tmp_p
     assert "Is a directory" in err and path.format(tmp=tmp_path) in err
     # nothing is left behind: no temporary series file, no summary
     assert sorted(p.name for p in (tmp_path / "odir").iterdir()) == ["run.series.csv"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["gait", "-o", "table.csv"], "table.csv"),
+    (["sweep", "0", "-o", "sweep.csv"], "sweep.csv"),
+    (["simulate", "-o", "run"], "run.series.csv"),
+], ids=["gait", "sweep", "simulate"])
+def test_a_write_refused_after_the_run_is_a_validation_error(argv, name, tmp_path, monkeypatch,
+                                                             capsys):
+    # The pre-checks refuse an output path that is a directory, so a write
+    # that fails only at its rename reaches main()'s OSError branch.
+    # Permission bits would not refuse it to root, so the rename raises.
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), dst)
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_bytes(b"an earlier output\n")
+    monkeypatch.setattr(fileio.os, "replace", refuse)
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: cannot write the output: [Errno 13] Permission denied: '{name}'\n")
+    assert (tmp_path / name).read_bytes() == b"an earlier output\n"
+    assert os.listdir(tmp_path) == [name]  # no .tmp left
 
 
 # --- the process exit --------------------------------------------------------------

@@ -100,16 +100,6 @@ def test_split_um_exact():
 
 # --- validation -----------------------------------------------------------
 
-def test_validate_detects_two_detached_legs():
-    script = default_cycle()
-    stance = FootholdMap.square_stance()
-    stance.attached[4] = False  # one leg already off the wall
-    report = validate(dataclasses.replace(script, initial=stance), GEOM)
-    kinds = {v.kind for v in report.violations}
-    assert "attach_count" in kinds
-    assert any("attached=2" in v.detail for v in report.violations)
-
-
 def test_validate_detects_unreachable_foothold():
     script = default_cycle()
     bad = dataclasses.replace(script, steps=[
@@ -305,11 +295,13 @@ def test_compile_rejects_bad_sampling_naming_it(samples, duration, name):
 
 def test_compile_rejects_invalid_script():
     script = default_cycle()
-    stance = FootholdMap.square_stance()
-    stance.attached[4] = False
-    bad = dataclasses.replace(script, initial=stance)
-    with pytest.raises(GaitValidationError):
-        compile_joint_table(bad, GEOM, 4)
+    # leg 1 swings twice and leg 2 never: a coverage violation
+    bad = dataclasses.replace(script, steps=[script.steps[0], script.steps[0], *script.steps[2:]])
+    seen = []
+    with pytest.raises(GaitValidationError) as info:
+        compile_joint_table(bad, GEOM, 4, sink=seen.append)
+    assert "coverage" in {v.kind for v in info.value.report.violations}
+    assert seen == []
 
 
 def test_compile_validates_the_pose_of_the_script():
@@ -338,7 +330,7 @@ def test_compile_timing_grid():
 
 def test_foothold_map_requires_four_legs():
     with pytest.raises(ValueError):
-        FootholdMap({1: (0, 0), 2: (0, 0)}, {1: True, 2: True})
+        FootholdMap({1: (0, 0), 2: (0, 0)})
 
 
 def test_foothold_map_mm_round_trip():

@@ -10,6 +10,7 @@ from wallclimber.kinematics import (
     ElbowBranch,
     JointLimits,
     LegGeometry,
+    _split_approach_angle,
     fk_leg,
     fk_normal_z,
     fk_planar_xy,
@@ -197,10 +198,29 @@ def test_normal_round_trip_and_exact_approach_angle():
         assert -math.pi / 2 <= t3 <= math.pi / 2  # principal value
 
 
+def test_split_approach_angle_nudges_to_an_exact_pair():
+    # At a binade edge the plain split misses k by one ulp; a nudge of
+    # theta4 finds a pair whose float sum is k. Such inputs are rare: none of
+    # the 881 angles of the docstring's grid is one.
+    k, theta3 = -0.0013178842795895374, 0.25
+    t4 = k - theta3
+    assert (k - t4) + t4 != k
+    t3, t4 = _split_approach_angle(k, theta3)
+    assert (t3, t4) == (0.24999999999999997, -0.2513178842795895)
+    assert t3 + t4 == k
+
+
 def test_normal_joint_limits_enforced():
     limits = JointLimits()
     with pytest.raises(JointLimit):
         ik_normal_zy(GEOM, 0.0, 2.5, limits)  # theta4 = 2.5 rad > pi/2
+
+
+def test_fk_leg_clamps_the_rounding_residue_of_a_zero_clearance():
+    # at z = 0 the zy pair's forward sum can land an ulp or so below zero
+    angles = solve_leg(GEOM, CupTarget(200.0, 0.0, 0.0, math.radians(2.4)))
+    assert fk_normal_z(GEOM, angles.theta3, angles.theta4)[0] == -8.881784197001252e-16
+    assert fk_leg(GEOM, angles).z == 0.0
 
 
 # --- composition ----------------------------------------------------------
