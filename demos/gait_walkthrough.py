@@ -1,20 +1,20 @@
 #!/usr/bin/env python3
-"""Plan one climbing cycle from a GaitParams, validate it, show the exact
-closure bookkeeping, and compile it into a joint-angle table.
+"""Plan one climbing cycle from a GaitParams (which checks its reach), show
+the exact closure bookkeeping, and compile it into a joint-angle table.
 
 Usage: python demos/gait_walkthrough.py
 """
 
 import math
 
-from wallclimber import (FootholdMap, GaitParams, LegGeometry, compile_joint_table,
-                         generate_cycle, validate)
+from wallclimber import FootholdMap, GaitParams, LegGeometry, compile_joint_table, generate_cycle
 from wallclimber.fileio import write_joint_table
 
 
 def main():
     geom = LegGeometry()
-    gait = GaitParams(step_length_mm=40.0)  # every other knob at its default
+    # 5 samples per 1 s step (swing_s + advance_s); every other knob at its default
+    gait = GaitParams(step_length_mm=40.0, samples_per_step=5)
     stance = FootholdMap.from_mm(gait.stance_mm)
     print("=" * 60)
     print("Initial stance (body frame, mm):")
@@ -27,9 +27,6 @@ def main():
     for i, step in enumerate(script.steps):
         print(f"  step {i}: leg {step.swing_leg} swings to "
               f"{step.new_foothold_mm} mm, then body +{step.body_advance_mm} mm")
-
-    report = validate(script, geom)
-    print("\nValidation:", "clean" if report.ok else report.violations)
 
     print("\nExact closure over 5 cycles (integer micrometres):")
     wall = dict(stance.points_um)
@@ -47,7 +44,7 @@ def main():
     print(f"\nThe plan's own pose, which the compile reads: z={script.z_mm} mm, "
           f"k={math.degrees(script.k_rad):g} deg, lift={script.lift_mm} mm, "
           f"branch={script.branch.name}")
-    rows = compile_joint_table(script, geom, samples_per_step=5, step_duration_s=1.0)
+    rows = compile_joint_table(gait, geom)
     print(f"\nCompiled table: {len(rows)} rows (first 8):")
     for row in rows[:8]:
         angles = ", ".join(f"{math.degrees(t):8.3f}" for t in row.angles.as_tuple())

@@ -11,7 +11,6 @@ from .gait import (
     GaitStep,
     compile_joint_table,
     generate_cycle,
-    validate,
 )
 from .kinematics import (
     CupTarget,
@@ -67,5 +66,4 @@ __all__ = [
     "slip_model",
     "solve_leg",
     "sweep_climb_angle",
-    "validate",
 ]

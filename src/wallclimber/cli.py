@@ -66,12 +66,9 @@ def _cmd_fk(args):
 def _cmd_gait(args):
     config = _load(args)
     gait = config.gait
-    script = generate_cycle(config.geometry, gait, config.limits)
     with fileio.joint_table_sink(args.out) as sink:
-        compile_joint_table(script, config.geometry, gait.samples_per_step,
-                            step_duration_s=gait.swing_s + gait.advance_s,
-                            limits=config.limits, sink=sink)
-    rows = gait.samples_per_step * len(LEG_IDS) * len(script.steps)
+        compile_joint_table(gait, config.geometry, limits=config.limits, sink=sink)
+    rows = gait.samples_per_step * len(LEG_IDS) * len(gait.order)
     print(f"wrote {args.out} ({rows} rows)")
     return EXIT_OK
 

@@ -131,15 +131,6 @@ class UnreachableFoothold(ClimberError):
         self.step = step
 
 
-class GaitValidationError(ClimberError):
-    """A gait script failed validation; carries the violation report."""
-
-    def __init__(self, report):
-        lines = "; ".join(str(v) for v in report.violations)
-        super().__init__(f"gait script invalid: {lines}")
-        self.report = report
-
-
 # --- simulation ---------------------------------------------------------
 
 class ZeroCapacity(ClimberError):

@@ -18,8 +18,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .errors import (Fields, FrozenFields, GaitValidationError, KinematicsError,
-                     UnreachableFoothold, check_fields, is_finite_real, is_int)
+from .errors import (Fields, FrozenFields, KinematicsError, UnreachableFoothold, check_fields,
+                     is_finite_real, is_int)
 from .kinematics import (CupTarget, ElbowBranch, JointAngles, ik_normal_zy, ik_planar_xy,
                          reachable)
 
@@ -34,17 +34,6 @@ ADVANCE_MODES = (ADVANCE_PER_STEP, ADVANCE_PER_CYCLE)
 # steps x 4 legs). The file writer streams them; a list-mode compile holds
 # about 230 B a row.
 MAX_TABLE_ROWS = 1_000_000
-
-
-def _check_samples(samples_per_step, steps):
-    """The joint table's sampling rule, which GaitParams and
-    compile_joint_table both apply: samples_per_step is an int of at least 2,
-    and a table of `steps` steps has at most MAX_TABLE_ROWS rows."""
-    if not is_int(samples_per_step) or samples_per_step < 2:
-        raise ValueError(f"samples_per_step must be an integer >= 2, got {samples_per_step!r}")
-    if samples_per_step * steps * len(LEG_IDS) > MAX_TABLE_ROWS:
-        raise ValueError(f"samples_per_step x {steps} steps x {len(LEG_IDS)} legs must be at "
-                         f"most {MAX_TABLE_ROWS} rows, got {samples_per_step}")
 
 
 def mm_to_um(value_mm):
@@ -106,8 +95,10 @@ class GaitParams(FrozenFields):
     """Gait planning knobs for a scenario (mm, radians, seconds).
 
     The one place the gait's defaults and checks are written: generate_cycle
-    plans from it as it is. Building one checks each field against its type
-    first (errors.check_fields), then the stance and the ranges. It is
+    and compile_joint_table plan from it as it is. Building one checks each
+    field against its type first (errors.check_fields), then the stance, the
+    ranges and the joint table's sampling (at most MAX_TABLE_ROWS rows, and
+    a finite time at the last sample). It is
     frozen, so no field changes past its check, and `stance_mm` is stored as
     a read-only mapping of (x, y) tuples, so neither do its entries.
     """
@@ -153,9 +144,18 @@ class GaitParams(FrozenFields):
         if not permutation:
             raise ValueError(f"order must be a permutation of the int leg ids {LEG_IDS}, "
                              f"got {self.order}")
-        _check_samples(self.samples_per_step, len(self.order))
+        samples, steps = self.samples_per_step, len(self.order)
+        if samples < 2:
+            raise ValueError(f"samples_per_step must be an integer >= 2, got {samples!r}")
+        if samples * steps * len(LEG_IDS) > MAX_TABLE_ROWS:
+            raise ValueError(f"samples_per_step x {steps} steps x {len(LEG_IDS)} legs must be at "
+                             f"most {MAX_TABLE_ROWS} rows, got {samples}")
         if self.swing_s <= 0.0 or self.advance_s <= 0.0:
             raise ValueError("swing_s and advance_s must be > 0")
+        if not math.isfinite((steps - 1 + (samples - 1) / samples)  # the table's last t_s
+                             * (self.swing_s + self.advance_s)):
+            raise ValueError(f"swing_s + advance_s must keep the joint table's last t_s finite, "
+                             f"got {self.swing_s} + {self.advance_s}")
         if not 0.0 <= self.lift_mm <= self.z_mm:
             raise ValueError(
                 f"lift_mm must lie in [0, z_mm], got lift={self.lift_mm} z={self.z_mm}"
@@ -185,13 +185,15 @@ class GaitScript(FrozenFields):
     """A one-cycle plan with its start stance and its pose: the wall
     clearance z, the approach angle k, the swing lift and the elbow branch.
 
-    validate, replay, compile_joint_table and run_scenario read the stance
-    and the pose only from here, so what they check, replay, compile and
-    run is one plan. No field has a default: a plan names its whole pose.
-    It is frozen, and building one checks each field against its type
-    (errors.check_fields): z_mm, k_rad and lift_mm finite, step_length_um an
-    int, initial a FootholdMap and branch an ElbowBranch; validate checks the
-    rest.
+    generate_cycle returns one, and validate, replay, compile_joint_table
+    and run_scenario read the stance and the pose only from it, so what they
+    check, replay, compile and run is one plan. No field has a default: a
+    plan names its whole pose. It is frozen, and building one checks each
+    field against its type (errors.check_fields): z_mm, k_rad and lift_mm
+    finite, step_length_um an int, initial a FootholdMap and branch an
+    ElbowBranch. What else a plan needs, generate_cycle builds in: each leg
+    swings once, no advance is negative, the advances sum to one step, the
+    stance returns to `initial` and 0 <= lift_mm <= z_mm.
     """
 
     steps: list
@@ -206,41 +208,6 @@ class GaitScript(FrozenFields):
         check_fields(self)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Violation(FrozenFields):
-    """One rule a gait script breaks: its kind (unreachable, coverage,
-    advance or closure), a message, and the step and leg it
-    concerns, -1 where none."""
-
-    kind: str
-    detail: str
-    step: int = -1
-    leg: int = -1
-
-    def __str__(self):
-        where = []
-        if self.step >= 0:
-            where.append(f"step {self.step}")
-        if self.leg >= 0:
-            where.append(f"leg {self.leg}")
-        prefix = f"[{', '.join(where)}] " if where else ""
-        return f"{prefix}{self.kind}: {self.detail}"
-
-
-@dataclass(eq=False, repr=False)
-class GaitValidationReport(Fields):
-    """What validate found: every Violation, in the order met. ok when none."""
-
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.violations
-
-    def add(self, kind, detail, step=-1, leg=-1):
-        self.violations.append(Violation(kind, detail, step, leg))
-
-
 def generate_cycle(geom, gait, limits=None):
     """Build one climbing cycle from a GaitParams: from `gait.stance_mm`,
     each leg in `gait.order` swings one step length up the wall (+y), with
@@ -248,8 +215,11 @@ def generate_cycle(geom, gait, limits=None):
     gait's z, k, lift and elbow branch; the GaitParams checked all of these
     when it was built.
 
-    The result is validated before it is returned; reach problems raise
-    UnreachableFoothold naming the leg and step.
+    So each leg swings once, no advance is negative and the cycle closes
+    exactly, by construction. What is left to check is reach: the script
+    goes through validate before it is returned, which raises
+    UnreachableFoothold naming the leg and step of the first point out of
+    reach.
     """
     footholds, order = FootholdMap.from_mm(gait.stance_mm), gait.order
     length_um = mm_to_um(gait.step_length_mm)
@@ -271,67 +241,47 @@ def generate_cycle(geom, gait, limits=None):
                         z_mm=gait.z_mm, k_rad=gait.k_rad, lift_mm=gait.lift_mm,
                         branch=gait.branch)
 
-    report = validate(script, geom, limits=limits)
-    for violation in report.violations:
-        if violation.kind == "unreachable":
-            raise UnreachableFoothold(str(violation), leg=violation.leg, step=violation.step)
-    if not report.ok:
-        raise GaitValidationError(report)
+    validate(script, geom, limits=limits)
     return script
 
 
 def validate(script, geom, limits=None):
     """Replay a script symbolically from its own start stance,
-    `script.initial`, at its own z, k and lift, and report every violated
-    invariant (no exceptions; the report carries them).
+    `script.initial`, at its own z, k and lift, and raise
+    UnreachableFoothold at the first commanded point outside the reachable
+    workspace; return None when every point is inside.
 
-    Checks: swing coverage (each leg exactly once), no negative body
-    advance, every commanded foothold inside the reachable workspace
-    (stance points, swing endpoints, the lifted mid-swing point and, where
-    a swing crosses y = 0, its start's x at y = 0), and exact cycle closure
-    in integer micrometres. A stance has every cup on the wall and a step
-    detaches only its swing leg, so three cups are placed whenever a leg
-    swings; whether they grip is the run's pneumatics, which no plan models.
+    The points, in this order: each leg's initial foothold, then for each
+    step the lifted mid-swing point, the swing end, where the swing crosses
+    y = 0 its start's x at y = 0, and every leg's stance point after the
+    advance. A swing starts at a stance point already checked. The error
+    reads `[step S, leg L] unreachable: <point> (x, y) mm at z=Z mm:
+    <reason>`, with no step for an initial foothold, and carries `leg` and
+    `step` (-1 for an initial foothold).
 
     Every pose a run of a generate_cycle plan commands lies on a swing
     segment (a leg keeps its x; slip only shortens advances) at a clearance
     from z - lift to z. Its radius is largest at an end and smallest at
     y = 0, so a plan that passes here cannot fail on reach mid-run.
     """
-    report = GaitValidationReport()
+    z, k_rad = script.z_mm, script.k_rad
 
     def check_reach(point_um, z_mm, step, leg, label):
         x, y = um_to_mm(point_um[0]), um_to_mm(point_um[1])
-        if z_mm < 0.0:
-            report.add("unreachable",
-                       f"{label} ({x}, {y}) mm: clearance {z_mm} mm is negative "
-                       "(lift exceeds the wall distance)",
-                       step=step, leg=leg)
-            return
-        ok, reason = reachable(geom, CupTarget(x, y, z_mm, script.k_rad), limits)
+        ok, reason = reachable(geom, CupTarget(x, y, z_mm, k_rad), limits)
         if not ok:
-            report.add("unreachable", f"{label} ({x}, {y}) mm at z={z_mm} mm: {reason}",
-                       step=step, leg=leg)
+            where = f"leg {leg}" if step < 0 else f"step {step}, leg {leg}"
+            raise UnreachableFoothold(f"[{where}] unreachable: {label} ({x}, {y}) mm at "
+                                      f"z={z_mm} mm: {reason}", leg=leg, step=step)
 
-    swings = [s.swing_leg for s in script.steps]
-    if sorted(swings) != list(LEG_IDS):
-        report.add("coverage", f"swing legs {swings} do not cover each of {LEG_IDS} exactly once")
-
-    z, initial = script.z_mm, script.initial
     for leg in LEG_IDS:
-        check_reach(initial.points_um[leg], z, -1, leg, "initial foothold")
+        check_reach(script.initial.points_um[leg], z, -1, leg, "initial foothold")
 
     stances = list(replay(script))
     for index, (step, before, after) in enumerate(zip(script.steps, stances, stances[1:])):
         leg = step.swing_leg
         old_bf = before[leg]
         new_bf = step.new_foothold_um
-
-        if step.body_advance_um < 0:
-            report.add("advance", f"negative body advance {step.body_advance_um} um",
-                       step=index, leg=leg)
-
-        check_reach(old_bf, z, index, leg, "swing start")
         mid_bf = ((old_bf[0] + new_bf[0]) // 2, (old_bf[1] + new_bf[1]) // 2)
         check_reach(mid_bf, z - script.lift_mm, index, leg, "lifted mid-swing point")
         check_reach(new_bf, z, index, leg, "swing end")
@@ -339,17 +289,6 @@ def validate(script, geom, limits=None):
             check_reach((old_bf[0], 0), z, index, leg, "swing point nearest the shoulder")
         for other in LEG_IDS:
             check_reach(after[other], z, index, other, "stance point after advance")
-
-    advanced_um = sum(step.body_advance_um for step in script.steps)
-    if advanced_um != script.step_length_um:
-        report.add("closure",
-                   f"body advanced {advanced_um} um over the cycle, "
-                   f"expected {script.step_length_um}")
-    if stances[-1] != initial.points_um:
-        report.add("closure",
-                   f"body-frame stance {stances[-1]} does not return to initial "
-                   f"{initial.points_um}")
-    return report
 
 
 def replay(script):
@@ -390,16 +329,17 @@ class JointTableRow(Fields):
     target_mm: tuple  # (x, y, z) the row was solved for
 
 
-def compile_joint_table(script, geom, samples_per_step, *, step_duration_s=1.0, limits=None,
-                        sink=None):
-    """Sample a script into per-leg joint angles at its own pose: z, k, lift
-    and elbow branch all come from the script, which is validated first (a
-    GaitValidationError before any row is made).
+def compile_joint_table(gait, geom, *, limits=None, sink=None):
+    """Plan a GaitParams with generate_cycle and sample the plan into per-leg
+    joint angles at its own pose: z, k, lift and elbow branch all come from
+    the plan, which generate_cycle has checked for reach (an
+    UnreachableFoothold before any row is made).
 
-    Each step contributes `samples_per_step` uniformly spaced samples;
-    the swing runs over the whole step and the body advance lands
-    between the last sample of a step and the first of the next. Rows
-    come out in time order, legs 1..4 within each sample.
+    Each step contributes `gait.samples_per_step` uniformly spaced samples
+    over `gait.swing_s + gait.advance_s` seconds; the swing runs over the
+    whole step and the body advance lands between the last sample of a step
+    and the first of the next. Rows come out in time order, legs 1..4 within
+    each sample. GaitParams bounds the rows and keeps the last t_s finite.
 
     Every leg is solved at a step's first sample, in leg order, and only the
     swing leg is solved again at each later sample. Each solve calls the two
@@ -422,15 +362,9 @@ def compile_joint_table(script, geom, samples_per_step, *, step_duration_s=1.0, 
     JointAngles and one target_mm tuple; the swing leg gets a new pair per
     sample. A sample's rows are made only once its solves have succeeded.
     """
-    _check_samples(samples_per_step, len(script.steps))
+    script = generate_cycle(geom, gait, limits)
+    samples_per_step, step_duration_s = gait.samples_per_step, gait.swing_s + gait.advance_s
     last = samples_per_step - 1
-    if not (is_finite_real(step_duration_s) and step_duration_s > 0.0 and math.isfinite(
-            (len(script.steps) - 1 + last / samples_per_step) * step_duration_s)):  # the last t_s
-        raise ValueError(f"step_duration_s must be finite and > 0 and keep the last sample's "
-                         f"t_s finite, got {step_duration_s!r}")
-    report = validate(script, geom, limits=limits)
-    if not report.ok:
-        raise GaitValidationError(report)
     z_mm, k_rad, lift_mm, branch = script.z_mm, script.k_rad, script.lift_mm, script.branch
     rows = []
     step_hook = getattr(sink, "step", None)

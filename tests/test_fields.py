@@ -13,7 +13,7 @@ import pytest
 
 from wallclimber import gait, kinematics, pneumatics, simulator
 from wallclimber.errors import Fields, FrozenFields
-from wallclimber.gait import FootholdMap, GaitParams, GaitValidationReport, Violation
+from wallclimber.gait import FootholdMap, GaitParams
 from wallclimber.kinematics import CupTarget, JointAngles, JointLimits, LegGeometry
 from wallclimber.pneumatics import AdhesionModel
 from wallclimber.simulator import ScenarioConfig, run_scenario, sweep_climb_angle
@@ -31,11 +31,9 @@ def samples():
     script = gait.generate_cycle(config.geometry, config.gait)
     report = run_scenario(config)
     rows = []
-    gait.compile_joint_table(script, config.geometry, 2, sink=rows.append)
-    violation = Violation("closure", "attachment flags changed over the cycle", 2, 3)
+    gait.compile_joint_table(GaitParams(samples_per_step=2), config.geometry, sink=rows.append)
     instances = [
-        FootholdMap.square_stance(), GaitParams(), script.steps[0], script, violation,
-        GaitValidationReport([violation]), rows[5], LegGeometry(),
+        FootholdMap.square_stance(), GaitParams(), script.steps[0], script, rows[5], LegGeometry(),
         JointAngles(0.1, -0.2, 0.3, 1.4), JointLimits(), CupTarget(150.0, 20.0, 90.0, 1.2),
         AdhesionModel(), config, report.records[7], report,
         sweep_climb_angle(config, [30.0])[0],
@@ -73,7 +71,7 @@ def outcome(call, *args):
 
 
 def test_every_package_dataclass_has_a_sample_and_a_shared_base():
-    assert len(PACKAGE_DATACLASSES) == 16
+    assert len(PACKAGE_DATACLASSES) == 14
     assert sorted(SAMPLES, key=lambda cls: cls.__name__) == PACKAGE_DATACLASSES
     for cls in PACKAGE_DATACLASSES:
         params = cls.__dataclass_params__
@@ -141,8 +139,7 @@ def test_the_hashable_frozen_classes_hash_their_field_tuple():
     # the frozen classes whose fields all hash; the others raise TypeError, as
     # the generated __hash__ does
     for obj in (LegGeometry(), JointAngles(0.1, -0.2, 0.3, 1.4), JointLimits(),
-                CupTarget(150.0, 20.0, 90.0, 1.2), AdhesionModel(), SAMPLES[Violation],
-                SAMPLES[simulator.SweepRow]):
+                CupTarget(150.0, 20.0, 90.0, 1.2), AdhesionModel(), SAMPLES[simulator.SweepRow]):
         assert hash(obj) == hash(dataclasses.astuple(obj)) == hash(as_reference(obj))
 
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wallclimber import fileio
-from wallclimber.gait import LEG_IDS, GaitParams, JointTableRow, compile_joint_table, generate_cycle
+from wallclimber.gait import LEG_IDS, GaitParams, JointTableRow, compile_joint_table
 from wallclimber.kinematics import JointAngles, LegGeometry
 from wallclimber.pneumatics import vent
 from wallclimber.simulator import ScenarioConfig, SweepRow, run_scenario, sweep_climb_angle
@@ -22,8 +22,7 @@ GEOM = LegGeometry()
 
 
 def compiled_rows():
-    script = generate_cycle(GEOM, GaitParams())
-    return compile_joint_table(script, GEOM, 4)
+    return compile_joint_table(GaitParams(samples_per_step=4), GEOM)
 
 
 def test_joint_table_round_trip(tmp_path):

@@ -1,11 +1,11 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from wallclimber.errors import (
-    GaitValidationError,
     JointLimit,
     UnreachableFoothold,
 )
@@ -45,8 +45,7 @@ def test_generate_cycle_default():
     for step in script.steps:
         assert step.body_advance_mm == 10.0
     assert sum(s.body_advance_um for s in script.steps) == mm_to_um(40.0)
-    report = validate(script, GEOM)
-    assert report.ok
+    assert validate(script, GEOM) is None
 
 
 def test_generate_cycle_rejects_zero_step():
@@ -65,7 +64,7 @@ def test_step_length_that_rounds_to_zero_um_is_refused(step_length_mm):
 
 def test_step_length_that_rounds_to_one_um_is_accepted():
     script = default_cycle(step_length_mm=0.0006)
-    assert script.step_length_um == 1 and validate(script, GEOM).ok
+    assert script.step_length_um == 1 and validate(script, GEOM) is None
 
 
 def test_generate_cycle_rejects_bad_order():
@@ -76,13 +75,13 @@ def test_generate_cycle_rejects_bad_order():
 def test_generate_cycle_custom_order():
     script = default_cycle(order=(3, 1, 4, 2))
     assert [s.swing_leg for s in script.steps] == [3, 1, 4, 2]
-    assert validate(script, GEOM).ok
+    assert validate(script, GEOM) is None
 
 
 def test_generate_cycle_per_cycle_advance():
     script = default_cycle(advance_mode=ADVANCE_PER_CYCLE)
     assert [s.body_advance_um for s in script.steps] == [0, 0, 0, 40000]
-    assert validate(script, GEOM).ok
+    assert validate(script, GEOM) is None
 
 
 def test_generate_cycle_unreachable_foothold():
@@ -90,6 +89,37 @@ def test_generate_cycle_unreachable_foothold():
     with pytest.raises(UnreachableFoothold) as info:
         default_cycle(step_length_mm=200.0)
     assert info.value.leg in LEG_IDS
+
+
+SQUARE = FootholdMap.square_stance().points_mm()
+HOLE_GAIT = GaitParams(stance_mm={1: (19.2, 40.7), 2: (-19.2, 40.7), 3: (19.2, -10.4),
+                                  4: (-19.2, -45.8)},
+                       step_length_mm=80.0, advance_mode=ADVANCE_PER_CYCLE)
+
+
+@pytest.mark.parametrize("geom, gait, expected", [
+    (GEOM, GaitParams(stance_mm={**SQUARE, 4: (-80.0, -204.4)}),
+     ("[leg 4] unreachable: initial foothold (-80.0, -204.4) mm at z=100.0 mm: out_of_reach",
+      4, -1)),
+    (GEOM, GaitParams(stance_mm={**SQUARE, 4: (-80.0, -153.7)}),
+     ("[step 2, leg 4] unreachable: stance point after advance (-80.0, -183.7) mm at "
+      "z=100.0 mm: out_of_reach", 4, 2)),
+    (GEOM, GaitParams(step_length_mm=200.0),
+     ("[step 0, leg 1] unreachable: swing end (-80.0, 280.0) mm at z=100.0 mm: out_of_reach",
+      1, 0)),
+    # the inner hole of tests/test_simulator.py's sweep
+    (LegGeometry(100.0, 80.0, 100.0, 100.0), HOLE_GAIT,
+     ("[step 2, leg 3] unreachable: swing point nearest the shoulder (19.2, 0.0) mm at "
+      "z=100.0 mm: out_of_reach", 3, 2)),
+    # a3 < a4 at k = 90 deg: clearances below 50 mm are out of the zy plane's reach
+    (LegGeometry(a3=50.0), GaitParams(lift_mm=60.0),
+     ("[step 0, leg 1] unreachable: lifted mid-swing point (-80.0, 100.0) mm at z=40.0 mm: "
+      "z_unreachable", 1, 0)),
+], ids=["initial", "after-advance", "swing-end", "nearest-shoulder", "lifted-mid-swing"])
+def test_unreachable_foothold_names_the_first_point_out_of_reach(geom, gait, expected):
+    with pytest.raises(UnreachableFoothold) as info:
+        generate_cycle(geom, gait)
+    assert (str(info.value), info.value.leg, info.value.step) == expected
 
 
 def test_split_um_exact():
@@ -106,26 +136,8 @@ def test_validate_detects_unreachable_foothold():
         GaitStep(1, (0, 300000), script.steps[0].body_advance_um),
         *script.steps[1:],
     ])
-    report = validate(bad, GEOM)
-    assert any(v.kind == "unreachable" for v in report.violations)
-
-
-def test_validate_detects_coverage_and_closure():
-    script = default_cycle()
-    twice = dataclasses.replace(
-        script, steps=[script.steps[0], script.steps[0], script.steps[2], script.steps[3]])
-    report = validate(twice, GEOM)
-    kinds = {v.kind for v in report.violations}
-    assert "coverage" in kinds
-    assert "closure" in kinds
-
-
-def test_validate_reports_excessive_lift_instead_of_crashing():
-    script = default_cycle()
-    # the cup would have to pass through the body
-    toppled = dataclasses.replace(script, lift_mm=script.z_mm + 50.0)
-    report = validate(toppled, GEOM)
-    assert any("negative" in v.detail for v in report.violations)
+    with pytest.raises(UnreachableFoothold):
+        validate(bad, GEOM)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -145,16 +157,6 @@ def test_gait_script_pose_cannot_be_assigned_past_its_check():
     assert script.lift_mm == 20.0
     with pytest.raises(ValueError, match="^lift_mm must be finite"):
         dataclasses.replace(script, lift_mm=math.nan)
-
-
-def test_validate_flags_negative_advance():
-    script = default_cycle()
-    backwards = dataclasses.replace(script, steps=[
-        GaitStep(1, script.steps[0].new_foothold_um, -10000),
-        *script.steps[1:],
-    ])
-    report = validate(backwards, GEOM)
-    assert any(v.kind == "advance" for v in report.violations)
 
 
 def test_cycle_closure_exact_over_many_cycles():
@@ -181,7 +183,7 @@ def test_compile_first_rows_match_initial_stance(tmp_path):
     ini.write_text(POSE_INI, encoding="utf-8")
     for config in (ScenarioConfig(), load_config(str(ini))):
         script = generate_cycle(config.geometry, config.gait, config.limits)
-        rows = compile_joint_table(script, GEOM, 5)
+        rows = compile_joint_table(dataclasses.replace(config.gait, samples_per_step=5), GEOM)
         stance = FootholdMap.square_stance()
         first = {row.leg: row for row in rows[:4]}
         for leg in LEG_IDS:
@@ -204,9 +206,8 @@ def test_compile_first_rows_match_initial_stance(tmp_path):
 
 
 def test_compile_row_count_and_ordering():
-    script = default_cycle()
     samples = 7
-    rows = compile_joint_table(script, GEOM, samples)
+    rows = compile_joint_table(GaitParams(samples_per_step=samples), GEOM)
     assert len(rows) == 4 * samples * 4
     # time never decreases; legs cycle 1..4 within each sample
     times = [row.t_s for row in rows]
@@ -215,8 +216,7 @@ def test_compile_row_count_and_ordering():
 
 
 def test_compile_rows_fk_round_trip():
-    script = default_cycle()
-    rows = compile_joint_table(script, GEOM, 6)
+    rows = compile_joint_table(GaitParams(samples_per_step=6), GEOM)
     for row in rows:
         echo = fk_leg(GEOM, row.angles)
         assert abs(echo.x - row.target_mm[0]) <= 1e-9
@@ -229,7 +229,7 @@ def test_compile_swing_waypoints_follow_line_with_lift():
     # independent recomputation of the swing leg's commanded pose
     script = default_cycle()
     samples = 5
-    rows = compile_joint_table(script, GEOM, samples)
+    rows = compile_joint_table(GaitParams(samples_per_step=samples), GEOM)
     stance = FootholdMap.square_stance()
     old = stance.point_mm(1)
     new = script.steps[0].new_foothold_mm
@@ -250,7 +250,7 @@ def test_compile_swing_waypoints_follow_line_with_lift():
 def test_compile_attached_flags():
     script = default_cycle()
     samples = 3
-    rows = compile_joint_table(script, GEOM, samples)
+    rows = compile_joint_table(GaitParams(samples_per_step=samples), GEOM)
     for index, step in enumerate(script.steps):
         chunk = rows[index * 4 * samples:(index + 1) * 4 * samples]
         for row in chunk:
@@ -261,66 +261,48 @@ def test_compile_with_limits_keeps_all_angles_inside():
     # a half-turn window passes the whole default cycle; success means
     # every sample was limit-checked at solve time
     limits = JointLimits(-math.pi, math.pi)
-    script = default_cycle(limits=limits)
-    rows = compile_joint_table(script, GEOM, 5, limits=limits)
+    rows = compile_joint_table(GaitParams(samples_per_step=5), GEOM, limits=limits)
     for row in rows:
         for angle in row.angles.as_tuple():
             assert limits.lower <= angle <= limits.upper
 
 
-def test_compile_rejects_single_sample():
-    script = default_cycle()
-    with pytest.raises(ValueError):
-        compile_joint_table(script, GEOM, 1)
-
-
-@pytest.mark.parametrize("samples, duration, name", [
-    (2.5, 1.0, "samples_per_step"), (True, 1.0, "samples_per_step"),
-    (3, math.nan, "step_duration_s"), (3, math.inf, "step_duration_s"),
-    (3, -1.0, "step_duration_s"), (3, 0.0, "step_duration_s"), (3, "1", "step_duration_s"),
-    # GaitParams' table cap, and a last sample time that overflows to inf
-    (62_501, 1.0, "samples_per_step x 4 steps x 4 legs"),
-    (10**9, 1.0, "samples_per_step x 4 steps x 4 legs"),
-    (2, 1e308, "step_duration_s"),
-])
-def test_compile_rejects_bad_sampling_naming_it(samples, duration, name):
-    # unchecked, these raise a bare TypeError, return NaN, negative, all-zero or
-    # infinite times, or compile a table past GaitParams' cap
-    seen = []
-    with pytest.raises(ValueError, match=f"^{name} must be"):
-        compile_joint_table(default_cycle(), GEOM, samples, step_duration_s=duration,
-                            sink=seen.append)
-    assert seen == []
-
-
-def test_compile_rejects_invalid_script():
-    script = default_cycle()
-    # leg 1 swings twice and leg 2 never: a coverage violation
-    bad = dataclasses.replace(script, steps=[script.steps[0], script.steps[0], *script.steps[2:]])
-    seen = []
-    with pytest.raises(GaitValidationError) as info:
-        compile_joint_table(bad, GEOM, 4, sink=seen.append)
-    assert "coverage" in {v.kind for v in info.value.report.violations}
-    assert seen == []
+@pytest.mark.parametrize("kwargs, name", [
+    ({"samples_per_step": 1}, "samples_per_step"), ({"samples_per_step": 2.5}, "samples_per_step"),
+    ({"samples_per_step": True}, "samples_per_step"),
+    ({"swing_s": math.nan}, "swing_s"), ({"advance_s": math.inf}, "advance_s"),
+    ({"swing_s": -1.0}, "swing_s and advance_s"), ({"advance_s": 0.0}, "swing_s and advance_s"),
+    ({"swing_s": "1"}, "swing_s"),
+    # the table cap, and a last sample time that overflows to inf
+    ({"samples_per_step": 62_501}, "samples_per_step x 4 steps x 4 legs"),
+    ({"samples_per_step": 10**9}, "samples_per_step x 4 steps x 4 legs"),
+    ({"samples_per_step": 2, "swing_s": 1e308}, "swing_s + advance_s"),
+    ({"samples_per_step": 2, "advance_s": 1e308}, "swing_s + advance_s"),
+], ids=["samples-one", "samples-float", "samples-bool", "swing-nan", "advance-inf",
+        "swing-negative", "advance-zero", "swing-str", "samples-cap", "samples-huge",
+        "swing-overflow", "advance-overflow"])
+def test_gait_params_refuses_bad_sampling_naming_it(kwargs, name):
+    # unchecked, these would raise a bare TypeError in the compile, or give it
+    # NaN, negative, all-zero or infinite times, or a table past the cap
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must"):
+        GaitParams(**kwargs)
 
 
 def test_compile_validates_the_pose_of_the_script():
-    # compile solves at the script's own z, so a plan moved to an impossible
-    # clearance is refused by its validation before any row is made
-    far = dataclasses.replace(default_cycle(), z_mm=250.0)
+    # compile solves at the plan's own z, so a gait at an impossible
+    # clearance is refused by its planning before any row is made
     seen = []
-    with pytest.raises(GaitValidationError) as info:
-        compile_joint_table(far, GEOM, 4, sink=seen.append)
+    with pytest.raises(UnreachableFoothold) as info:
+        compile_joint_table(GaitParams(samples_per_step=4, z_mm=250.0), GEOM, sink=seen.append)
     assert "z_unreachable" in str(info.value)
-    assert {v.kind for v in info.value.report.violations} == {"unreachable"}
+    assert (info.value.leg, info.value.step) == (1, -1)
     assert seen == []
 
 
 def test_compile_timing_grid():
-    script = default_cycle()
     samples = 4
-    rows = compile_joint_table(script, GEOM, samples,
-                               step_duration_s=2.0)
+    rows = compile_joint_table(GaitParams(samples_per_step=samples, swing_s=1.0, advance_s=1.0),
+                               GEOM)
     per_leg = [row.t_s for row in rows if row.leg == 2]
     expected = [(i + j / samples) * 2.0 for i in range(4) for j in range(samples)]
     np.testing.assert_allclose(per_leg, expected, rtol=0, atol=1e-12)
@@ -344,9 +326,8 @@ def test_compile_names_unreachable_swing_sample_under_tight_limits():
     # checked point), but the scripted branch breaks them mid-swing; the
     # memoised solve must still name the first failing sample
     limits = JointLimits(-math.pi, math.radians(177.0))
-    script = default_cycle()
     with pytest.raises(JointLimit, match=r"^step 3 sample 3 leg 4: theta1="):
-        compile_joint_table(script, GEOM, 10, limits=limits)
+        compile_joint_table(GaitParams(), GEOM, limits=limits)
 
 
 def test_compile_solves_each_distinct_target_once(monkeypatch):
@@ -362,7 +343,7 @@ def test_compile_solves_each_distinct_target_once(monkeypatch):
 
     monkeypatch.setattr("wallclimber.gait.ik_planar_xy", counting_xy)
     monkeypatch.setattr("wallclimber.gait.ik_normal_zy", counting_zy)
-    rows = compile_joint_table(default_cycle(), GEOM, 10)
+    rows = compile_joint_table(GaitParams(), GEOM)
     assert all(len(target) == 3 for target in targets)  # one zy solve per xy solve
     assert len(rows) == 160
     assert len(targets) == len(set(targets)) == len({row.target_mm for row in rows})

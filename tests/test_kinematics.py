@@ -293,6 +293,9 @@ def test_reachable_with_limits():
     limits = JointLimits()
     ok, reason = reachable(GEOM, CupTarget(80.0, 80.0, 100.0, math.pi / 2), limits)
     assert (ok, reason) == (False, "joint_limit")
+    # a zy pair past the limits: z = 80 mm at k = 90 deg needs theta4 = 90 deg + asin(0.2)
+    ok, reason = reachable(GEOM, CupTarget(150.0, 0.0, 80.0, math.pi / 2), limits)
+    assert (ok, reason) == (False, "joint_limit")
     # one branch inside limits is enough
     assert reachable(GEOM, CupTarget(150.0, 0.0, 100.0, math.pi / 2), limits) == (True, None)
 

@@ -36,7 +36,6 @@ from wallclimber.gait import (
     generate_cycle,
     replay,
     swing_waypoint,
-    validate,
 )
 from wallclimber.errors import KinematicsError, UnreachableFoothold
 from wallclimber.kinematics import (
@@ -113,7 +112,8 @@ def test_every_cycle_closes_exactly(stance, order, step_length_mm, advance_mode)
     assert len(stances) == len(script.steps) + 1
     assert stances[0] == stances[-1] == footholds.points_um
     assert sum(step.body_advance_um for step in script.steps) == script.step_length_um
-    assert not [v for v in validate(script, geom).violations if v.kind == "closure"]
+    assert sorted(step.swing_leg for step in script.steps) == list(LEG_IDS)
+    assert all(step.body_advance_um >= 0 for step in script.steps)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -588,8 +588,8 @@ def test_gait_params_keeps_its_own_copy_of_the_stance():
     (GaitParams, {"step_length_mm": -1e308}, "step_length_mm"),
     (GaitParams, {"stance_mm": {1: (-80.0, 80.0), 2: (80.0, 80.0), 3: (80.0, -80.0),
                                 4: (-80.0, -1e308)}}, r"stance_mm\[4\]"),
-    (ScenarioConfig, {"gait": GaitParams(swing_s=1e308)}, "swing_s / tick_s"),
-    (ScenarioConfig, {"gait": GaitParams(advance_s=1e308)}, "advance_s / tick_s"),
+    (ScenarioConfig, {"gait": GaitParams(swing_s=1e307)}, "swing_s / tick_s"),
+    (ScenarioConfig, {"gait": GaitParams(advance_s=1e307)}, "advance_s / tick_s"),
     (ScenarioConfig, {"adhesion": AdhesionModel(dwell_s=1e308)}, "dwell_s / tick_s"),
     (ScenarioConfig, {"adhesion": AdhesionModel(vent_s=1e308)}, "vent_s / tick_s"),
     (ScenarioConfig, {"tick_s": 5e-324}, "vent_s / tick_s"),

@@ -18,7 +18,7 @@ from wallclimber import gait as gait_module
 from wallclimber import simulator
 from wallclimber.cli import EXIT_OK, EXIT_SIMFAIL, EXIT_VALIDATION, main
 from wallclimber.config import CONFIG_ENV_VAR, load_config
-from wallclimber.errors import GaitValidationError, JointLimit
+from wallclimber.errors import JointLimit
 from wallclimber.fileio import (
     JOINT_TABLE_HEADER,
     joint_table_sink,
@@ -276,11 +276,7 @@ TIGHT_LIMITS_INI = "[joints]\nlimit_min_deg = -180\nlimit_max_deg = 177\n"
 
 
 def compile_config(config, **kwargs):
-    gait = config.gait
-    script = generate_cycle(config.geometry, gait, config.limits)
-    return compile_joint_table(script, config.geometry, gait.samples_per_step,
-                               step_duration_s=gait.swing_s + gait.advance_s,
-                               limits=config.limits, **kwargs)
+    return compile_joint_table(config.gait, config.geometry, limits=config.limits, **kwargs)
 
 
 def reference_table(rows):
@@ -385,11 +381,11 @@ def _compile_peak_alloc_bytes(samples, writer=None):
     """The tracemalloc peak of a compile into `writer`'s sink, or into a
     sink that drops each row."""
     config = ScenarioConfig()
-    script = generate_cycle(config.geometry, config.gait)
+    gait = dataclasses.replace(config.gait, samples_per_step=samples)
     tracemalloc.start()
     try:
         with writer or contextlib.nullcontext(lambda row: None) as sink:
-            compile_joint_table(script, config.geometry, samples, sink=sink)
+            compile_joint_table(gait, config.geometry, sink=sink)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -453,28 +449,19 @@ def test_compile_targets_equal_checked_targets(case, tmp_path, monkeypatch):
                                                  for row in rows}
 
 
-def _with_nan_foothold(script):
-    first = script.steps[0]
-    nan_step = dataclasses.replace(first, new_foothold_um=(math.nan, first.new_foothold_um[1]))
-    return dataclasses.replace(script, steps=[nan_step, *script.steps[1:]])
-
-
-@pytest.mark.parametrize("change, error", [
-    (lambda script: dataclasses.replace(script, lift_mm=script.z_mm + 1), GaitValidationError),
-    (lambda script: dataclasses.replace(script, z_mm=-1.0), GaitValidationError),
-    (_with_nan_foothold, ValueError),
+@pytest.mark.parametrize("kwargs, message", [
+    ({"lift_mm": 101.0}, r"^lift_mm must lie in \[0, z_mm\]"),
+    ({"z_mm": -1.0, "lift_mm": 0.0}, r"^lift_mm must lie in \[0, z_mm\]"),
+    ({"stance_mm": {1: (math.nan, 80.0), 2: (80.0, 80.0), 3: (80.0, -80.0), 4: (-80.0, -80.0)}},
+     r"^stance_mm\[1\] must be finite"),
 ], ids=["lift-past-wall", "negative-z", "nan-foothold"])
-def test_compile_refuses_scripts_whose_targets_would_fail_the_check(change, error,
-                                                                    monkeypatch):
-    # the validate call at the top of the compile is what makes the unchecked
-    # targets safe: these scripts are refused before any solve or row
-    config = ScenarioConfig()
-    script = change(generate_cycle(config.geometry, config.gait))
-    solves, seen = record_plane_solves(monkeypatch), []
-    with pytest.raises(error) as raised:
-        compile_joint_table(script, config.geometry, 10, sink=seen.append)
-    assert type(raised.value) is error
-    assert solves == [] and seen == []
+def test_gait_params_refuses_plans_whose_targets_would_fail_the_check(kwargs, message):
+    # the compile plans from a GaitParams, so a plan whose unchecked targets
+    # would fail CupTarget's check (a negative clearance, a NaN foothold)
+    # cannot be built, let alone solved or written
+    with pytest.raises(ValueError, match=message) as raised:
+        GaitParams(**kwargs)
+    assert type(raised.value) is ValueError
 
 
 def test_stance_rows_of_a_step_share_one_pose():
