@@ -140,6 +140,20 @@ def test_validate_detects_unreachable_foothold():
         validate(bad, GEOM)
 
 
+def test_validate_reports_excessive_lift_instead_of_crashing():
+    # a lift past the wall would put the mid-swing cup through the body, a
+    # target CupTarget refuses mid-validate; the GaitParams refuses it by name
+    # first, so generate_cycle never hands validate a negative clearance
+    z = GaitParams().z_mm
+    with pytest.raises(ValueError, match=r"^lift_mm must lie in \[0, z_mm\]"):
+        GaitParams(lift_mm=z + 50.0)
+    # the largest lift allowed brings the cup to the body plane, which validate
+    # checks like any other clearance
+    script = generate_cycle(GEOM, GaitParams(lift_mm=z))
+    assert script.lift_mm == z
+    assert validate(script, GEOM) is None
+
+
 @pytest.mark.parametrize("name, value", [
     ("z_mm", math.nan), ("k_rad", math.inf), ("lift_mm", math.nan), ("lift_mm", None),
     ("branch", 1), ("branch", "plus"),

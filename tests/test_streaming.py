@@ -455,13 +455,16 @@ def test_compile_targets_equal_checked_targets(case, tmp_path, monkeypatch):
     ({"stance_mm": {1: (math.nan, 80.0), 2: (80.0, 80.0), 3: (80.0, -80.0), 4: (-80.0, -80.0)}},
      r"^stance_mm\[1\] must be finite"),
 ], ids=["lift-past-wall", "negative-z", "nan-foothold"])
-def test_gait_params_refuses_plans_whose_targets_would_fail_the_check(kwargs, message):
+def test_compile_refuses_scripts_whose_targets_would_fail_the_check(kwargs, message,
+                                                                    monkeypatch):
     # the compile plans from a GaitParams, so a plan whose unchecked targets
     # would fail CupTarget's check (a negative clearance, a NaN foothold)
     # cannot be built, let alone solved or written
+    solves, seen = record_plane_solves(monkeypatch), []
     with pytest.raises(ValueError, match=message) as raised:
-        GaitParams(**kwargs)
+        compile_joint_table(GaitParams(**kwargs), ScenarioConfig().geometry, sink=seen.append)
     assert type(raised.value) is ValueError
+    assert solves == [] and seen == []
 
 
 def test_stance_rows_of_a_step_share_one_pose():
