@@ -23,7 +23,7 @@ import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, tee
 from operator import add
 from types import MappingProxyType
 
@@ -193,9 +193,7 @@ def power_model(config, speed_mm_s, active_pumps):
     Servo idle draw, plus the running pumps, plus the mechanical lift
     rate m*g*sin(angle)*v scaled by the drivetrain efficiency.
     """
-    lift_w = (config.mass_kg * config.gravity_m_s2
-              * math.sin(config.climb_angle_rad)
-              * (speed_mm_s / 1000.0)) / config.lift_efficiency
+    lift_w = config.tangential_load_n * (speed_mm_s / 1000.0) / config.lift_efficiency
     return config.servo_power_w + active_pumps * config.pump_power_w + lift_w
 
 
@@ -213,12 +211,11 @@ class TickRecord(Fields):
     the run compares the cycle's start state (cup pressure bits and
     body-frame footholds) with the previous cycle's; on a match it replays
     the previous cycle, at most one cycle of ticks, to the end of the run,
-    so a replay can start a cycle after the first step that repeats.
-    Replayed ticks share the `angles`, `valve`, `pressure_kpa` and
-    `attached` dicts of the ticks they repeat. The pneumatic pass replays on
-    its own once the pressure bits repeat, so the ticks of a cycle computed
-    after that share the `valve`, `pressure_kpa` and `attached` dicts of the
-    cycle before it. Treat all four as read-only.
+    so a replay can start a cycle after the first step that repeats. This
+    is the run's only replay: the pneumatic pass replays nothing, so every
+    computed cycle has dicts of its own. Replayed ticks share the `angles`,
+    `valve`, `pressure_kpa` and `attached` dicts of the ticks they repeat, so
+    treat all four as read-only.
     A sink with fileio.series_csv_sink's `cycle` hook gets no record for a
     replayed tick of a noise-free run (see run_scenario). The `valve`,
     `pressure_kpa` and `attached` dicts list the legs 1..4 in order.
@@ -262,21 +259,21 @@ class SimReport(Fields):
 
 
 def _pneumatics(config, script, keep):
-    """Yield the cup pneumatics of a run phase by phase, then how the pass ends.
+    """Yield the cup pneumatics of a run cycle by cycle and phase by phase,
+    then how the pass ends.
 
     Nothing here reads the climb angle, the mass, the body position or the
-    jitter, so the angles of a sweep share one pass. Each phase comes as
-    (start, step, phase, valves, grips, low): `start` holds the exact bits of
-    the cup pressures (0.0 and -0.0 apart) when the phase's cycle started,
-    `grips` each tick's (attached, tangential capacity, pressures), the
-    pressures dict only when `keep`, and `low` the phase's lowest capacity,
-    which tells every angle of a sweep whether its load overloads the phase.
-    Every valve is on suction between steps, so a cycle that starts in the
-    bits the previous cycle started in repeats it: the pass yields that
-    cycle's phases again, the same tuples, once for every cycle left. It
-    holds one cycle of phases. The last item is (failure_tick,
-    "attach_timeout", reason) for a cup that never grips, else (None, None,
-    None).
+    jitter, so the angles of a sweep share one pass. Each cycle starts with
+    a 1-tuple holding the exact bits of the cup pressures (0.0 and -0.0 apart),
+    yielded before the pass computes any of the cycle's ticks: a reader that
+    replays from there on (the motion pass, see _run) stops the pass before
+    it computes a cycle nobody reads. Each phase then comes as (step, phase,
+    valves, grips, low): `grips` each tick's (attached, tangential capacity,
+    pressures), the pressures dict only when `keep`, and `low` the phase's
+    lowest capacity, which tells every angle of a sweep whether its load
+    overloads the phase. The pass holds and replays nothing. The last item
+    is (failure_tick, "attach_timeout", reason) for a cup that never grips,
+    else (None, None, None).
 
     Each phase runs the ticks that the config counted for it when it was
     built (ScenarioConfig._phase_ticks); the pass rounds no duration itself.
@@ -300,14 +297,8 @@ def _pneumatics(config, script, keep):
         return
 
     ticks = 0
-    start = None
-    for count in range(config.cycles):
-        previous, start = start, struct.pack("<4d", *(pressure[leg] for leg in LEG_IDS))
-        if start == previous:
-            for _ in range(config.cycles - count):
-                yield from held
-            break
-        held = []
+    for _ in range(config.cycles):
+        yield (struct.pack("<4d", *(pressure[leg] for leg in LEG_IDS)),)
         for step in script.steps:
             leg = step.swing_leg
             plan = ["vent", "swing", *["attach"] * ATTACH_DWELLS, "advance"]
@@ -331,8 +322,7 @@ def _pneumatics(config, script, keep):
                     attached, _, cap = grip(pressure, relaxing, model)
                     pressures = dict(pressure) if keep else None
                     grips.append((attached, cap, pressures))
-                held.append((start, step, phase, valves, grips, min(g[1] for g in grips)))
-                yield held[-1]
+                yield step, phase, valves, grips, min(g[1] for g in grips)
                 ticks += n
 
                 if phase == "attach":
@@ -360,9 +350,13 @@ def run_scenario(config, sink=None):
     advance into per-tick shares once, computes the energy term power x tick
     once per distinct share and still adds it once per tick, in tick order,
     and finds an overload as the first tick whose holding capacity is below
-    the load, which only a phase whose lowest capacity is below it has. A
-    sweep runs the pneumatic pass once for all its angles and each angle's
-    motion pass on its own (see sweep_climb_angle).
+    the load, which only a phase whose lowest capacity is below it has. The
+    pneumatic pass yields each cycle's start pressure bits before it
+    computes the cycle; when they and the footholds in the body frame equal
+    the previous cycle's, the motion pass replays that cycle to the end of
+    the run and reads no more of the pass, so no replayed cycle is computed
+    by either pass. A sweep runs the pneumatic pass once for all its angles
+    and each angle's motion pass on its own (see sweep_climb_angle).
 
     Each tick's TickRecord, built from its phase's shares and energy terms,
     is passed to `sink` when one is given, and the report's `records` stays
@@ -378,6 +372,13 @@ def run_scenario(config, sink=None):
     given config. Overload and attach timeouts mark the report
     completed=False (with failing tick, code and reason) instead of raising;
     planning errors (bad stance, unreachable footholds) raise.
+
+    This wrapper keeps _run's `shared` and `keep` private. A `shared` pass is
+    right only for a config that differs from the one it was made for in
+    nothing the plan or the pneumatics read, which sweep_climb_angle ensures
+    and a caller could not check; a run that does not `keep` returns no
+    records and draws no jitter, and sweep_climb_angle already offers such
+    runs as rows.
     """
     return _run(config, sink)
 
@@ -388,7 +389,8 @@ def _run(config, sink=None, shared=None, keep=True):
     jitter, and its summary is the same; without joint limits as well it
     reads no joint angle and cannot fail on reach (validate checks every
     pose the plan commands), so it builds no pose. `shared` is a sweep's
-    plan and the items of its pneumatic pass, listed once for all angles.
+    plan and this angle's iterator over the pneumatic pass that all its
+    angles share.
     """
     if shared is None:
         script = generate_cycle(config.geometry, config.gait, config.limits)
@@ -471,15 +473,13 @@ def _run(config, sink=None, shared=None, keep=True):
         # rest is fixed for the run (the phases' valves, idle, load_n), and
         # `cap` does not carry over: each phase grips before it reads it. A cycle
         # that starts in the state the previous cycle started in ends in it too,
-        # so the remaining cycles replay the previous one's phases.
+        # so the remaining cycles replay the previous one's phases, and the
+        # pneumatic pass computes none of them.
         state = None
         cycles_left = config.cycles
         for item in pneumatics:
-            if len(item) == 3:  # the end of the pneumatic pass
-                return item
-            start, step, phase, valves, grips, low = item
-            if phase == "vent" and step is script.steps[0]:  # a cycle starts
-                previous, state = state, (start, tuple(
+            if len(item) == 1:  # a cycle starts, with these pressure bits
+                previous, state = state, (*item, tuple(
                     (wall_um[other][0], wall_um[other][1] - body_um) for other in LEG_IDS))
                 if state == previous:
                     if cycle_hook is not None:  # the body's offset at each tick of the cycle
@@ -496,7 +496,10 @@ def _run(config, sink=None, shared=None, keep=True):
                 held, slips = [], slip_count
                 if cycle_hook is not None:
                     cycle_hook()
-
+                continue
+            if len(item) == 3:  # the end of the pneumatic pass
+                return item
+            step, phase, valves, grips, low = item
             n = len(grips)
             # the ticks the phase runs: up to the first whose capacity is below the load
             stop = n if load_n <= low else 1 + next(j for j, g in enumerate(grips) if load_n > g[1])
@@ -564,10 +567,12 @@ def sweep_climb_angle(base, angles_deg):
 
     Neither the plan nor the cup pneumatics read the angle, so the sweep
     plans and runs the pneumatic pass once, with each phase's lowest holding
-    capacity, and hands the plan and the listed pass to every angle's motion
-    pass (_run), which keeps no record. An angle then costs a few sums per
-    phase: its slip, body motion, power, energy and overload check, and its
-    row equals that of a run made on its own. Returns rows sorted by angle.
+    capacity, and hands the plan and an itertools.tee iterator over the pass
+    to every angle's motion pass (_run), which keeps no record. The pass is
+    computed only as far as the angle that reads furthest: up to its
+    replay, failure or end. An angle then costs a few sums per phase: its
+    slip, body motion, power, energy and overload check, and its row equals
+    that of a run made on its own. Returns rows sorted by angle.
     A failed angle (incomplete run or a planning error) is flagged in its
     row instead of aborting the sweep. Every angle's ScenarioConfig is built
     before any angle runs, so an angle that config refuses (outside [0, 90],
@@ -581,13 +586,13 @@ def sweep_climb_angle(base, angles_deg):
     try:
         script = generate_cycle(base.geometry, base.gait, base.limits)
     except ClimberError:  # a planning error, the same at every angle
-        shared = None
+        passes = [None] * len(configs)
     else:
-        shared = script, list(_pneumatics(base, script, keep=False))
+        passes = tee(_pneumatics(base, script, keep=False), len(configs))
     rows = []
-    for angle, config in zip(angles_deg, configs):
+    for angle, config, pneumatics in zip(angles_deg, configs, passes):
         try:
-            report = shared and _run(config, shared=shared, keep=False)
+            report = pneumatics and _run(config, shared=(script, pneumatics), keep=False)
         except ClimberError:
             report = None
         rows.append(SweepRow(angle, report.average_speed_mm_s, report.average_power_w,

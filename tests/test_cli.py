@@ -627,3 +627,36 @@ def test_the_cli_process_writes_what_main_writes(config, argv, code, outputs, tm
     assert process.stderr == captured.err.encode()
     for name in outputs:
         assert (spawned / name).read_bytes() == (here / name).read_bytes()
+
+
+# --- start-up -----------------------------------------------------------------------
+
+# The stdlib modules that `import wallclimber.cli` may add to an interpreter
+# started with -S (no site), recorded on CPython 3.10.13, 3.11.7, 3.12.1 and
+# 3.13.0, which add 57-59 each. A new import extends this list on purpose.
+CLI_STDLIB_IMPORTS = {
+    "_ast", "_bisect", "_collections", "_collections_abc", "_functools", "_locale",
+    "_opcode", "_opcode_metadata", "_operator", "_random", "_sha2", "_sha512", "_sre", "_stat",
+    "_struct", "_tokenize", "_weakrefset", "argparse", "ast", "bisect", "collections",
+    "collections.abc", "configparser", "contextlib", "copy", "copyreg", "dataclasses", "dis",
+    "enum", "errno", "functools", "gc", "genericpath", "gettext", "importlib",
+    "importlib._bootstrap", "importlib._bootstrap_external", "importlib.machinery", "inspect",
+    "itertools", "keyword", "linecache", "math", "opcode", "operator", "os", "os.path",
+    "posixpath", "random", "re", "re._casefix", "re._compiler", "re._constants", "re._parser",
+    "reprlib", "sre_compile", "sre_constants", "sre_parse", "stat", "struct", "token",
+    "tokenize", "types", "warnings", "weakref",
+}
+
+
+def test_importing_the_cli_adds_only_the_listed_stdlib_modules():
+    # Start-up is most of a short command's wall time, so an import that grows
+    # it fails here instead of only showing as a slower benchmark.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    probe = ("import sys; before = set(sys.modules); import wallclimber.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    process = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                             text=True, timeout=60)
+    assert process.returncode == 0, process.stderr
+    added = {name for name in process.stdout.split() if name.split(".")[0] != "wallclimber"}
+    assert sorted(added - CLI_STDLIB_IMPORTS) == []
+    assert added.isdisjoint({"json", "csv", "typing", "logging", "locale"})

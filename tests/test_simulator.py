@@ -498,6 +498,21 @@ def test_sweep_grips_as_often_as_one_run(grip_calls, limits):
     assert swept == len(grip_calls) == 1361
 
 
+def test_sweep_computes_the_pneumatics_only_as_far_as_its_angles_read(grip_calls):
+    # A tonne overloads the cups in the first phase at every one of these
+    # angles, so each run stops there: the shared pneumatic pass grips once
+    # before the first step and once per vent tick, as one such run does, and
+    # computes none of the 1,361 grips of a whole run.
+    config = ScenarioConfig(mass_kg=1000.0)
+    rows = sweep_climb_angle(config, [45.0, 60.0, 90.0])
+    assert not any(row.completed for row in rows)
+    swept = len(grip_calls)
+    grip_calls.clear()
+    report = simulator._run(replace(config, climb_angle_deg=45.0), keep=False)
+    assert report.failure_code == "adhesion_overload"
+    assert swept == len(grip_calls) == 21
+
+
 # --- non-finite inputs and pump coverage --------------------------------------
 
 @pytest.mark.parametrize("field", ["climb_angle_deg", "mass_kg", "gravity_m_s2", "tick_s",
